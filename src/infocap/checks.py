@@ -479,8 +479,7 @@ def _check_cli_determinism() -> tuple[bool, str]:
                 main,
                 [
                     "sweep", "vacuum", "--n", "4", "--start", "0", "--stop", "0.75",
-                    "--points", "20", "--with-oracle", "--seed", "3",
-                    "--output", str(path),
+                    "--points", "20", "--with-oracle", "--output", str(path),
                 ],
             )
             if result.exit_code != 0:

@@ -7,18 +7,16 @@ an ensemble and POVM pair), search (seeded tightness search), sweep
 reference checks) and sr-demo (shared-randomness demonstration).
 
 Exit codes: 0 success, 1 check or convergence failure, 2 parameter-domain
-error, 3 input-file error.  The environment variable INFOCAP_THREADS caps
-parallelism across grid points and restarts (0 = auto); output ordering
-never depends on scheduling.
+error, 3 input-file error.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import click
 import numpy as np
@@ -27,6 +25,7 @@ from . import bounds
 from .discrimination import dual_certificate, guess_value, optimize_discrimination, povm_from_json
 from .ensembles import (
     AlmostDim,
+    Assumption,
     Distrust,
     UniformOverlap,
     Vacuum,
@@ -38,35 +37,6 @@ from .ensembles import (
 from .errors import InfocapError, ParamOutOfRangeError
 from .randomness import ea_average_counterexample
 from .search import almost_dim_seed, tightness_search
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tol: float = 1e-10
-    max_iter: int = 10_000
-    restarts: int = 16
-    seed: int = 0
-    output: str | None = None
-    fmt: str = "json"
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("INFOCAP_THREADS", "").strip()
-    if not raw:
-        return 1
-    value = int(raw)
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = _max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -119,55 +89,61 @@ def main():
     state ensembles."""
 
 
-_BOUND_KINDS = ("dimension", "ea-dimension", "vacuum", "overlap", "almost-dim", "coherent", "distrust")
+@dataclass(frozen=True)
+class _Kind:
+    """What the CLI knows about one assumption kind.
+
+    ``columns`` are its parameter options, in grid and CSV column order.
+    ``bound`` maps (n, *params) to the closed-form bound; for a kind with
+    ``targets`` its first argument is the target ensemble instead of n.
+    ``sweep_axis`` names the column `sweep` varies and ``construction`` maps the
+    same arguments to a saturating ensemble (or None) for --with-oracle.
+    ``search`` is the assumption class `search` builds from the columns.
+    """
+
+    columns: tuple[str, ...]
+    bound: Callable[..., bounds.BoundResult]
+    sweep_axis: str | None = None
+    construction: Callable | None = None
+    search: type[Assumption] | None = None
+    targets: bool = False
 
 
-def _bound_rows(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_values, targets):
-    """(param-column names, list of (param values, BoundResult))."""
-    combos: list[tuple[tuple, bounds.BoundResult]] = []
-    if kind == "dimension":
-        cols = ["d"]
-        jobs = [(d, n) for d in d_values for n in n_values]
-        results = _pmap(lambda j: bounds.bound_dimension(*j), jobs)
-        combos = [((d,), r) for (d, n), r in zip(jobs, results)]
-    elif kind == "ea-dimension":
-        cols = ["d"]
-        jobs = [(d, n) for d in d_values for n in n_values]
-        results = _pmap(lambda j: bounds.bound_ea_dimension(*j), jobs)
-        combos = [((d,), r) for (d, n), r in zip(jobs, results)]
-    elif kind == "vacuum":
-        cols = ["omega"]
-        jobs = [(n, w) for w in omega_values for n in n_values]
-        results = _pmap(lambda j: bounds.bound_vacuum(*j), jobs)
-        combos = [((w,), r) for (n, w), r in zip(jobs, results)]
-    elif kind == "overlap":
-        cols = ["a"]
-        jobs = [(n, a) for a in a_values for n in n_values]
-        results = _pmap(lambda j: bounds.bound_overlap(*j), jobs)
-        combos = [((a,), r) for (n, a), r in zip(jobs, results)]
-    elif kind == "almost-dim":
-        cols = ["d", "eps"]
-        jobs = [(d, n, e) for d in d_values for e in eps_values for n in n_values]
-        results = _pmap(lambda j: bounds.bound_almost_dim(*j), jobs)
-        combos = [((d, e), r) for (d, n, e), r in zip(jobs, results)]
-    elif kind == "coherent":
-        cols = ["nbar"]
-        jobs = [(nb, n) for nb in nbar_values for n in n_values]
-        results = _pmap(lambda j: bounds.coherent_capacity(*j), jobs)
-        combos = [((nb,), r) for (nb, n), r in zip(jobs, results)]
-    elif kind == "distrust":
-        cols = ["eps"]
-        target_ensemble = ensemble_from_vectors(targets)
-        jobs = list(eps_values)
-        results = _pmap(lambda e: bounds.bound_distrust(target_ensemble, e), jobs)
-        combos = [((e,), r) for e, r in zip(jobs, results)]
-    else:  # pragma: no cover
-        raise ParamOutOfRangeError(f"unknown kind {kind}")
-    return cols, combos
+# bound functions are looked up on the module at call time, so wrappers
+# installed on bounds.bound_* see every row
+_KINDS = {
+    "dimension": _Kind(("d",), lambda n, d: bounds.bound_dimension(d, n)),
+    "ea-dimension": _Kind(("d",), lambda n, d: bounds.bound_ea_dimension(d, n)),
+    "vacuum": _Kind(
+        ("omega",),
+        lambda n, w: bounds.bound_vacuum(n, w),
+        sweep_axis="omega",
+        construction=lambda n, w: vacuum_cone_ensemble(n, w)[0] if w <= (n - 1) / n else None,
+        search=Vacuum,
+    ),
+    "overlap": _Kind(
+        ("a",),
+        lambda n, a: bounds.bound_overlap(n, a),
+        sweep_axis="a",
+        construction=equiangular_ensemble,
+        search=UniformOverlap,
+    ),
+    "almost-dim": _Kind(
+        ("d", "eps"),
+        lambda n, d, e: bounds.bound_almost_dim(d, n, e),
+        sweep_axis="eps",
+        construction=lambda n, d, e: ensemble_from_vectors(almost_dim_seed(d, n, e)[0]),
+        search=AlmostDim,
+    ),
+    "coherent": _Kind(("nbar",), lambda n, nb: bounds.coherent_capacity(nb, n), sweep_axis="nbar"),
+    "distrust": _Kind(
+        ("eps",), lambda t, e: bounds.bound_distrust(t, e), search=Distrust, targets=True
+    ),
+}
 
 
 @main.command()
-@click.argument("kind", type=click.Choice(_BOUND_KINDS))
+@click.argument("kind", type=click.Choice(list(_KINDS)))
 @click.option("--n", "n_values", type=int, multiple=True, required=True, help="Number of inputs (repeatable).")
 @click.option("--d", "d_values", type=int, multiple=True, help="Dimension parameter (repeatable).")
 @click.option("--omega", "omega_values", type=float, multiple=True, help="Vacuum deviation (repeatable).")
@@ -179,28 +155,26 @@ def _bound_rows(kind, n_values, d_values, omega_values, a_values, eps_values, nb
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv")
 def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_values, targets_file, output, fmt):
     """Evaluate the closed-form bound for one assumption over a grid."""
-    required = {
-        "dimension": d_values,
-        "ea-dimension": d_values,
-        "vacuum": omega_values,
-        "overlap": a_values,
-        "almost-dim": d_values and eps_values,
-        "coherent": nbar_values,
-        "distrust": eps_values and targets_file,
-    }
-    if not required[kind]:
+    spec = _KINDS[kind]
+    values = {"d": d_values, "omega": omega_values, "a": a_values, "eps": eps_values, "nbar": nbar_values}
+    grid = [values[c] for c in spec.columns]
+    if not all(grid) or (spec.targets and not targets_file):
         click.echo(f"error: missing parameters for kind {kind}", err=True)
         sys.exit(2)
-    targets = _load_targets(targets_file) if kind == "distrust" else None
+    targets = _load_targets(targets_file) if spec.targets else None
     try:
-        cols, combos = _bound_rows(
-            kind, n_values, d_values, omega_values, a_values, eps_values, nbar_values, targets
-        )
+        # a targets kind has one row per parameter point; others one per n
+        firsts = [ensemble_from_vectors(targets)] if spec.targets else n_values
+        combos = [
+            (params, spec.bound(first, *params))
+            for params in itertools.product(*grid)
+            for first in firsts
+        ]
     except ParamOutOfRangeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     if fmt == "csv":
-        header = ["assumption", *cols, "n", "pg_bound", "info_bits", "validity"]
+        header = ["assumption", *spec.columns, "n", "pg_bound", "info_bits", "validity"]
         rows = [
             [kind, *[_fmt9(p) if isinstance(p, float) else str(p) for p in params],
              str(r.n), _fmt9(r.pg_bound), _fmt9(r.info_bits), r.validity.value]
@@ -209,7 +183,7 @@ def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_val
         _emit(_csv(header, rows), output)
     else:
         payload = [
-            {"assumption": kind, "params": dict(zip(cols, params)), **r.to_json()}
+            {"assumption": kind, "params": dict(zip(spec.columns, params)), **r.to_json()}
             for params, r in combos
         ]
         _emit(json.dumps(payload, indent=2) + "\n", output)
@@ -219,17 +193,13 @@ def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_val
 @click.argument("ensemble_file", type=str)
 @click.option("--tol", type=float, default=1e-10)
 @click.option("--max-iter", type=int, default=10_000)
-@click.option("--seed", type=int, default=0)
 @click.option("--output", "-o", type=str, default=None)
-def oracle(ensemble_file, tol, max_iter, seed, output):
+def oracle(ensemble_file, tol, max_iter, output):
     """Run the discrimination oracle on an ensemble file; exit 0 iff the
     dual certificate closes the gap."""
-    config = RunConfig(tol=tol, max_iter=max_iter, seed=seed, output=output)
     e = _load_ensemble(ensemble_file)
     try:
-        res = optimize_discrimination(
-            e, tol=config.tol, max_iter=config.max_iter, seed=config.seed
-        )
+        res = optimize_discrimination(e, tol=tol, max_iter=max_iter)
     except InfocapError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -241,7 +211,7 @@ def oracle(ensemble_file, tol, max_iter, seed, output):
         "iterations": res.iterations,
         "converged": res.converged,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", config.output)
+    _emit(json.dumps(payload, indent=2) + "\n", output)
     sys.exit(0 if res.converged else 1)
 
 
@@ -272,29 +242,8 @@ def certify(ensemble_file, povm_file, output):
     sys.exit(0 if cert.is_valid else 1)
 
 
-_SEARCH_KINDS = ("vacuum", "overlap", "almost-dim", "distrust")
-
-
-def _search_assumption(kind, d, omega, a, eps, targets):
-    if kind == "vacuum":
-        if omega is None:
-            raise ParamOutOfRangeError("vacuum search needs --omega")
-        return Vacuum(omega=omega)
-    if kind == "overlap":
-        if a is None:
-            raise ParamOutOfRangeError("overlap search needs --a")
-        return UniformOverlap(a=a)
-    if kind == "almost-dim":
-        if d is None or eps is None:
-            raise ParamOutOfRangeError("almost-dim search needs --d and --eps")
-        return AlmostDim(d=d, eps=eps)
-    if eps is None or targets is None:
-        raise ParamOutOfRangeError("distrust search needs --eps and --targets")
-    return Distrust(targets=targets, eps=eps)
-
-
 @main.command()
-@click.argument("kind", type=click.Choice(_SEARCH_KINDS))
+@click.argument("kind", type=click.Choice([k for k, spec in _KINDS.items() if spec.search]))
 @click.option("--n", type=int, default=None)
 @click.option("--d", type=int, default=None)
 @click.option("--omega", type=float, default=None)
@@ -307,46 +256,27 @@ def _search_assumption(kind, d, omega, a, eps, targets):
 @click.option("--output", "-o", type=str, default=None)
 def search(kind, n, d, omega, a, eps, targets_file, restarts, seed, tol, output):
     """Seeded tightness search: best achievable value vs the bound."""
-    config = RunConfig(tol=tol, restarts=restarts, seed=seed, output=output)
+    spec = _KINDS[kind]
     targets = _load_targets(targets_file) if targets_file else None
+    # the assumption's fields are named like the options that set them
+    params = {"d": d, "omega": omega, "a": a, "eps": eps, "targets": targets}
+    needed = spec.columns + (("targets",) if spec.targets else ())
     try:
-        assumption = _search_assumption(kind, d, omega, a, eps, targets)
-        if kind != "distrust" and n is None:
+        if any(params[c] is None for c in needed):
+            flags = " and ".join(f"--{c}" for c in needed)
+            raise ParamOutOfRangeError(f"{kind} search needs {flags}")
+        assumption = spec.search(**{c: params[c] for c in needed})
+        if not spec.targets and n is None:
             raise ParamOutOfRangeError("search needs --n")
-        report = tightness_search(
-            assumption, n, restarts=config.restarts, seed=config.seed, tol=config.tol
-        )
+        report = tightness_search(assumption, n, restarts=restarts, seed=seed, tol=tol)
     except ParamOutOfRangeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    _emit(json.dumps(report.to_json(), indent=2) + "\n", config.output)
-
-
-_SWEEP_KINDS = ("vacuum", "overlap", "almost-dim", "coherent")
-_SWEEP_AXIS = {"vacuum": "omega", "overlap": "a", "almost-dim": "eps", "coherent": "nbar"}
-
-
-def _sweep_point(kind, n, d, x, with_oracle, tol, seed):
-    if kind == "vacuum":
-        res = bounds.bound_vacuum(n, x)
-        builder = (lambda: vacuum_cone_ensemble(n, x)[0]) if x <= (n - 1) / n else None
-    elif kind == "overlap":
-        res = bounds.bound_overlap(n, x)
-        builder = lambda: equiangular_ensemble(n, x)
-    elif kind == "almost-dim":
-        res = bounds.bound_almost_dim(d, n, x)
-        builder = lambda: ensemble_from_vectors(almost_dim_seed(d, n, x)[0])
-    else:
-        res = bounds.coherent_capacity(x, n)
-        builder = None
-    oracle_value = float("nan")
-    if with_oracle and builder is not None:
-        oracle_value = optimize_discrimination(builder(), tol=tol, seed=seed).value
-    return res, oracle_value
+    _emit(json.dumps(report.to_json(), indent=2) + "\n", output)
 
 
 @main.command()
-@click.argument("kind", type=click.Choice(_SWEEP_KINDS))
+@click.argument("kind", type=click.Choice([k for k, spec in _KINDS.items() if spec.sweep_axis]))
 @click.option("--n", type=int, required=True)
 @click.option("--d", type=int, default=2, help="Subspace dimension (almost-dim only).")
 @click.option("--start", type=float, required=True)
@@ -354,30 +284,35 @@ def _sweep_point(kind, n, d, x, with_oracle, tol, seed):
 @click.option("--points", type=int, required=True)
 @click.option("--with-oracle", is_flag=True, default=False)
 @click.option("--tol", type=float, default=1e-10)
-@click.option("--seed", type=int, default=0)
 @click.option("--output", "-o", type=str, default=None)
-def sweep(kind, n, d, start, stop, points, with_oracle, tol, seed, output):
+def sweep(kind, n, d, start, stop, points, with_oracle, tol, output):
     """Sweep the assumption's scalar parameter and emit plot-ready CSV."""
     if points < 1:
         click.echo("error: need at least one grid point", err=True)
         sys.exit(2)
+    spec = _KINDS[kind]
     axis = np.linspace(start, stop, points)
-    try:
-        results = _pmap(
-            lambda x: _sweep_point(kind, n, d, float(x), with_oracle, tol, seed), axis
-        )
-    except ParamOutOfRangeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    header = [_SWEEP_AXIS[kind], "pg_bound", "info_bits"]
+    header = [spec.sweep_axis, "pg_bound", "info_bits"]
     if with_oracle:
         header.append("oracle_value")
     rows = []
-    for x, (res, oracle_value) in zip(axis, results):
-        row = [_fmt9(float(x)), _fmt9(res.pg_bound), _fmt9(res.info_bits)]
-        if with_oracle:
-            row.append(_fmt9(oracle_value))
-        rows.append(row)
+    try:
+        for x in axis:
+            x = float(x)
+            # --d is the only parameter a sweep holds fixed
+            params = [x if c == spec.sweep_axis else d for c in spec.columns]
+            res = spec.bound(n, *params)
+            row = [_fmt9(x), _fmt9(res.pg_bound), _fmt9(res.info_bits)]
+            if with_oracle:
+                ens = spec.construction(n, *params) if spec.construction else None
+                oracle_value = float("nan")
+                if ens is not None:
+                    oracle_value = optimize_discrimination(ens, tol=tol).value
+                row.append(_fmt9(oracle_value))
+            rows.append(row)
+    except ParamOutOfRangeError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     _emit(_csv(header, rows), output)
 
 

@@ -36,6 +36,8 @@ class POVM:
         el = np.asarray(self.elements, dtype=complex)
         if el.ndim != 3 or el.shape[1] != el.shape[2]:
             raise InvalidPOVMError(f"elements must have shape (n, d, d), got {el.shape}")
+        if not np.isfinite(el).all():
+            raise InvalidPOVMError("elements must have finite entries")
         for i, m in enumerate(el):
             if float(np.max(np.abs(m - m.conj().T))) > 1e-8:
                 raise InvalidPOVMError(f"element {i} is not Hermitian")
@@ -178,18 +180,15 @@ def optimize_discrimination(
     e: StateEnsemble,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
 ) -> GuessingResult:
     """Numeric oracle for the optimal guessing probability.
 
     Fixed-point iteration N_x <- T^(-1/2) r_x N_x r_x T^(-1/2) with
     r_x = rho_x/n and T = sum_y r_y N_y r_y, started from the pretty good
-    measurement; the value is nondecreasing along the iteration.  The
-    ``seed`` argument is reserved for optional perturbed restarts and does
-    not affect the deterministic default path.  Convergence is declared
-    when the accompanying dual certificate has gap <= 10*tol.
+    measurement; the value is nondecreasing along the iteration.
+    Convergence is declared when the accompanying dual certificate has
+    gap <= 10*tol.
     """
-    del seed  # reserved
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     rt = e.states / e.n

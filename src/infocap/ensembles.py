@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class StateEnsemble:
             raise DimensionMismatchError(f"states must have shape (n, d, d), got {states.shape}")
         if states.shape[0] < 1:
             raise InfocapError("an ensemble needs at least one state")
+        if not np.isfinite(states).all():
+            raise InfocapError("states must have finite entries")
         for i, rho in enumerate(states):
             dev = float(np.max(np.abs(rho - rho.conj().T)))
             if dev > 100 * linalg.HERMITIAN_TOL:
@@ -107,57 +109,176 @@ def ensemble_from_vectors(vectors: np.ndarray) -> StateEnsemble:
 # ---------------------------------------------------------------------------
 
 
+def _as_is(value):
+    return value
+
+
+class _Field(NamedTuple):
+    """One JSON field of an assumption; ``key`` is also the dataclass field.
+    An optional field is left out of the JSON when its value is None."""
+
+    key: str
+    decode: Callable
+    encode: Callable = _as_is
+    optional: bool = False
+
+
+def _vectors_from_json(obj: list) -> np.ndarray:
+    return np.stack([vector_from_json(t) for t in obj])
+
+
+def _vectors_to_json(vectors: np.ndarray) -> list:
+    return [vector_to_json(t) for t in vectors]
+
+
+class Assumption:
+    """A preparation assumption: the set of ensembles it allows.
+
+    Each kind is defined once, by its subclass: ``kind`` names it in files,
+    ``json_fields`` lists its JSON fields in serialized order, ``param`` is
+    the scalar that shared-randomness branches average, ``larger_is_weaker``
+    says whether a larger ``param`` allows more ensembles, the
+    ``shared_fields`` must agree across averaged branches, and
+    ``membership`` checks an ensemble against the assumption.
+    """
+
+    kind: ClassVar[str]
+    json_fields: ClassVar[tuple[_Field, ...]]
+    param: ClassVar[str]
+    larger_is_weaker: ClassVar[bool] = True
+    shared_fields: ClassVar[tuple[str, ...]] = ()
+
+    def membership(self, e, vacuum_vector, subsystem_dims, pg) -> MembershipReport:
+        """Membership of ``e``, given the context keywords of check_assumption."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class Dimension:
+class Dimension(Assumption):
     d: int
 
     kind = "dimension"
+    json_fields = (_Field("d", int),)
+    param = "d"
 
     def __post_init__(self):
         if self.d < 1:
             raise ParamOutOfRangeError("dimension must be >= 1")
 
+    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+        d = self.d
+        if e.dim <= d:
+            return _report([0.0] * e.n, note="ambient dimension within bound")
+        avg = linalg.hermitize(e.states.mean(axis=0))
+        w = np.linalg.eigvalsh(avg)[::-1]
+        # joint support must fit in d dimensions: the (d+1)-th eigenvalue of
+        # the average state must vanish
+        slack = -float(w[d])
+        return _report([slack], note="slack is minus the (d+1)-th eigenvalue of the average state")
+
 
 @dataclass(frozen=True)
-class EADimension:
+class EADimension(Assumption):
     d: int
 
     kind = "ea_dimension"
+    json_fields = (_Field("d", int),)
+    param = "d"
 
     def __post_init__(self):
         if self.d < 1:
             raise ParamOutOfRangeError("message dimension must be >= 1")
 
+    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+        d = self.d
+        if subsystem_dims is None:
+            if e.dim == d * d:
+                subsystem_dims = (d, d)
+            elif e.dim % d == 0:
+                subsystem_dims = (d, e.dim // d)
+            else:
+                raise MissingContextError(
+                    f"cannot infer a message x receiver split of dimension {e.dim}; "
+                    "pass subsystem_dims"
+                )
+        da, db = subsystem_dims
+        if da * db != e.dim:
+            raise DimensionMismatchError(f"subsystem dims {subsystem_dims} do not match dim {e.dim}")
+        margs = [linalg.partial_trace(rho, (da, db), trace_out=0) for rho in e.states]
+        mean = sum(margs) / e.n
+        slacks = [-float(np.max(np.abs(m - mean))) for m in margs]
+        note = "necessary conditions only: constant receiver marginal"
+        if all(e.pure_flags):
+            # Schmidt number <= d per pure state: the (d+1)-th eigenvalue of
+            # the reduced state must vanish
+            for m in margs:
+                w = np.linalg.eigvalsh(linalg.hermitize(m))[::-1]
+                slacks.append(-float(w[d]) if d < len(w) else 0.0)
+            note += " and Schmidt number"
+        return _report(slacks, note=note)
+
 
 @dataclass(frozen=True)
-class Vacuum:
+class Vacuum(Assumption):
     omega: float
 
     kind = "vacuum"
+    json_fields = (_Field("omega", float),)
+    param = "omega"
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
             raise ParamOutOfRangeError("omega must lie in [0, 1]")
 
+    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+        if vacuum_vector is None:
+            raise MissingContextError("vacuum membership needs a designated vacuum vector")
+        v = np.asarray(vacuum_vector, dtype=complex).reshape(-1)
+        if v.shape[0] != e.dim:
+            raise DimensionMismatchError("vacuum vector dimension does not match the ensemble")
+        weights = np.einsum("i,xij,j->x", v.conj(), e.states, v).real
+        return _report([float(self.omega - (1.0 - w)) for w in weights])
+
 
 @dataclass(frozen=True)
-class UniformOverlap:
+class UniformOverlap(Assumption):
     a: float
 
     kind = "uniform_overlap"
+    json_fields = (_Field("a", float),)
+    param = "a"
+    # a larger required overlap is a stronger constraint
+    larger_is_weaker = False
 
     def __post_init__(self):
         if not 0.0 <= self.a <= 1.0:
             raise ParamOutOfRangeError("overlap must lie in [0, 1]")
 
+    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+        if not all(e.pure_flags):
+            raise MixedStateOverlapError("overlap membership is defined for pure ensembles only")
+        # |<psi_x|psi_y>| = sqrt(tr rho_x rho_y) for pure states
+        g = np.einsum("xij,yji->xy", e.states, e.states).real
+        ov = np.sqrt(np.clip(g, 0.0, None))
+        slacks = [float(ov[x, y] - self.a) for x in range(e.n) for y in range(x + 1, e.n)]
+        return _report(slacks if slacks else [0.0])
+
 
 @dataclass(frozen=True, eq=False)
-class AlmostDim:
+class AlmostDim(Assumption):
     d: int
     eps: float
     projector: np.ndarray | None = None
 
     kind = "almost_dim"
+    json_fields = (
+        _Field("d", int),
+        _Field("eps", float),
+        # a lambda, so a wrapper on this module's matrix_from_json sees the call
+        _Field("projector", lambda obj: matrix_from_json(obj), matrix_to_json, optional=True),
+    )
+    param = "eps"
+    shared_fields = ("d",)
 
     def __post_init__(self):
         if self.d < 1:
@@ -165,15 +286,34 @@ class AlmostDim:
         if not 0.0 <= self.eps <= 1.0:
             raise ParamOutOfRangeError("eps must lie in [0, 1]")
 
+    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+        if self.projector is not None:
+            note = "supplied projector"
+            pi = np.asarray(self.projector, dtype=complex)
+        else:
+            # heuristic witness: top-d eigenspace of the average state gives
+            # a sound sufficient check of the existential projector
+            dec = linalg.hermitian_eig(e.states.mean(axis=0))
+            v = dec.eigenvectors[:, : self.d]
+            pi = v @ v.conj().T
+            note = "top-d eigenspace of the average state"
+        if pi.shape != (e.dim, e.dim):
+            raise DimensionMismatchError("projector dimension does not match the ensemble")
+        weights = np.einsum("ij,xji->x", pi, e.states).real
+        return _report([float(w - (1.0 - self.eps)) for w in weights], note=note)
+
 
 @dataclass(frozen=True, eq=False)
-class Distrust:
+class Distrust(Assumption):
     """Target unit vectors as rows of ``targets``."""
 
     targets: np.ndarray
     eps: float
 
     kind = "distrust"
+    json_fields = (_Field("eps", float), _Field("targets", _vectors_from_json, _vectors_to_json))
+    param = "eps"
+    shared_fields = ("targets",)
 
     def __post_init__(self):
         t = np.asarray(self.targets, dtype=complex)
@@ -186,19 +326,36 @@ class Distrust:
             raise ParamOutOfRangeError("eps must lie in [0, 1]")
         object.__setattr__(self, "targets", t.copy())
 
+    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+        t = self.targets
+        if t.shape[0] != e.n:
+            raise DimensionMismatchError("one target per state is required")
+        if t.shape[1] > e.dim:
+            raise DimensionMismatchError("targets live in a larger space than the lab states")
+        if t.shape[1] < e.dim:
+            t = np.pad(t, ((0, 0), (0, e.dim - t.shape[1])))
+        fid = np.einsum("xi,xij,xj->x", t.conj(), e.states, t).real
+        return _report([float(f - (1.0 - self.eps)) for f in fid])
+
 
 @dataclass(frozen=True)
-class Information:
+class Information(Assumption):
     alpha: float
 
     kind = "information"
+    json_fields = (_Field("alpha", float),)
+    param = "alpha"
 
     def __post_init__(self):
         if self.alpha < 0.0:
             raise ParamOutOfRangeError("alpha must be >= 0")
 
-
-Assumption = Union[Dimension, EADimension, Vacuum, UniformOverlap, AlmostDim, Distrust, Information]
+    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+        if pg is None:
+            raise MissingContextError(
+                "information membership needs a precomputed guessing probability (pg)"
+            )
+        return _report([float(2.0**self.alpha / e.n - pg)])
 
 
 @dataclass(frozen=True)
@@ -223,6 +380,30 @@ def _report(slacks: list[float], note: str = "") -> MembershipReport:
         detail=tuple(float(s) for s in slacks),
         note=note,
     )
+
+
+_KINDS = {
+    cls.kind: cls
+    for cls in (Dimension, EADimension, Vacuum, UniformOverlap, AlmostDim, Distrust, Information)
+}
+
+
+def check_assumption(
+    e: StateEnsemble,
+    a: Assumption,
+    *,
+    vacuum_vector: np.ndarray | None = None,
+    subsystem_dims: tuple[int, int] | None = None,
+    pg: float | None = None,
+) -> MembershipReport:
+    """Check whether an ensemble belongs to the set an assumption allows.
+
+    Context keywords: ``vacuum_vector`` is required for Vacuum;
+    ``subsystem_dims`` optionally fixes the message x receiver split for
+    EADimension; ``pg`` supplies a precomputed guessing probability for
+    Information.
+    """
+    return a.membership(e, vacuum_vector, subsystem_dims, pg)
 
 
 # ---------------------------------------------------------------------------
@@ -386,146 +567,6 @@ def almost_qubit_epsilon(nbar: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Membership
-# ---------------------------------------------------------------------------
-
-
-def _pairwise_overlaps(e: StateEnsemble) -> np.ndarray:
-    # |<psi_x|psi_y>| = sqrt(tr rho_x rho_y) for pure states
-    g = np.einsum("xij,yji->xy", e.states, e.states).real
-    return np.sqrt(np.clip(g, 0.0, None))
-
-
-def _check_dimension(e: StateEnsemble, d: int) -> MembershipReport:
-    if e.dim <= d:
-        return _report([0.0] * e.n, note="ambient dimension within bound")
-    avg = linalg.hermitize(e.states.mean(axis=0))
-    w = np.linalg.eigvalsh(avg)[::-1]
-    # joint support must fit in d dimensions: the (d+1)-th eigenvalue of the
-    # average state must vanish
-    slack = -float(w[d])
-    return _report([slack], note="slack is minus the (d+1)-th eigenvalue of the average state")
-
-
-def _check_ea_dimension(
-    e: StateEnsemble, d: int, subsystem_dims: tuple[int, int] | None
-) -> MembershipReport:
-    if subsystem_dims is None:
-        if e.dim == d * d:
-            subsystem_dims = (d, d)
-        elif e.dim % d == 0:
-            subsystem_dims = (d, e.dim // d)
-        else:
-            raise MissingContextError(
-                f"cannot infer a message x receiver split of dimension {e.dim}; "
-                "pass subsystem_dims"
-            )
-    da, db = subsystem_dims
-    if da * db != e.dim:
-        raise DimensionMismatchError(f"subsystem dims {subsystem_dims} do not match dim {e.dim}")
-    margs = [linalg.partial_trace(rho, (da, db), trace_out=0) for rho in e.states]
-    mean = sum(margs) / e.n
-    slacks = [-float(np.max(np.abs(m - mean))) for m in margs]
-    note = "necessary conditions only: constant receiver marginal"
-    if all(e.pure_flags):
-        # Schmidt number <= d per pure state: the (d+1)-th eigenvalue of the
-        # reduced state must vanish
-        for m in margs:
-            w = np.linalg.eigvalsh(linalg.hermitize(m))[::-1]
-            slacks.append(-float(w[d]) if d < len(w) else 0.0)
-        note += " and Schmidt number"
-    return _report(slacks, note=note)
-
-
-def _check_vacuum(e: StateEnsemble, omega: float, vacuum_vector: np.ndarray | None) -> MembershipReport:
-    if vacuum_vector is None:
-        raise MissingContextError("vacuum membership needs a designated vacuum vector")
-    v = np.asarray(vacuum_vector, dtype=complex).reshape(-1)
-    if v.shape[0] != e.dim:
-        raise DimensionMismatchError("vacuum vector dimension does not match the ensemble")
-    weights = np.einsum("i,xij,j->x", v.conj(), e.states, v).real
-    slacks = [float(omega - (1.0 - w)) for w in weights]
-    return _report(slacks)
-
-
-def _check_overlap(e: StateEnsemble, a: float) -> MembershipReport:
-    if not all(e.pure_flags):
-        raise MixedStateOverlapError("overlap membership is defined for pure ensembles only")
-    ov = _pairwise_overlaps(e)
-    slacks = [float(ov[x, y] - a) for x in range(e.n) for y in range(x + 1, e.n)]
-    return _report(slacks if slacks else [0.0])
-
-
-def _check_almost_dim(
-    e: StateEnsemble, d: int, eps: float, projector: np.ndarray | None
-) -> MembershipReport:
-    if projector is not None:
-        note = "supplied projector"
-        pi = np.asarray(projector, dtype=complex)
-    else:
-        # heuristic witness: top-d eigenspace of the average state gives a
-        # sound sufficient check of the existential projector
-        dec = linalg.hermitian_eig(e.states.mean(axis=0))
-        v = dec.eigenvectors[:, :d]
-        pi = v @ v.conj().T
-        note = "top-d eigenspace of the average state"
-    if pi.shape != (e.dim, e.dim):
-        raise DimensionMismatchError("projector dimension does not match the ensemble")
-    weights = np.einsum("ij,xji->x", pi, e.states).real
-    slacks = [float(w - (1.0 - eps)) for w in weights]
-    return _report(slacks, note=note)
-
-
-def _check_distrust(e: StateEnsemble, targets: np.ndarray, eps: float) -> MembershipReport:
-    t = np.asarray(targets, dtype=complex)
-    if t.shape[0] != e.n:
-        raise DimensionMismatchError("one target per state is required")
-    if t.shape[1] > e.dim:
-        raise DimensionMismatchError("targets live in a larger space than the lab states")
-    if t.shape[1] < e.dim:
-        t = np.pad(t, ((0, 0), (0, e.dim - t.shape[1])))
-    fid = np.einsum("xi,xij,xj->x", t.conj(), e.states, t).real
-    slacks = [float(f - (1.0 - eps)) for f in fid]
-    return _report(slacks)
-
-
-def check_assumption(
-    e: StateEnsemble,
-    a: Assumption,
-    *,
-    vacuum_vector: np.ndarray | None = None,
-    subsystem_dims: tuple[int, int] | None = None,
-    pg: float | None = None,
-) -> MembershipReport:
-    """Check whether an ensemble belongs to the set an assumption allows.
-
-    Context keywords: ``vacuum_vector`` is required for Vacuum;
-    ``subsystem_dims`` optionally fixes the message x receiver split for
-    EADimension; ``pg`` supplies a precomputed guessing probability for
-    Information.
-    """
-    if isinstance(a, Dimension):
-        return _check_dimension(e, a.d)
-    if isinstance(a, EADimension):
-        return _check_ea_dimension(e, a.d, subsystem_dims)
-    if isinstance(a, Vacuum):
-        return _check_vacuum(e, a.omega, vacuum_vector)
-    if isinstance(a, UniformOverlap):
-        return _check_overlap(e, a.a)
-    if isinstance(a, AlmostDim):
-        return _check_almost_dim(e, a.d, a.eps, a.projector)
-    if isinstance(a, Distrust):
-        return _check_distrust(e, a.targets, a.eps)
-    if isinstance(a, Information):
-        if pg is None:
-            raise MissingContextError(
-                "information membership needs a precomputed guessing probability (pg)"
-            )
-        return _report([float(2.0**a.alpha / e.n - pg)])
-    raise InfocapError(f"unknown assumption {a!r}")
-
-
-# ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
 
@@ -547,46 +588,19 @@ def ensemble_from_json(obj: dict) -> StateEnsemble:
 
 
 def assumption_to_json(a: Assumption) -> dict:
-    if isinstance(a, Dimension):
-        return {"kind": a.kind, "d": a.d}
-    if isinstance(a, EADimension):
-        return {"kind": a.kind, "d": a.d}
-    if isinstance(a, Vacuum):
-        return {"kind": a.kind, "omega": a.omega}
-    if isinstance(a, UniformOverlap):
-        return {"kind": a.kind, "a": a.a}
-    if isinstance(a, AlmostDim):
-        out = {"kind": a.kind, "d": a.d, "eps": a.eps}
-        if a.projector is not None:
-            out["projector"] = matrix_to_json(a.projector)
-        return out
-    if isinstance(a, Distrust):
-        return {
-            "kind": a.kind,
-            "eps": a.eps,
-            "targets": [vector_to_json(t) for t in a.targets],
-        }
-    if isinstance(a, Information):
-        return {"kind": a.kind, "alpha": a.alpha}
-    raise InfocapError(f"unknown assumption {a!r}")
+    out = {"kind": a.kind}
+    for f in a.json_fields:
+        value = getattr(a, f.key)
+        if value is not None:
+            out[f.key] = f.encode(value)
+    return out
 
 
 def assumption_from_json(obj: dict) -> Assumption:
     kind = obj["kind"]
-    if kind == "dimension":
-        return Dimension(d=int(obj["d"]))
-    if kind == "ea_dimension":
-        return EADimension(d=int(obj["d"]))
-    if kind == "vacuum":
-        return Vacuum(omega=float(obj["omega"]))
-    if kind == "uniform_overlap":
-        return UniformOverlap(a=float(obj["a"]))
-    if kind == "almost_dim":
-        proj = matrix_from_json(obj["projector"]) if "projector" in obj else None
-        return AlmostDim(d=int(obj["d"]), eps=float(obj["eps"]), projector=proj)
-    if kind == "distrust":
-        targets = np.stack([vector_from_json(t) for t in obj["targets"]])
-        return Distrust(targets=targets, eps=float(obj["eps"]))
-    if kind == "information":
-        return Information(alpha=float(obj["alpha"]))
-    raise InfocapError(f"unknown assumption kind {kind!r}")
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise InfocapError(f"unknown assumption kind {kind!r}")
+    return cls(
+        **{f.key: f.decode(obj[f.key]) for f in cls.json_fields if not f.optional or f.key in obj}
+    )

@@ -37,10 +37,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -111,11 +107,6 @@ def _inv_sqrt_spectrum(w: np.ndarray) -> np.ndarray:
 def mat_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse square root on the support of ``a``, zero on its kernel."""
     return mat_func(a, _inv_sqrt_spectrum)
-
-
-def support_projector(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a Hermitian PSD matrix."""
-    return mat_func(a, lambda w: (w > KERNEL_CUTOFF).astype(float))
 
 
 def vectors_from_gram(g: np.ndarray) -> np.ndarray:

@@ -21,16 +21,10 @@ import numpy as np
 from . import bounds
 from .discrimination import optimize_discrimination
 from .ensembles import (
-    AlmostDim,
     Assumption,
-    Dimension,
-    Distrust,
     EADimension,
-    Information,
     MembershipReport,
     StateEnsemble,
-    UniformOverlap,
-    Vacuum,
     assumption_from_json,
     assumption_to_json,
     check_assumption,
@@ -132,17 +126,13 @@ def check_peak(s: SRStrategy, gamma: Assumption, aux=None) -> MembershipReport:
 
 def scalar_param(a: Assumption) -> float:
     """The scalar knob of an assumption, used for branch averaging."""
-    if isinstance(a, (Dimension, EADimension)):
-        return float(a.d)
-    if isinstance(a, Vacuum):
-        return a.omega
-    if isinstance(a, UniformOverlap):
-        return a.a
-    if isinstance(a, (AlmostDim, Distrust)):
-        return a.eps
-    if isinstance(a, Information):
-        return a.alpha
-    raise NonScalarParameterError(f"assumption {a!r} has no scalar parameter")
+    return float(getattr(a, a.param))
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and np.allclose(a, b, atol=1e-12)
+    return a == b
 
 
 def check_average(s: SRStrategy, gamma_target: float, aux=None) -> MembershipReport:
@@ -152,29 +142,20 @@ def check_average(s: SRStrategy, gamma_target: float, aux=None) -> MembershipRep
     For every kind but the overlap a larger parameter is a weaker
     constraint, so the branch average must not exceed the target; the
     overlap works the other way (a larger required overlap is stronger)
-    and the average must not fall below it.  Distrust branches must share
-    their targets; almost-dimension branches must share d.
+    and the average must not fall below it.  The kind's shared fields
+    (distrust targets, almost-dimension d) must agree across branches.
     """
     first = s.branches[0][2]
-    if isinstance(first, Distrust):
-        ref = first.targets
-        for _, _, g in s.branches[1:]:
-            if g.targets.shape != ref.shape or not np.allclose(g.targets, ref, atol=1e-12):
-                raise NonScalarParameterError(
-                    "averaging distrust branches requires fixed targets"
-                )
-    if isinstance(first, AlmostDim):
-        if any(g.d != first.d for _, _, g in s.branches):
-            raise NonScalarParameterError("averaging almost-dim branches requires a fixed d")
+    for key in first.shared_fields:
+        ref = getattr(first, key)
+        if any(not _same_value(getattr(g, key), ref) for _, _, g in s.branches[1:]):
+            raise NonScalarParameterError(f"averaging {first.kind} branches requires a fixed {key}")
     slacks: list[float] = []
     for i, (_, e, g) in enumerate(s.branches):
         rep = check_assumption(e, g, **_branch_aux(aux, i))
         slacks.append(rep.worst_slack)
     avg = sum(q * scalar_param(g) for q, _, g in s.branches)
-    if isinstance(first, UniformOverlap):
-        avg_slack = avg - gamma_target
-    else:
-        avg_slack = gamma_target - avg
+    avg_slack = gamma_target - avg if first.larger_is_weaker else avg - gamma_target
     slacks.append(float(avg_slack + AVERAGE_SLACK))
     worst = min(slacks)
     return MembershipReport(

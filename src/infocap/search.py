@@ -20,6 +20,7 @@ feasible point but generally not optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,10 +35,7 @@ from .discrimination import optimize_discrimination
 from .ensembles import (
     AlmostDim,
     Assumption,
-    Distrust,
     StateEnsemble,
-    UniformOverlap,
-    Vacuum,
     check_assumption,
     ensemble_from_vectors,
     equiangular_ensemble,
@@ -173,52 +171,98 @@ def _project_overlap(gram: np.ndarray, a: float, n: int) -> np.ndarray | None:
     return None
 
 
-def _candidate(
-    assumption: Assumption,
-    n: int,
-    seed_vectors: np.ndarray,
-    projector: np.ndarray | None,
-    restart: int,
-    rng: np.random.Generator,
-) -> StateEnsemble | None:
-    if restart == 0:
-        return ensemble_from_vectors(seed_vectors)
-    sigma = _SIGMAS[(restart - 1) % len(_SIGMAS)]
-    noise = rng.standard_normal(seed_vectors.shape) + 1j * rng.standard_normal(
-        seed_vectors.shape
-    )
-    perturbed = seed_vectors + sigma * noise
+def _rescaled(projectors, weight: float) -> Callable:
+    """Projection that rescales each perturbed state to weight ``weight``
+    inside its own projector ``projectors[x]``."""
 
-    if isinstance(assumption, UniformOverlap):
+    def project(perturbed: np.ndarray, rng: np.random.Generator) -> StateEnsemble:
+        vecs = np.empty_like(perturbed)
+        for x in range(perturbed.shape[0]):
+            vecs[x] = _split_and_rescale(perturbed[x], projectors[x], weight, rng)
+        return ensemble_from_vectors(vecs)
+
+    return project
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """One search: the assumption searched (with any witness filled in), the
+    closed-form bound, the saturating seed, the projection of a perturbed
+    seed back onto the constraint surface (None when that fails) and the
+    membership context."""
+
+    assumption: Assumption
+    n: int
+    bound: BoundResult
+    seed_vectors: np.ndarray
+    project: Callable[[np.ndarray, np.random.Generator], StateEnsemble | None]
+    membership_aux: dict
+
+
+def _require_n(a: Assumption, n: int | None) -> int:
+    if n is None:
+        raise ParamOutOfRangeError(f"{a.kind} search needs n")
+    return n
+
+
+def _vacuum_plan(a, n, tol) -> _Plan:
+    n = _require_n(a, n)
+    bound = bound_vacuum(n, a.omega)
+    ens, vac = vacuum_cone_ensemble(n, min(a.omega, (n - 1) / n))
+    seed_vectors = ens.state_vectors()
+    axis = np.zeros(seed_vectors.shape[1], dtype=complex)
+    axis[0] = 1.0
+    project = _rescaled([np.outer(axis, axis.conj())] * n, 1.0 - a.omega)
+    return _Plan(a, n, bound, seed_vectors, project, {"vacuum_vector": vac})
+
+
+def _overlap_plan(a, n, tol) -> _Plan:
+    n = _require_n(a, n)
+
+    def project(perturbed, rng):
         vecs = np.stack([v / np.linalg.norm(v) for v in perturbed])
-        gram = vecs.conj() @ vecs.T
-        g = _project_overlap(gram, assumption.a, n)
+        g = _project_overlap(vecs.conj() @ vecs.T, a.a, n)
         if g is None:
             return None
         return ensemble_from_vectors(vectors_from_gram((g + g.conj().T) / 2.0))
 
-    if isinstance(assumption, Vacuum):
-        weight = 1.0 - assumption.omega
-        vac = np.zeros(seed_vectors.shape[1], dtype=complex)
-        vac[0] = 1.0
-        proj = np.outer(vac, vac.conj())
-    elif isinstance(assumption, AlmostDim):
-        weight = 1.0 - assumption.eps
-        proj = projector
-    elif isinstance(assumption, Distrust):
-        weight = 1.0 - assumption.eps
-        proj = None  # per-state projector below
-    else:
-        raise ParamOutOfRangeError(f"search does not support assumption {assumption!r}")
+    bound = bound_overlap(n, a.a)
+    return _Plan(a, n, bound, equiangular_ensemble(n, a.a).state_vectors(), project, {})
 
-    vecs = np.empty_like(perturbed)
-    for x in range(n):
-        if isinstance(assumption, Distrust):
-            t = np.zeros(perturbed.shape[1], dtype=complex)
-            t[: assumption.targets.shape[1]] = assumption.targets[x]
-            proj = np.outer(t, t.conj())
-        vecs[x] = _split_and_rescale(perturbed[x], proj, weight, rng)
-    return ensemble_from_vectors(vecs)
+
+def _almost_dim_plan(a, n, tol) -> _Plan:
+    n = _require_n(a, n)
+    bound = bound_almost_dim(a.d, n, a.eps)
+    seed_vectors, projector = almost_dim_seed(a.d, n, a.eps)
+    witnessed = AlmostDim(d=a.d, eps=a.eps, projector=projector)
+    return _Plan(witnessed, n, bound, seed_vectors, _rescaled([projector] * n, 1.0 - a.eps), {})
+
+
+def _distrust_plan(a, n, tol) -> _Plan:
+    targets = a.targets
+    bound = bound_distrust(ensemble_from_vectors(targets), a.eps, tol)
+    seed_vectors = distrust_seed(targets, a.eps)
+    padded = np.zeros((targets.shape[0], seed_vectors.shape[1]), dtype=complex)
+    padded[:, : targets.shape[1]] = targets
+    project = _rescaled([np.outer(t, t.conj()) for t in padded], 1.0 - a.eps)
+    return _Plan(a, targets.shape[0], bound, seed_vectors, project, {})
+
+
+_PLANS = {
+    "vacuum": _vacuum_plan,
+    "uniform_overlap": _overlap_plan,
+    "almost_dim": _almost_dim_plan,
+    "distrust": _distrust_plan,
+}
+
+
+def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnsemble | None:
+    if restart == 0:
+        return ensemble_from_vectors(plan.seed_vectors)
+    sigma = _SIGMAS[(restart - 1) % len(_SIGMAS)]
+    shape = plan.seed_vectors.shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return plan.project(plan.seed_vectors + sigma * noise, rng)
 
 
 def tightness_search(
@@ -235,41 +279,19 @@ def tightness_search(
     Deterministic for a fixed ``seed``: restart k draws from a generator
     seeded with seed + k.
     """
-    membership_aux: dict = {}
-    if isinstance(assumption, Vacuum):
-        if n is None:
-            raise ParamOutOfRangeError("vacuum search needs n")
-        bound = bound_vacuum(n, assumption.omega)
-        ens, vac = vacuum_cone_ensemble(n, min(assumption.omega, (n - 1) / n))
-        seed_vectors, projector = ens.state_vectors(), None
-        membership_aux = {"vacuum_vector": vac}
-    elif isinstance(assumption, UniformOverlap):
-        if n is None:
-            raise ParamOutOfRangeError("overlap search needs n")
-        bound = bound_overlap(n, assumption.a)
-        seed_vectors, projector = equiangular_ensemble(n, assumption.a).state_vectors(), None
-    elif isinstance(assumption, AlmostDim):
-        if n is None:
-            raise ParamOutOfRangeError("almost-dim search needs n")
-        bound = bound_almost_dim(assumption.d, n, assumption.eps)
-        seed_vectors, projector = almost_dim_seed(assumption.d, n, assumption.eps)
-        assumption = AlmostDim(d=assumption.d, eps=assumption.eps, projector=projector)
-    elif isinstance(assumption, Distrust):
-        n = assumption.targets.shape[0]
-        bound = bound_distrust(ensemble_from_vectors(assumption.targets), assumption.eps, tol)
-        seed_vectors, projector = distrust_seed(assumption.targets, assumption.eps), None
-    else:
+    make_plan = _PLANS.get(assumption.kind)
+    if make_plan is None:
         raise ParamOutOfRangeError(f"search does not support assumption {assumption!r}")
-
+    plan = make_plan(assumption, n, tol)
     outcomes: list[RestartOutcome] = []
     best = 0.0
     for k in range(max(1, restarts)):
         rng = np.random.default_rng(seed + k)
-        cand = _candidate(assumption, n, seed_vectors, projector, k, rng)
+        cand = _candidate(plan, k, rng)
         if cand is None:
             outcomes.append(RestartOutcome(index=k, value=0.0, converged=False, feasible=False))
             continue
-        report = check_assumption(cand, assumption, **membership_aux)
+        report = check_assumption(cand, plan.assumption, **plan.membership_aux)
         if not report.satisfied:
             outcomes.append(RestartOutcome(index=k, value=0.0, converged=False, feasible=False))
             continue
@@ -279,10 +301,10 @@ def tightness_search(
         )
         best = max(best, res.value)
     return SearchReport(
-        assumption=assumption,
-        n=n,
+        assumption=plan.assumption,
+        n=plan.n,
         seed=seed,
-        bound=bound,
+        bound=plan.bound,
         best_value=best,
         restarts=tuple(outcomes),
     )

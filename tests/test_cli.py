@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from infocap import basis_ensemble, ensemble_to_json, pgm, uniform_povm
+from infocap import basis_ensemble, ensemble_from_vectors, ensemble_to_json, pgm, uniform_povm
 from infocap.cli import main
 from infocap.discrimination import povm_to_json
 
@@ -68,6 +68,125 @@ class TestBound:
         assert result.exit_code == 2
 
 
+_TARGET_VECTORS = [[1, 0], [0, 1], [1, 0]]
+_TARGETS_JSON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+
+
+def _row(assumption, params, pg_bound, info_bits, validity, n):
+    return {"assumption": assumption, "params": params, "pg_bound": pg_bound,
+            "info_bits": info_bits, "validity": validity, "n": n}
+
+
+# (grid options, CSV text, JSON rows): every bound kind on a small grid, with
+# the embedded assumption dicts in their serialized key order
+_BOUND_GRIDS = {
+    "dimension": (
+        ["--d", "2", "--d", "3", "--n", "4", "--n", "9"],
+        "assumption,d,n,pg_bound,info_bits,validity\n"
+        "dimension,2,4,0.5,1,valid\n"
+        "dimension,2,9,0.222222222,1,valid\n"
+        "dimension,3,4,0.75,1.5849625,valid\n"
+        "dimension,3,9,0.333333333,1.5849625,valid\n",
+        [
+            _row({"kind": "dimension", "d": 2}, {"d": 2}, 0.5, 1.0, "valid", 4),
+            _row({"kind": "dimension", "d": 2}, {"d": 2}, 0.2222222222222222, 1.0, "valid", 9),
+            _row({"kind": "dimension", "d": 3}, {"d": 3}, 0.75, 1.584962500721156, "valid", 4),
+            _row({"kind": "dimension", "d": 3}, {"d": 3}, 0.3333333333333333, 1.584962500721156,
+                 "valid", 9),
+        ],
+    ),
+    "ea-dimension": (
+        ["--d", "2", "--n", "3", "--n", "30"],
+        "assumption,d,n,pg_bound,info_bits,validity\n"
+        "ea-dimension,2,3,1,1.5849625,valid\n"
+        "ea-dimension,2,30,0.133333333,2,valid\n",
+        [
+            _row({"kind": "ea_dimension", "d": 2}, {"d": 2}, 1.0, 1.584962500721156, "valid", 3),
+            _row({"kind": "ea_dimension", "d": 2}, {"d": 2}, 0.13333333333333333, 2.0, "valid", 30),
+        ],
+    ),
+    "vacuum": (
+        ["--omega", "0.1", "--omega", "0.9", "--n", "4"],
+        "assumption,omega,n,pg_bound,info_bits,validity\n"
+        "vacuum,0.1,4,0.559807621,1.16300303,valid\n"
+        "vacuum,0.9,4,1,2,trivially_one\n",
+        [
+            _row({"kind": "vacuum", "omega": 0.1}, {"omega": 0.1}, 0.5598076211353316,
+                 1.1630030327867855, "valid", 4),
+            _row({"kind": "vacuum", "omega": 0.9}, {"omega": 0.9}, 1.0, 2.0, "trivially_one", 4),
+        ],
+    ),
+    "overlap": (
+        ["--a", "0.0", "--a", "0.5", "--n", "3"],
+        "assumption,a,n,pg_bound,info_bits,validity\n"
+        "overlap,0,3,1,1.5849625,valid\n"
+        "overlap,0.5,3,0.888888889,1.4150375,valid\n",
+        [
+            _row({"kind": "uniform_overlap", "a": 0.0}, {"a": 0.0}, 1.0, 1.584962500721156,
+                 "valid", 3),
+            _row({"kind": "uniform_overlap", "a": 0.5}, {"a": 0.5}, 0.8888888888888891,
+                 1.415037499278844, "valid", 3),
+        ],
+    ),
+    "almost-dim": (
+        ["--d", "2", "--eps", "0.0", "--eps", "0.1", "--n", "4", "--n", "8"],
+        "assumption,d,eps,n,pg_bound,info_bits,validity\n"
+        "almost-dim,2,0,4,0.5,1,valid\n"
+        "almost-dim,2,0,8,0.25,1,valid\n"
+        "almost-dim,2,0.1,4,0.8,1.67807191,valid\n"
+        "almost-dim,2,0.1,8,0.559807621,2.16300303,valid\n",
+        [
+            _row({"kind": "almost_dim", "d": 2, "eps": 0.0}, {"d": 2, "eps": 0.0},
+                 0.5000000000000001, 1.0000000000000002, "valid", 4),
+            _row({"kind": "almost_dim", "d": 2, "eps": 0.0}, {"d": 2, "eps": 0.0}, 0.25, 1.0,
+                 "valid", 8),
+            _row({"kind": "almost_dim", "d": 2, "eps": 0.1}, {"d": 2, "eps": 0.1},
+                 0.7999999999999999, 1.6780719051126376, "valid", 4),
+            _row({"kind": "almost_dim", "d": 2, "eps": 0.1}, {"d": 2, "eps": 0.1},
+                 0.5598076211353316, 2.1630030327867855, "valid", 8),
+        ],
+    ),
+    "coherent": (
+        ["--nbar", "0.5", "--nbar", "2", "--n", "8"],
+        "assumption,nbar,n,pg_bound,info_bits,validity\n"
+        "coherent,0.5,8,0.543195607,2.11954372,valid\n"
+        "coherent,2,8,0.972289709,2.95945816,valid\n",
+        [
+            _row({"kind": "almost_dim", "d": 2, "eps": 0.09020401043104986}, {"nbar": 0.5},
+                 0.5431956069063056, 2.119543716948383, "valid", 8),
+            _row({"kind": "almost_dim", "d": 2, "eps": 0.5939941502901619}, {"nbar": 2.0},
+                 0.9722897094375442, 2.9594581573113232, "valid", 8),
+        ],
+    ),
+    "distrust": (
+        ["--eps", "0.05", "--eps", "0.5", "--n", "3"],
+        "assumption,eps,n,pg_bound,info_bits,validity\n"
+        "distrust,0.05,3,0.855480467,1.35976932,valid\n"
+        "distrust,0.5,3,1,1.5849625,trivially_one\n",
+        [
+            _row({"kind": "distrust", "eps": 0.05, "targets": _TARGETS_JSON}, {"eps": 0.05},
+                 0.8554804667656326, 1.359769319786267, "valid", 3),
+            _row({"kind": "distrust", "eps": 0.5, "targets": _TARGETS_JSON}, {"eps": 0.5}, 1.0,
+                 1.584962500721156, "trivially_one", 3),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BOUND_GRIDS))
+def test_bound_output_pinned(runner, tmp_path, kind):
+    options, csv_text, json_rows = _BOUND_GRIDS[kind]
+    if kind == "distrust":
+        targets = ensemble_from_vectors(np.array(_TARGET_VECTORS, dtype=complex))
+        options = [*options, "--targets", write_json(tmp_path / "t.json", ensemble_to_json(targets))]
+    csv = runner.invoke(main, ["bound", kind, *options])
+    assert csv.exit_code == 0
+    assert csv.output == csv_text
+    js = runner.invoke(main, ["bound", kind, *options, "--format", "json"])
+    assert js.exit_code == 0
+    assert js.output == json.dumps(json_rows, indent=2) + "\n"
+
+
 class TestOracle:
     def test_basis_ensemble_file(self, runner, tmp_path):
         path = write_json(tmp_path / "e.json", ensemble_to_json(basis_ensemble(3, 3)))
@@ -87,6 +206,14 @@ class TestOracle:
         path = write_json(tmp_path / "e.json", {"n": 1, "dim": 2, "states": [[[[2, 0], [0, 0]], [[0, 0], [0, 0]]]]})
         result = runner.invoke(main, ["oracle", path])
         assert result.exit_code == 3
+
+    def test_nan_ensemble_exits_3(self, runner, tmp_path):
+        obj = ensemble_to_json(basis_ensemble(2, 2))
+        obj["states"][1][0][1] = [float("nan"), 0.0]
+        path = write_json(tmp_path / "e.json", obj)
+        result = runner.invoke(main, ["oracle", path, "--max-iter", "50"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
 
 
 class TestCertify:

@@ -189,6 +189,12 @@ class TestPOVMType:
         with pytest.raises(InvalidPOVMError):
             POVM(bad)
 
+    def test_rejects_nan_element(self):
+        elements = basis_povm(2).elements.copy()
+        elements[0, 0, 1] = np.nan
+        with pytest.raises(InvalidPOVMError):
+            POVM(elements)
+
     def test_json_roundtrip(self, rng):
         m = random_povm(rng, 3, 2)
         back = povm_from_json(povm_to_json(m))

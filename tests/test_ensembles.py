@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from infocap.ensembles import assumption_from_json, assumption_to_json
 from infocap.errors import (
     CutoffTooSmallError,
     GramNotPSDError,
+    InfocapError,
     MissingContextError,
     MixedStateOverlapError,
     OmegaOutOfRangeError,
@@ -40,6 +42,14 @@ from conftest import random_unit
 def overlaps(e):
     g = np.einsum("xij,yji->xy", e.states, e.states).real
     return np.sqrt(np.clip(g, 0, None))
+
+
+class TestStateEnsembleType:
+    def test_rejects_nan_entry(self):
+        states = basis_ensemble(2, 2).states.copy()
+        states[1, 0, 1] = np.nan
+        with pytest.raises(InfocapError):
+            StateEnsemble(states)
 
 
 class TestBasisEnsemble:
@@ -282,17 +292,42 @@ class TestJson:
         back = ensemble_from_json(ensemble_to_json(e))
         np.testing.assert_allclose(back.states, e.states, atol=1e-15)
 
-    def test_assumption_roundtrip(self, rng):
-        targets = np.stack([random_unit(rng, 2) for _ in range(2)])
+    def test_assumption_roundtrip(self):
+        targets = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        projector = np.diag([1.0, 0.0])
         cases = [
-            Dimension(d=2),
-            EADimension(d=3),
-            Vacuum(omega=0.25),
-            UniformOverlap(a=0.5),
-            AlmostDim(d=2, eps=0.1),
-            Distrust(targets=targets, eps=0.05),
-            Information(alpha=1.5),
+            (Dimension(d=2), {"kind": "dimension", "d": 2}),
+            (EADimension(d=3), {"kind": "ea_dimension", "d": 3}),
+            (Vacuum(omega=0.25), {"kind": "vacuum", "omega": 0.25}),
+            (UniformOverlap(a=0.5), {"kind": "uniform_overlap", "a": 0.5}),
+            (AlmostDim(d=2, eps=0.1), {"kind": "almost_dim", "d": 2, "eps": 0.1}),
+            (
+                AlmostDim(d=1, eps=0.2, projector=projector),
+                {
+                    "kind": "almost_dim",
+                    "d": 1,
+                    "eps": 0.2,
+                    "projector": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                },
+            ),
+            (
+                Distrust(targets=targets, eps=0.05),
+                {
+                    "kind": "distrust",
+                    "eps": 0.05,
+                    "targets": [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.8]]],
+                },
+            ),
+            (Information(alpha=1.5), {"kind": "information", "alpha": 1.5}),
         ]
-        for a in cases:
-            back = assumption_from_json(assumption_to_json(a))
-            assert back.kind == a.kind
+        for a, expected in cases:
+            out = assumption_to_json(a)
+            # key order is part of the file format
+            assert json.dumps(out) == json.dumps(expected)
+            back = assumption_from_json(json.loads(json.dumps(out)))
+            assert type(back) is type(a)
+            assert json.dumps(assumption_to_json(back)) == json.dumps(expected)
+        back = assumption_from_json(cases[5][1])
+        np.testing.assert_array_equal(back.projector, projector)
+        back = assumption_from_json(cases[6][1])
+        np.testing.assert_array_equal(back.targets, targets)
