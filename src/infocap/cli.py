@@ -162,6 +162,10 @@ def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_val
         click.echo(f"error: missing parameters for kind {kind}", err=True)
         sys.exit(2)
     targets = _load_targets(targets_file) if spec.targets else None
+    if spec.targets and any(n != len(targets) for n in n_values):
+        # the row count n of a targets kind is the number of targets
+        click.echo(f"error: --n must equal the {len(targets)} targets for kind {kind}", err=True)
+        sys.exit(2)
     try:
         # a targets kind has one row per parameter point; others one per n
         firsts = [ensemble_from_vectors(targets)] if spec.targets else n_values
@@ -291,6 +295,9 @@ def sweep(kind, n, d, start, stop, points, with_oracle, tol, output):
         click.echo("error: need at least one grid point", err=True)
         sys.exit(2)
     spec = _KINDS[kind]
+    if with_oracle and spec.construction is None:
+        click.echo(f"error: kind {kind} has no saturating construction for --with-oracle", err=True)
+        sys.exit(2)
     axis = np.linspace(start, stop, points)
     header = [spec.sweep_axis, "pg_bound", "info_bits"]
     if with_oracle:
@@ -304,11 +311,13 @@ def sweep(kind, n, d, start, stop, points, with_oracle, tol, output):
             res = spec.bound(n, *params)
             row = [_fmt9(x), _fmt9(res.pg_bound), _fmt9(res.info_bits)]
             if with_oracle:
-                ens = spec.construction(n, *params) if spec.construction else None
-                oracle_value = float("nan")
-                if ens is not None:
-                    oracle_value = optimize_discrimination(ens, tol=tol).value
-                row.append(_fmt9(oracle_value))
+                ens = spec.construction(n, *params)
+                if ens is None:
+                    raise ParamOutOfRangeError(
+                        f"no saturating {kind} construction at {spec.sweep_axis}={_fmt9(x)}"
+                        " for --with-oracle"
+                    )
+                row.append(_fmt9(optimize_discrimination(ens, tol=tol).value))
             rows.append(row)
     except ParamOutOfRangeError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .ensembles import StateEnsemble
-from .errors import DimensionMismatchError, InvalidPOVMError
+from .errors import DimensionMismatchError, InvalidPOVMError, NonHermitianError
 from .serialize import matrix_from_json, matrix_to_json
 
 POVM_PSD_SLACK = 1e-9
@@ -38,12 +38,14 @@ class POVM:
             raise InvalidPOVMError(f"elements must have shape (n, d, d), got {el.shape}")
         if not np.isfinite(el).all():
             raise InvalidPOVMError("elements must have finite entries")
-        for i, m in enumerate(el):
-            if float(np.max(np.abs(m - m.conj().T))) > 1e-8:
+        non_hermitian = linalg.hermitian_deviations(el) > 1e-8
+        lowest = linalg.lowest_eigenvalues(el)
+        bad = np.flatnonzero(non_hermitian | (lowest < -POVM_PSD_SLACK))
+        if bad.size:
+            i = bad[0]
+            if non_hermitian[i]:
                 raise InvalidPOVMError(f"element {i} is not Hermitian")
-            lo = float(np.linalg.eigvalsh(linalg.hermitize(m))[0])
-            if lo < -POVM_PSD_SLACK:
-                raise InvalidPOVMError(f"element {i} has eigenvalue {lo:.3e}")
+            raise InvalidPOVMError(f"element {i} has eigenvalue {lowest[i]:.3e}")
         dev = float(np.linalg.norm(el.sum(axis=0) - np.eye(el.shape[1])))
         if dev > COMPLETENESS_TOL:
             raise InvalidPOVMError(f"completeness defect {dev:.3e} > {COMPLETENESS_TOL:.0e}")
@@ -117,12 +119,10 @@ def pgm(e: StateEnsemble) -> POVM:
     """
     s = linalg.hermitize(e.states.sum(axis=0))
     s_isqrt = linalg.mat_inv_sqrt(s)
-    elements = np.einsum("ij,xjk,kl->xil", s_isqrt, e.states, s_isqrt)
+    elements = s_isqrt @ e.states @ s_isqrt
     deficit = np.eye(e.dim, dtype=complex) - elements.sum(axis=0)
-    elements = elements + deficit / e.n
-    elements = (elements + np.conj(np.transpose(elements, (0, 2, 1)))) / 2.0
-    lowest = min(float(np.linalg.eigvalsh(linalg.hermitize(m))[0]) for m in elements)
-    if lowest < -1e-12:
+    elements = linalg.hermitize(elements + deficit / e.n)
+    if linalg.lowest_eigenvalues(elements).min() < -1e-12:
         # ill-conditioned S^(-1/2) can leave tiny negative eigenvalues
         elements = _repair_elements(elements)
     return POVM(elements)
@@ -150,16 +150,12 @@ def _repair_elements(elements: np.ndarray) -> np.ndarray:
     the kernel cutoff leaves tiny negative eigenvalues in a fixed-point
     iterate.
     """
-    clipped = []
-    for m in elements:
-        w, v = np.linalg.eigh(linalg.hermitize(m))
-        if w[0] >= 0.0:
-            clipped.append(m)
-            continue
-        clipped.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
-    total = linalg.hermitize(np.sum(clipped, axis=0))
+    w, v = np.linalg.eigh(linalg.hermitize(elements))
+    projected = (v * np.clip(w, 0.0, None)[:, None, :]) @ linalg.dagger(v)
+    clipped = np.where((w[:, 0] >= 0.0)[:, None, None], elements, projected)
+    total = linalg.hermitize(clipped.sum(axis=0))
     tisq = linalg.mat_inv_sqrt(total)
-    return np.stack([linalg.hermitize(tisq @ m @ tisq) for m in clipped])
+    return linalg.hermitize(tisq @ clipped @ tisq)
 
 
 def dual_certificate(e: StateEnsemble, m: POVM) -> DualCertificate:
@@ -170,10 +166,16 @@ def dual_certificate(e: StateEnsemble, m: POVM) -> DualCertificate:
     """
     rt = e.states / e.n
     k = linalg.hermitize(np.einsum("xij,xjk->ik", rt, m.elements))
-    slacks = [linalg.min_eigenvalue(k - r) for r in rt]
-    return DualCertificate(
-        K=k, trace_value=float(np.trace(k).real), min_slack=float(min(slacks))
-    )
+    diffs = k - rt
+    dev = linalg.hermitian_deviations(diffs)
+    bad = np.flatnonzero(dev > linalg.HERMITIAN_TOL)
+    if bad.size:
+        raise NonHermitianError(
+            f"K - rho_{bad[0]}/n deviates from Hermiticity by {dev[bad[0]]:.3e}"
+            f" > {linalg.HERMITIAN_TOL:.0e}"
+        )
+    slack = linalg.lowest_eigenvalues(diffs).min()
+    return DualCertificate(K=k, trace_value=float(np.trace(k).real), min_slack=float(slack))
 
 
 def optimize_discrimination(
@@ -197,13 +199,12 @@ def optimize_discrimination(
     value = float(np.einsum("xij,xji->", rt, elements).real)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = np.einsum("xij,xjk,xkl->xil", rt, elements, rt)
+        g = rt @ elements @ rt
         t = linalg.hermitize(g.sum(axis=0))
         t_isqrt = linalg.mat_inv_sqrt(t)
-        new = np.einsum("ij,xjk,kl->xil", t_isqrt, g, t_isqrt)
+        new = t_isqrt @ g @ t_isqrt
         deficit = eye - new.sum(axis=0)
-        new = new + deficit / e.n
-        new = (new + np.conj(np.transpose(new, (0, 2, 1)))) / 2.0
+        new = linalg.hermitize(new + deficit / e.n)
         new_value = float(np.einsum("xij,xji->", rt, new).real)
         if new_value < value - 1e-12:
             # the pseudo-inverse truncation can cost more value than the
@@ -216,8 +217,7 @@ def optimize_discrimination(
         value = max(value, new_value)
         if increment < tol:
             break
-    lowest = min(float(np.linalg.eigvalsh(linalg.hermitize(m))[0]) for m in elements)
-    if lowest < -1e-12:
+    if linalg.lowest_eigenvalues(elements).min() < -1e-12:
         elements = _repair_elements(elements)
     povm = POVM(elements)
     value = guess_value(e, povm)

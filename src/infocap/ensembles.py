@@ -58,16 +58,19 @@ class StateEnsemble:
             raise InfocapError("an ensemble needs at least one state")
         if not np.isfinite(states).all():
             raise InfocapError("states must have finite entries")
-        for i, rho in enumerate(states):
-            dev = float(np.max(np.abs(rho - rho.conj().T)))
-            if dev > 100 * linalg.HERMITIAN_TOL:
-                raise InfocapError(f"state {i} deviates from Hermiticity by {dev:.3e}")
-            tr = complex(np.trace(rho))
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise InfocapError(f"state {i} has trace {tr}, expected 1")
-            lo = float(np.linalg.eigvalsh(linalg.hermitize(rho))[0])
-            if lo < -linalg.PSD_SLACK:
-                raise InfocapError(f"state {i} has eigenvalue {lo:.3e}")
+        dev = linalg.hermitian_deviations(states)
+        traces = np.trace(states, axis1=1, axis2=2)
+        lowest = linalg.lowest_eigenvalues(states)
+        non_hermitian = dev > 100 * linalg.HERMITIAN_TOL
+        off_trace = np.abs(traces - 1.0) > TRACE_TOL
+        bad = np.flatnonzero(non_hermitian | off_trace | (lowest < -linalg.PSD_SLACK))
+        if bad.size:
+            i = bad[0]
+            if non_hermitian[i]:
+                raise InfocapError(f"state {i} deviates from Hermiticity by {dev[i]:.3e}")
+            if off_trace[i]:
+                raise InfocapError(f"state {i} has trace {complex(traces[i])}, expected 1")
+            raise InfocapError(f"state {i} has eigenvalue {lowest[i]:.3e}")
         states = states.copy()
         states.setflags(write=False)
         object.__setattr__(self, "states", states)

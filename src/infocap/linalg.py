@@ -29,12 +29,24 @@ RECON_TOL = 1e-10      # relative Frobenius reconstruction budget
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dag)/2; cheap guard against arithmetic drift."""
-    return (a + a.conj().T) / 2.0
+    """Hermitian part (A + A^dag)/2 of a matrix or of each matrix in a stack;
+    cheap guard against arithmetic drift."""
+    return (a + dagger(a)) / 2.0
+
+
+def hermitian_deviations(a: np.ndarray) -> np.ndarray:
+    """Max entrywise |A - A^dag| of each matrix in a stack (n, d, d)."""
+    return np.abs(a - dagger(a)).max(axis=(-2, -1))
+
+
+def lowest_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each matrix in a stack."""
+    return np.linalg.eigvalsh(hermitize(a))[..., 0]
 
 
 def require_square(a: np.ndarray) -> np.ndarray:

@@ -187,6 +187,16 @@ def test_bound_output_pinned(runner, tmp_path, kind):
     assert js.output == json.dumps(json_rows, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("n_options", [["--n", "99", "--n", "5"], ["--n", "3", "--n", "4"]])
+def test_distrust_n_other_than_target_count_exits_2(runner, tmp_path, n_options):
+    targets = ensemble_from_vectors(np.array(_TARGET_VECTORS, dtype=complex))
+    path = write_json(tmp_path / "t.json", ensemble_to_json(targets))
+    result = runner.invoke(main, ["bound", "distrust", *n_options, "--eps", "0.1", "--targets", path])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--n must equal the 3 targets" in result.stderr
+
+
 class TestOracle:
     def test_basis_ensemble_file(self, runner, tmp_path):
         path = write_json(tmp_path / "e.json", ensemble_to_json(basis_ensemble(3, 3)))
@@ -292,6 +302,27 @@ class TestSweep:
         for line in lines[1:]:
             bound_value, oracle_value = float(line.split(",")[1]), float(line.split(",")[3])
             assert abs(bound_value - oracle_value) <= 1e-6
+
+    def test_oracle_without_construction_exits_2(self, runner):
+        result = runner.invoke(
+            main,
+            ["sweep", "coherent", "--n", "8", "--start", "0", "--stop", "1", "--points", "2",
+             "--with-oracle"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "kind coherent has no saturating construction" in result.stderr
+
+    def test_oracle_past_vacuum_construction_exits_2(self, runner):
+        # the vacuum cone saturates the bound only up to omega = (n-1)/n = 2/3
+        result = runner.invoke(
+            main,
+            ["sweep", "vacuum", "--n", "3", "--start", "0.5", "--stop", "0.9", "--points", "5",
+             "--with-oracle"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "no saturating vacuum construction at omega=0.7" in result.stderr
 
 
 class TestReferenceChecks:

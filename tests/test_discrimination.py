@@ -5,6 +5,7 @@ import pytest
 
 from infocap import (
     POVM,
+    StateEnsemble,
     accessible_information,
     basis_ensemble,
     bound_overlap,
@@ -20,9 +21,17 @@ from infocap import (
     vacuum_cone_ensemble,
 )
 from infocap.discrimination import povm_from_json, povm_to_json
+from infocap.linalg import KERNEL_CUTOFF
 from infocap.errors import DimensionMismatchError, InvalidPOVMError
 
 from conftest import random_pure_ensemble
+
+
+def rank2_ensemble(rng, n, dim):
+    g = rng.standard_normal((n, dim, 2)) + 1j * rng.standard_normal((n, dim, 2))
+    s = g @ np.conj(np.transpose(g, (0, 2, 1)))
+    s = s / np.trace(s, axis1=1, axis2=2).real[:, None, None]
+    return StateEnsemble((s + np.conj(np.transpose(s, (0, 2, 1)))) / 2)
 
 
 def basis_povm(d):
@@ -86,6 +95,19 @@ class TestPGM:
         m = pgm(ensemble_from_vectors(vecs))
         np.testing.assert_allclose(m.elements.sum(axis=0), np.eye(3), atol=1e-10)
 
+    def test_matches_per_element_reference_with_kernel(self, rng):
+        # 4 pure states in dimension 6: S has a 2-dimensional kernel, which
+        # the pseudo-inverse square root maps to 0
+        e = random_pure_ensemble(rng, 4, 6)
+        w, v = np.linalg.eigh(e.states.sum(axis=0))
+        assert np.sum(w > KERNEL_CUTOFF) == 4
+        inv = np.zeros_like(w)
+        inv[w > KERNEL_CUTOFF] = 1.0 / np.sqrt(w[w > KERNEL_CUTOFF])
+        s_isqrt = (v * inv) @ v.conj().T
+        ref = np.stack([s_isqrt @ rho @ s_isqrt for rho in e.states])
+        ref = ref + (np.eye(6) - ref.sum(axis=0)) / e.n
+        np.testing.assert_allclose(pgm(e).elements, ref, rtol=0, atol=1e-12)
+
 
 class TestHelstrom:
     def test_orthogonal_pair(self):
@@ -136,6 +158,12 @@ class TestOptimizer:
         for _ in range(20):
             m = random_povm(rng, 3, 3)
             assert guess_value(e, m) <= res.value + 1e-7
+
+    def test_rank2_16x8_iterations_and_value_pinned(self):
+        # pinned: a kernel change that moves the arithmetic shows here
+        res = optimize_discrimination(rank2_ensemble(np.random.default_rng(11), 16, 8))
+        assert res.iterations == 68
+        assert abs(res.value - 0.3240721473114963) <= 1e-12
 
     def test_converged_results_carry_tight_certificates(self, rng):
         for _ in range(5):
