@@ -33,7 +33,7 @@ from .ensembles import (
     almost_qubit_epsilon,
     assumption_to_json,
 )
-from .errors import ParamOutOfRangeError, ZeroProjectionError
+from .errors import NonFiniteError, ParamOutOfRangeError, ZeroProjectionError
 
 
 class Validity(str, Enum):
@@ -63,11 +63,24 @@ class BoundResult:
         }
 
 
-def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note: str = "") -> BoundResult:
+def clamp(pg: float, n: int) -> tuple[float, float]:
+    """The emitted ``(pg_bound, info_bits)`` of a raw bound ``pg`` on n
+    inputs: pg clamped to [1/n, 1], and log2(n pg) bits.
+
+    The clamp would turn a NaN into 1/n, an unsound bound, so a non-finite
+    ``pg`` raises NonFiniteError instead.
+    """
+    if not math.isfinite(pg):
+        raise NonFiniteError(f"bound evaluated to {pg}")
     pg = min(1.0, max(1.0 / n, pg))
+    return pg, math.log2(n * pg)
+
+
+def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note: str = "") -> BoundResult:
+    pg, bits = clamp(pg, n)
     return BoundResult(
         pg_bound=pg,
-        info_bits=math.log2(n * pg),
+        info_bits=bits,
         assumption=assumption,
         n=n,
         validity=validity,
@@ -75,23 +88,54 @@ def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note:
     )
 
 
-def bound_dimension(d: float, n: int) -> BoundResult:
-    """States in a d-dimensional space: pg <= d/n, so at most log2(d) bits.
+# Each closed-form kind has one raw formula (n, *params) -> (pg, validity),
+# with pg before the clamp.  bound_<kind> wraps it in a BoundResult; the CLI
+# evaluates grids and sweeps with the formula itself.
 
-    ``d`` may be fractional for averaged-assumption arithmetic.
-    """
+
+def _integer_d(d: float) -> int:
+    # a fractional d would be recorded as some integer dimension whose
+    # bound is not d/n
+    if d % 1:
+        raise ParamOutOfRangeError(f"d must be an integer, got {d}")
+    return int(d)
+
+
+def dimension_pg(n: int, d: float) -> tuple[float, Validity]:
+    """Raw form of ``bound_dimension``; ``d`` may be fractional, as in
+    averaged-assumption arithmetic."""
     if d < 1 or n < 1:
         raise ParamOutOfRangeError("need d >= 1 and n >= 1")
-    pg = min(1.0, d / n)
-    return _result(pg, Dimension(d=int(math.ceil(d))), n, Validity.VALID)
+    return min(1.0, d / n), Validity.VALID
 
 
-def bound_ea_dimension(d: float, n: int) -> BoundResult:
+def bound_dimension(d: int, n: int) -> BoundResult:
+    """States in a d-dimensional space: pg <= d/n, so at most log2(d) bits."""
+    pg, validity = dimension_pg(n, d)
+    return _result(pg, Dimension(d=_integer_d(d)), n, validity)
+
+
+def ea_dimension_pg(n: int, d: float) -> tuple[float, Validity]:
+    """Raw form of ``bound_ea_dimension``."""
+    if d < 1 or n < 1:
+        raise ParamOutOfRangeError("need d >= 1 and n >= 1")
+    return min(1.0, d * d / n), Validity.VALID
+
+
+def bound_ea_dimension(d: int, n: int) -> BoundResult:
     """Entanglement-assisted d-dimensional messages: pg <= d^2/n (2 log2 d bits)."""
-    if d < 1 or n < 1:
-        raise ParamOutOfRangeError("need d >= 1 and n >= 1")
-    pg = min(1.0, d * d / n)
-    return _result(pg, EADimension(d=int(math.ceil(d))), n, Validity.VALID)
+    pg, validity = ea_dimension_pg(n, d)
+    return _result(pg, EADimension(d=_integer_d(d)), n, validity)
+
+
+def overlap_pg(n: int, a: float) -> tuple[float, Validity]:
+    """Raw form of ``bound_overlap``."""
+    if n < 2:
+        raise ParamOutOfRangeError("need n >= 2")
+    if not 0.0 <= a <= 1.0:
+        raise ParamOutOfRangeError("overlap must lie in [0, 1]")
+    pg = ((n - 1) * math.sqrt(1.0 - a) + math.sqrt((n - 1) * a + 1.0)) ** 2 / n**2
+    return pg, Validity.VALID
 
 
 def bound_overlap(n: int, a: float) -> BoundResult:
@@ -101,12 +145,8 @@ def bound_overlap(n: int, a: float) -> BoundResult:
 
     attained by the equiangular ensemble under the pretty good measurement.
     """
-    if n < 2:
-        raise ParamOutOfRangeError("need n >= 2")
-    if not 0.0 <= a <= 1.0:
-        raise ParamOutOfRangeError("overlap must lie in [0, 1]")
-    pg = ((n - 1) * math.sqrt(1.0 - a) + math.sqrt((n - 1) * a + 1.0)) ** 2 / n**2
-    return _result(pg, UniformOverlap(a=a), n, Validity.VALID)
+    pg, validity = overlap_pg(n, a)
+    return _result(pg, UniformOverlap(a=a), n, validity)
 
 
 def min_overlap_vacuum(n: int, omega: float) -> float:
@@ -124,6 +164,17 @@ def min_overlap_vacuum(n: int, omega: float) -> float:
     return 1.0 - n * omega / (n - 1)
 
 
+def vacuum_pg(n: int, omega: float) -> tuple[float, Validity]:
+    """Raw form of ``bound_vacuum``."""
+    if n < 2:
+        raise ParamOutOfRangeError("need n >= 2")
+    if not 0.0 <= omega <= 1.0:
+        raise ParamOutOfRangeError("omega must lie in [0, 1]")
+    if omega > (n - 1) / n:
+        return 1.0, Validity.TRIVIALLY_ONE
+    return (math.sqrt(omega * (n - 1)) + math.sqrt(1.0 - omega)) ** 2 / n, Validity.VALID
+
+
 def bound_vacuum(n: int, omega: float) -> BoundResult:
     """Vacuum-component restriction tr(H rho_x) <= omega:
 
@@ -131,14 +182,8 @@ def bound_vacuum(n: int, omega: float) -> BoundResult:
 
     for omega <= (n-1)/n; beyond that the bound is trivially 1.
     """
-    if n < 2:
-        raise ParamOutOfRangeError("need n >= 2")
-    if not 0.0 <= omega <= 1.0:
-        raise ParamOutOfRangeError("omega must lie in [0, 1]")
-    if omega > (n - 1) / n:
-        return _result(1.0, Vacuum(omega=omega), n, Validity.TRIVIALLY_ONE)
-    pg = (math.sqrt(omega * (n - 1)) + math.sqrt(1.0 - omega)) ** 2 / n
-    return _result(pg, Vacuum(omega=omega), n, Validity.VALID)
+    pg, validity = vacuum_pg(n, omega)
+    return _result(pg, Vacuum(omega=omega), n, validity)
 
 
 def h_func(eps: float, mu: float) -> float:
@@ -193,15 +238,33 @@ def bound_eps(pg0: float, eps: float) -> float:
     return min(1.0, max(pg0, value))
 
 
-def bound_almost_dim(d: float, n: int, eps: float) -> BoundResult:
-    """Almost d-dimensional states, tr(rho_x Pi_d) >= 1-eps: the deviation
-    bound applied to the dimension value d/n."""
+def deviation_pg(pg0: float, eps: float) -> tuple[float, Validity]:
+    """The deviation bound with its validity: trivially one past eps = 1 - pg0."""
+    pg = bound_eps(pg0, eps)
+    return pg, Validity.TRIVIALLY_ONE if eps > 1.0 - pg0 else Validity.VALID
+
+
+def almost_dim_pg(n: int, d: float, eps: float) -> tuple[float, Validity]:
+    """Raw form of ``bound_almost_dim``."""
     if d < 1 or n < 1:
         raise ParamOutOfRangeError("need d >= 1 and n >= 1")
-    pg0 = min(1.0, d / n)
-    pg = bound_eps(pg0, eps)
-    validity = Validity.TRIVIALLY_ONE if eps > 1.0 - pg0 else Validity.VALID
-    return _result(pg, AlmostDim(d=int(math.ceil(d)), eps=eps), n, validity)
+    return deviation_pg(min(1.0, d / n), eps)
+
+
+def bound_almost_dim(d: int, n: int, eps: float) -> BoundResult:
+    """Almost d-dimensional states, tr(rho_x Pi_d) >= 1-eps: the deviation
+    bound applied to the dimension value d/n."""
+    pg, validity = almost_dim_pg(n, d, eps)
+    return _result(pg, AlmostDim(d=_integer_d(d), eps=eps), n, validity)
+
+
+def targets_value(targets: StateEnsemble, tol: float = 1e-10) -> float:
+    """Certified upper bound on the guessing value of pure distrust targets:
+    the ``pg0`` that the distrust bound feeds to ``deviation_pg``."""
+    if not all(targets.pure_flags):
+        raise ParamOutOfRangeError("distrust targets must be pure states")
+    result = optimize_discrimination(targets, tol=tol)
+    return float(min(1.0, max(result.value, result.certificate.certified_upper())))
 
 
 def bound_distrust(targets: StateEnsemble, eps: float, tol: float = 1e-10) -> BoundResult:
@@ -211,33 +274,31 @@ def bound_distrust(targets: StateEnsemble, eps: float, tol: float = 1e-10) -> Bo
     despite the numeric inner maximization.  Generally not tight unless the
     targets are themselves optimal for discrimination.
     """
-    if not all(targets.pure_flags):
-        raise ParamOutOfRangeError("distrust targets must be pure states")
-    if not 0.0 <= eps <= 1.0:
-        raise ParamOutOfRangeError("eps must lie in [0, 1]")
-    result = optimize_discrimination(targets, tol=tol)
-    pg0 = min(1.0, max(result.value, result.certificate.certified_upper()))
-    pg = bound_eps(pg0, eps)
-    validity = Validity.TRIVIALLY_ONE if eps > 1.0 - pg0 else Validity.VALID
+    pg, validity = deviation_pg(targets_value(targets, tol), eps)
     assumption = Distrust(targets=targets.state_vectors(), eps=eps)
     return _result(pg, assumption, targets.n, validity, note="not tight unless targets are optimal")
+
+
+def coherent_pg(n: int, nbar: float) -> tuple[float, Validity]:
+    """Raw form of ``coherent_capacity``."""
+    if nbar < 0.0:
+        raise ParamOutOfRangeError("mean photon number must be >= 0")
+    if n < 2:
+        raise ParamOutOfRangeError("need n >= 2")
+    return almost_dim_pg(n, 2, almost_qubit_epsilon(nbar))
+
+
+def coherent_assumption(nbar: float) -> AlmostDim:
+    """The almost-qubit assumption that coherent states with mean photon
+    number ``nbar`` satisfy."""
+    return AlmostDim(d=2, eps=almost_qubit_epsilon(nbar))
 
 
 def coherent_capacity(nbar: float, n: int) -> BoundResult:
     """Capacity of n phase-keyed coherent states with mean photon number
     ``nbar``: treat them as almost-qubits with deviation
     eps = 1 - exp(-nbar)(1 + nbar) and apply the almost-dimension bound."""
-    if nbar < 0.0:
-        raise ParamOutOfRangeError("mean photon number must be >= 0")
-    if n < 2:
-        raise ParamOutOfRangeError("need n >= 2")
-    eps = almost_qubit_epsilon(nbar)
-    res = bound_almost_dim(2, n, eps)
-    return BoundResult(
-        pg_bound=res.pg_bound,
-        info_bits=res.info_bits,
-        assumption=res.assumption,
-        n=n,
-        validity=res.validity,
-        note=f"mean photon number {nbar:.9g} mapped to eps={eps:.9g}",
-    )
+    pg, validity = coherent_pg(n, nbar)
+    assumption = coherent_assumption(nbar)
+    note = f"mean photon number {nbar:.9g} mapped to eps={assumption.eps:.9g}"
+    return _result(pg, assumption, n, validity, note=note)

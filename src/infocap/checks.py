@@ -354,7 +354,8 @@ def _average_strategy(rng: np.random.Generator, kind: str):
             (w, basis_ensemble(d, n), Dimension(d=d)) for w, d in zip(weights, ds)
         )
         avg = sum(w * d for w, d in zip(weights, ds))
-        return SRStrategy(branches), avg, bounds.bound_dimension(avg, n).pg_bound, None
+        # the averaged d is fractional, which only the raw formula accepts
+        return SRStrategy(branches), avg, bounds.dimension_pg(n, avg)[0], None
     if kind == "vacuum":
         n = int(rng.integers(2, 6))
         omegas = [float(rng.uniform(0.0, (n - 1) / n)) for _ in range(2)]

@@ -26,15 +26,18 @@ from .discrimination import dual_certificate, guess_value, optimize_discriminati
 from .ensembles import (
     AlmostDim,
     Assumption,
+    Dimension,
     Distrust,
+    EADimension,
     UniformOverlap,
     Vacuum,
+    assumption_to_json,
     ensemble_from_json,
     ensemble_from_vectors,
     equiangular_ensemble,
     vacuum_cone_ensemble,
 )
-from .errors import InfocapError, ParamOutOfRangeError
+from .errors import InfocapError, NonFiniteError, ParamOutOfRangeError
 from .randomness import ea_average_counterexample
 from .search import almost_dim_seed, tightness_search
 
@@ -45,6 +48,15 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _json_text(obj) -> str:
+    """Indented JSON text of ``obj``; a non-finite number in it exits 1."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 def _fmt9(x: float) -> str:
@@ -94,52 +106,76 @@ class _Kind:
     """What the CLI knows about one assumption kind.
 
     ``columns`` are its parameter options, in grid and CSV column order.
-    ``bound`` maps (n, *params) to the closed-form bound; for a kind with
-    ``targets`` its first argument is the target ensemble instead of n.
-    ``sweep_axis`` names the column `sweep` varies and ``construction`` maps the
-    same arguments to a saturating ensemble (or None) for --with-oracle.
-    ``search`` is the assumption class `search` builds from the columns.
+    ``formula`` maps (n, *params) to the raw bound and its validity (see
+    ``bounds``); for a kind with ``targets`` its first argument is the
+    targets' certified guessing value instead of n.  ``assumption`` builds
+    the recorded assumption from the columns (and ``targets``) as keywords.
+    ``sweep_axis`` names the column `sweep` varies and ``construction`` maps
+    (n, *params) to a saturating ensemble (or None) for --with-oracle.
+    ``search`` says whether `search` supports the kind.
     """
 
     columns: tuple[str, ...]
-    bound: Callable[..., bounds.BoundResult]
+    formula: Callable[..., tuple[float, bounds.Validity]]
+    assumption: Callable[..., Assumption]
     sweep_axis: str | None = None
     construction: Callable | None = None
-    search: type[Assumption] | None = None
+    search: bool = False
     targets: bool = False
 
 
-# bound functions are looked up on the module at call time, so wrappers
-# installed on bounds.bound_* see every row
+# grids and sweeps run the raw formulas of `bounds` per row, not the
+# bound_* wrappers, so no BoundResult is built for a row
 _KINDS = {
-    "dimension": _Kind(("d",), lambda n, d: bounds.bound_dimension(d, n)),
-    "ea-dimension": _Kind(("d",), lambda n, d: bounds.bound_ea_dimension(d, n)),
+    "dimension": _Kind(("d",), bounds.dimension_pg, Dimension),
+    "ea-dimension": _Kind(("d",), bounds.ea_dimension_pg, EADimension),
     "vacuum": _Kind(
         ("omega",),
-        lambda n, w: bounds.bound_vacuum(n, w),
+        bounds.vacuum_pg,
+        Vacuum,
         sweep_axis="omega",
         construction=lambda n, w: vacuum_cone_ensemble(n, w)[0] if w <= (n - 1) / n else None,
-        search=Vacuum,
+        search=True,
     ),
     "overlap": _Kind(
         ("a",),
-        lambda n, a: bounds.bound_overlap(n, a),
+        bounds.overlap_pg,
+        UniformOverlap,
         sweep_axis="a",
         construction=equiangular_ensemble,
-        search=UniformOverlap,
+        search=True,
     ),
     "almost-dim": _Kind(
         ("d", "eps"),
-        lambda n, d, e: bounds.bound_almost_dim(d, n, e),
+        bounds.almost_dim_pg,
+        AlmostDim,
         sweep_axis="eps",
         construction=lambda n, d, e: ensemble_from_vectors(almost_dim_seed(d, n, e)[0]),
-        search=AlmostDim,
+        search=True,
     ),
-    "coherent": _Kind(("nbar",), lambda n, nb: bounds.coherent_capacity(nb, n), sweep_axis="nbar"),
-    "distrust": _Kind(
-        ("eps",), lambda t, e: bounds.bound_distrust(t, e), search=Distrust, targets=True
-    ),
+    "coherent": _Kind(("nbar",), bounds.coherent_pg, bounds.coherent_assumption, sweep_axis="nbar"),
+    "distrust": _Kind(("eps",), bounds.deviation_pg, Distrust, search=True, targets=True),
 }
+
+
+def _csv_rows(kind: str, params: tuple, rows: list[tuple]) -> list[str]:
+    """CSV lines of one grid point's (n, pg_bound, info_bits, validity) rows."""
+    head = ",".join([kind, *[_fmt9(p) if isinstance(p, float) else str(p) for p in params]])
+    return [f"{head},{n},{pg:.9g},{bits:.9g},{v}" for n, pg, bits, v in rows]
+
+
+def _json_rows(assumption: Assumption, params: dict, rows: list[tuple]) -> list[str]:
+    """One grid point's rows as the elements of json.dumps(all rows, indent=2)
+    renders them, keys in the order assumption, params, pg_bound, info_bits,
+    validity, n.  The rows carry Python floats, whose repr is json's."""
+    point = {"assumption": assumption_to_json(assumption), "params": params}
+    # the point's object one level in, up to its closing brace
+    head = "  " + _json_text(point)[:-2].replace("\n", "\n  ")
+    return [
+        f'{head},\n    "pg_bound": {pg!r},\n    "info_bits": {bits!r},\n'
+        f'    "validity": "{v}",\n    "n": {n}\n  }}'
+        for n, pg, bits, v in rows
+    ]
 
 
 @main.command()
@@ -167,30 +203,39 @@ def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_val
         click.echo(f"error: --n must equal the {len(targets)} targets for kind {kind}", err=True)
         sys.exit(2)
     try:
-        # a targets kind has one row per parameter point; others one per n
-        firsts = [ensemble_from_vectors(targets)] if spec.targets else n_values
-        combos = [
-            (params, spec.bound(first, *params))
-            for params in itertools.product(*grid)
-            for first in firsts
-        ]
+        if spec.targets:
+            # one row per parameter point, with n the number of targets,
+            # whose oracle runs once for the whole grid
+            ensemble = ensemble_from_vectors(targets)
+            firsts = [(ensemble.n, bounds.targets_value(ensemble))]
+            extra = {"targets": ensemble.state_vectors()}
+        else:
+            firsts = [(n, n) for n in n_values]
+            extra = {}
+        # every row is computed before anything is written, so a bad grid
+        # point leaves no output
+        lines = []
+        for params in itertools.product(*grid):
+            rows = []
+            for n, first in firsts:
+                pg, validity = spec.formula(first, *params)
+                rows.append((n, *bounds.clamp(pg, n), validity.value))
+            if fmt == "csv":
+                lines += _csv_rows(kind, params, rows)
+            else:
+                named = dict(zip(spec.columns, params))
+                lines += _json_rows(spec.assumption(**named, **extra), named, rows)
     except ParamOutOfRangeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except NonFiniteError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     if fmt == "csv":
-        header = ["assumption", *spec.columns, "n", "pg_bound", "info_bits", "validity"]
-        rows = [
-            [kind, *[_fmt9(p) if isinstance(p, float) else str(p) for p in params],
-             str(r.n), _fmt9(r.pg_bound), _fmt9(r.info_bits), r.validity.value]
-            for params, r in combos
-        ]
-        _emit(_csv(header, rows), output)
+        header = ",".join(["assumption", *spec.columns, "n", "pg_bound", "info_bits", "validity"])
+        _emit("\n".join([header, *lines]) + "\n", output)
     else:
-        payload = [
-            {"assumption": kind, "params": dict(zip(spec.columns, params)), **r.to_json()}
-            for params, r in combos
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", output)
+        _emit("[\n" + ",\n".join(lines) + "\n]\n", output)
 
 
 @main.command()
@@ -215,7 +260,7 @@ def oracle(ensemble_file, tol, max_iter, output):
         "iterations": res.iterations,
         "converged": res.converged,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit(_json_text(payload) + "\n", output)
     sys.exit(0 if res.converged else 1)
 
 
@@ -242,7 +287,7 @@ def certify(ensemble_file, povm_file, output):
         "valid": cert.is_valid,
         "certified_upper": cert.certified_upper(),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit(_json_text(payload) + "\n", output)
     sys.exit(0 if cert.is_valid else 1)
 
 
@@ -269,14 +314,14 @@ def search(kind, n, d, omega, a, eps, targets_file, restarts, seed, tol, output)
         if any(params[c] is None for c in needed):
             flags = " and ".join(f"--{c}" for c in needed)
             raise ParamOutOfRangeError(f"{kind} search needs {flags}")
-        assumption = spec.search(**{c: params[c] for c in needed})
+        assumption = spec.assumption(**{c: params[c] for c in needed})
         if not spec.targets and n is None:
             raise ParamOutOfRangeError("search needs --n")
         report = tightness_search(assumption, n, restarts=restarts, seed=seed, tol=tol)
     except ParamOutOfRangeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    _emit(json.dumps(report.to_json(), indent=2) + "\n", output)
+    _emit(_json_text(report.to_json()) + "\n", output)
 
 
 @main.command()
@@ -308,8 +353,8 @@ def sweep(kind, n, d, start, stop, points, with_oracle, tol, output):
             x = float(x)
             # --d is the only parameter a sweep holds fixed
             params = [x if c == spec.sweep_axis else d for c in spec.columns]
-            res = spec.bound(n, *params)
-            row = [_fmt9(x), _fmt9(res.pg_bound), _fmt9(res.info_bits)]
+            pg, bits = bounds.clamp(spec.formula(n, *params)[0], n)
+            row = [_fmt9(x), _fmt9(pg), _fmt9(bits)]
             if with_oracle:
                 ens = spec.construction(n, *params)
                 if ens is None:
@@ -322,6 +367,9 @@ def sweep(kind, n, d, start, stop, points, with_oracle, tol, output):
     except ParamOutOfRangeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except NonFiniteError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     _emit(_csv(header, rows), output)
 
 

@@ -71,7 +71,9 @@ class StateEnsemble:
             if off_trace[i]:
                 raise InfocapError(f"state {i} has trace {complex(traces[i])}, expected 1")
             raise InfocapError(f"state {i} has eigenvalue {lowest[i]:.3e}")
-        states = states.copy()
+        # the Hermitian part, so later operators built from the states are
+        # Hermitian however far within the tolerance the input was
+        states = linalg.hermitize(states)
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
         if not self.pure_flags:

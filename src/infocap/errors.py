@@ -45,6 +45,10 @@ class ZeroProjectionError(InfocapError):
     pass
 
 
+class NonFiniteError(InfocapError):
+    """A computed value that should be a finite number is not."""
+
+
 class InvalidPOVMError(InfocapError):
     pass
 

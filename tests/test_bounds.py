@@ -22,8 +22,8 @@ from infocap import (
     lemma_check,
     min_overlap_vacuum,
 )
-from infocap import linalg
-from infocap.errors import ParamOutOfRangeError
+from infocap import bounds, linalg
+from infocap.errors import NonFiniteError, ParamOutOfRangeError
 
 from conftest import random_unit
 
@@ -246,6 +246,56 @@ class TestCoherentCapacity:
     def test_monotone_in_photon_number(self):
         values = [coherent_capacity(float(x), 8).pg_bound for x in np.linspace(0, 2, 41)]
         assert np.all(np.diff(values) >= -1e-12)
+
+
+class TestFractionalDimension:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bound_dimension(2.5, 10),
+            lambda: bound_ea_dimension(1.5, 10),
+            lambda: bound_almost_dim(2.5, 10, 0.1),
+            lambda: bound_dimension(math.nan, 10),
+        ],
+    )
+    def test_rejected(self, call):
+        # d=2.5 gives pg=0.25, but the recorded qutrit bound would be 0.3
+        with pytest.raises(ParamOutOfRangeError, match="d must be an integer"):
+            call()
+
+    def test_integer_valued_float_accepted(self):
+        res = bound_dimension(3.0, 10)
+        assert res.pg_bound == 0.3
+        assert res.assumption.d == 3
+
+    def test_raw_formula_takes_averaged_d(self):
+        assert bounds.dimension_pg(10, 2.5) == (0.25, Validity.VALID)
+
+
+class TestRawFormulas:
+    @pytest.mark.parametrize(
+        "wrapper, formula, args",
+        [
+            (lambda n, d: bound_dimension(d, n), bounds.dimension_pg, (7, 3)),
+            (lambda n, d: bound_ea_dimension(d, n), bounds.ea_dimension_pg, (30, 3)),
+            (bound_vacuum, bounds.vacuum_pg, (5, 0.3)),
+            (bound_vacuum, bounds.vacuum_pg, (5, 0.9)),
+            (bound_overlap, bounds.overlap_pg, (6, 0.2)),
+            (lambda n, d, e: bound_almost_dim(d, n, e), bounds.almost_dim_pg, (9, 2, 0.05)),
+            (lambda n, nb: coherent_capacity(nb, n), bounds.coherent_pg, (8, 0.7)),
+        ],
+    )
+    def test_wrapper_is_the_clamped_formula(self, wrapper, formula, args):
+        res = wrapper(*args)
+        pg, validity = formula(*args)
+        assert (res.pg_bound, res.info_bits) == bounds.clamp(pg, args[0])
+        assert res.validity is validity
+
+    @pytest.mark.parametrize("pg", [math.nan, math.inf, -math.inf])
+    def test_clamp_rejects_non_finite(self, pg):
+        # min(1, max(1/n, nan)) would report the unsound bound 1/n
+        with pytest.raises(NonFiniteError):
+            bounds.clamp(pg, 4)
 
 
 class TestBoundResultInvariants:

@@ -1,10 +1,15 @@
+import dataclasses
+import hashlib
 import json
+import math
+import random
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from infocap import basis_ensemble, ensemble_from_vectors, ensemble_to_json, pgm, uniform_povm
+from infocap import basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json, pgm, uniform_povm
+from infocap.bounds import Validity
 from infocap.cli import main
 from infocap.discrimination import povm_to_json
 
@@ -66,6 +71,30 @@ class TestBound:
     def test_missing_parameter_exits_2(self, runner):
         result = runner.invoke(main, ["bound", "vacuum", "--n", "4"])
         assert result.exit_code == 2
+
+    def test_bad_later_grid_point_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "grid.json"
+        result = runner.invoke(
+            main, ["bound", "vacuum", "--omega", "0.2", "--omega", "1.5", "--n", "4",
+                   "--format", "json", "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: omega must lie in [0, 1]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_bound_exits_1(self, runner, tmp_path, monkeypatch, fmt):
+        # the clamp to [1/n, 1] would print a NaN bound as 1/n
+        nan_formula = lambda n, omega: (math.nan, Validity.VALID)
+        spec = dataclasses.replace(cli._KINDS["vacuum"], formula=nan_formula)
+        monkeypatch.setitem(cli._KINDS, "vacuum", spec)
+        out = tmp_path / f"grid.{fmt}"
+        result = runner.invoke(
+            main, ["bound", "vacuum", "--omega", "0.1", "--n", "4", "--format", fmt, "-o", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "error: bound evaluated to nan\n"
+        assert not out.exists()
 
 
 _TARGET_VECTORS = [[1, 0], [0, 1], [1, 0]]
@@ -187,6 +216,62 @@ def test_bound_output_pinned(runner, tmp_path, kind):
     assert js.output == json.dumps(json_rows, indent=2) + "\n"
 
 
+def _digest_grids():
+    """Seeded `bound` grids of a few hundred rows per kind, with edge points:
+    d > n, n = 1, omega = (n-1)/n, a in {0, 1}, eps = 1 - d/n, nbar = 0."""
+    rng = random.Random(20261018)
+    ints = lambda count, lo, hi: rng.sample(range(lo, hi), count)
+    floats = lambda count, lo, hi: [rng.uniform(lo, hi) for _ in range(count)]
+    ns = [2, 3, 4, 7, *ints(12, 8, 300)]
+    return {
+        "dimension": {"--d": [1, 2, 3, *ints(9, 4, 400)], "--n": [1, 2, 3, *ints(17, 4, 300)]},
+        "ea-dimension": {"--d": [1, 2, 3, *ints(9, 4, 60)], "--n": [1, 2, 3, *ints(17, 4, 300)]},
+        "vacuum": {"--omega": [0.0, 1.0, *[(n - 1) / n for n in ns[:4]], *floats(9, 0.0, 1.0)],
+                   "--n": ns},
+        "overlap": {"--a": [0.0, 1.0, *floats(13, 0.0, 1.0)], "--n": ns},
+        "almost-dim": {"--d": [1, 2, 3, 5], "--n": [1, 2, 4, 7, 9, *ints(3, 10, 300)],
+                       "--eps": [0.0, 1.0, 1 - 1 / 2, 1 - 2 / 7, 1 - 3 / 7, 1 - 5 / 9,
+                                 *floats(4, 0.0, 1.0)]},
+        "coherent": {"--nbar": [0.0, *floats(14, 0.0, 10.0)], "--n": ns},
+        "distrust": {"--eps": [0.0, 1.0, *floats(98, 0.0, 1.0)], "--n": [3]},
+    }
+
+
+# sha256 of the CSV and JSON output of each grid above
+_GRID_DIGESTS = {
+    "dimension": ("fe1565570418cfaa0bd5078ec61b64ec73053b8cc63d4a6acefd9c8e43d7b922",
+                  "6a9ecd77ef8975b8096cbd5a9a3ed0e9b153a68ba2185f12bc8cdc9aa6ca6e8c"),
+    "ea-dimension": ("51b2f5725b78ea82c37d7f1744a9b2f9fbae1f6678dd901be3dd52e4a4c8989a",
+                     "3a507447fda88d2ae704dc08dd19bed0a941a7c74c78584994f1b9d0af454228"),
+    "vacuum": ("38939a5b956bae36740717dbd14a89e9a881495ca47935696ad3bcb3b1a56d65",
+               "609195154630c2792bebc6d2f62b7bd52ed356af4ea9a214ec2ca32426f7e9cb"),
+    "overlap": ("2c0d387a7cb0ecc0ef4264c7c9b5157df53839525bf6d7098068fdcb5ad15d8f",
+                "7d1bbc167d356efcf244024578266dbb253f4c0a110959426cc30f021cd99b15"),
+    "almost-dim": ("9e8a2d35e2f0e327258352ea6736d3f97a9d18b94b8b6d9a0f7931f7574ca66d",
+                   "0a44ce86cae2c2a65cc7ca1623c707524de83b5de612d56765b98f48fe2b05a4"),
+    "coherent": ("3d45f1a4478c9ec941e3462b761bf7d46ee349a938d058c6afeff8f64a4996a6",
+                 "adaa5391c59169c047be73a4db330e3b8a3d744a431a982e906c2a725b830488"),
+    "distrust": ("acf4ea7baed9e735fed02194a4a6c2466330d83780bdd3e97b9af0824941af3d",
+                 "d3f84f4c2ca28c9c39303f6bb76299ba6cd93d8bbbd691634d6aee346064e3fa"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_GRID_DIGESTS))
+def test_bound_grid_digests(runner, tmp_path, kind):
+    grid = _digest_grids()[kind]
+    argv = ["bound", kind, *[arg for flag, values in grid.items() for v in values for arg in (flag, repr(v))]]
+    if kind == "distrust":
+        targets = ensemble_from_vectors(np.array(_TARGET_VECTORS, dtype=complex))
+        argv += ["--targets", write_json(tmp_path / "t.json", ensemble_to_json(targets))]
+    csv = runner.invoke(main, argv)
+    assert csv.exit_code == 0
+    out = tmp_path / "grid.json"
+    js = runner.invoke(main, [*argv, "--format", "json", "--output", str(out)])
+    assert js.exit_code == 0
+    digests = hashlib.sha256(csv.stdout_bytes).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == _GRID_DIGESTS[kind]
+
+
 @pytest.mark.parametrize("n_options", [["--n", "99", "--n", "5"], ["--n", "3", "--n", "4"]])
 def test_distrust_n_other_than_target_count_exits_2(runner, tmp_path, n_options):
     targets = ensemble_from_vectors(np.array(_TARGET_VECTORS, dtype=complex))
@@ -216,6 +301,27 @@ class TestOracle:
         path = write_json(tmp_path / "e.json", {"n": 1, "dim": 2, "states": [[[[2, 0], [0, 0]], [[0, 0], [0, 0]]]]})
         result = runner.invoke(main, ["oracle", path])
         assert result.exit_code == 3
+
+    def test_states_within_hermiticity_tolerance_are_solved(self, runner, tmp_path):
+        # accepted by the ensemble check (1e-10) but not Hermitian within 1e-12
+        obj = ensemble_to_json(basis_ensemble(2, 2))
+        obj["states"][0][0][1] = [5e-11, 0.0]
+        path = write_json(tmp_path / "e.json", obj)
+        result = runner.invoke(main, ["oracle", path])
+        assert result.exit_code == 0, result.stderr
+        assert abs(json.loads(result.stdout)["value"] - 1.0) <= 1e-9
+
+    def test_non_finite_value_exits_1(self, runner, tmp_path, monkeypatch):
+        solve = cli.optimize_discrimination
+        monkeypatch.setattr(cli, "optimize_discrimination",
+                            lambda e, **kw: dataclasses.replace(solve(e, **kw), value=math.nan))
+        path = write_json(tmp_path / "e.json", ensemble_to_json(basis_ensemble(2, 2)))
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["oracle", path, "--output", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_nan_ensemble_exits_3(self, runner, tmp_path):
         obj = ensemble_to_json(basis_ensemble(2, 2))

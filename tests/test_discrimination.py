@@ -189,6 +189,19 @@ class TestDualCertificate:
         assert cert.min_slack >= -1e-7
         assert abs(gap) <= 1e-7
 
+    def test_states_within_hermiticity_tolerance(self):
+        # the ensemble accepts deviations up to 1e-10; the stored states are
+        # their Hermitian part, so the certificate sees Hermitian operators
+        states = basis_ensemble(2, 2).states.copy()
+        states[0, 0, 1] = 5e-11
+        e = StateEnsemble(states)
+        np.testing.assert_array_equal(e.states, e.states.conj().transpose(0, 2, 1))
+        cert = dual_certificate(e, basis_povm(2))
+        assert cert.trace_value == pytest.approx(1.0, abs=1e-12)
+        res = optimize_discrimination(e)
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+        assert res.converged
+
     def test_uniform_povm_is_not_a_certificate(self):
         e = basis_ensemble(2, 2)
         cert = dual_certificate(e, uniform_povm(2, 2))
