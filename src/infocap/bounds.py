@@ -14,6 +14,7 @@ bounds are concave and nondecreasing in their slack parameter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,6 +92,11 @@ def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note:
 # Each closed-form kind has one raw formula (n, *params) -> (pg, validity),
 # with pg before the clamp.  bound_<kind> wraps it in a BoundResult; the CLI
 # evaluates grids and sweeps with the formula itself.
+#
+# The formulas take n and d as Python ints, whose divisions and conversions
+# raise OverflowError beyond the float range, so each one first rejects an n
+# or d (or the square it forms) beyond that range.
+_FLOAT_MAX = sys.float_info.max
 
 
 def _integer_d(d: float) -> int:
@@ -106,6 +112,8 @@ def dimension_pg(n: int, d: float) -> tuple[float, Validity]:
     averaged-assumption arithmetic."""
     if d < 1 or n < 1:
         raise ParamOutOfRangeError("need d >= 1 and n >= 1")
+    if d > _FLOAT_MAX or n > _FLOAT_MAX:
+        raise ParamOutOfRangeError("need d and n within the float range")
     return min(1.0, d / n), Validity.VALID
 
 
@@ -119,6 +127,8 @@ def ea_dimension_pg(n: int, d: float) -> tuple[float, Validity]:
     """Raw form of ``bound_ea_dimension``."""
     if d < 1 or n < 1:
         raise ParamOutOfRangeError("need d >= 1 and n >= 1")
+    if d * d > _FLOAT_MAX or n > _FLOAT_MAX:
+        raise ParamOutOfRangeError("need d**2 and n within the float range")
     return min(1.0, d * d / n), Validity.VALID
 
 
@@ -132,6 +142,8 @@ def overlap_pg(n: int, a: float) -> tuple[float, Validity]:
     """Raw form of ``bound_overlap``."""
     if n < 2:
         raise ParamOutOfRangeError("need n >= 2")
+    if n * n > _FLOAT_MAX:
+        raise ParamOutOfRangeError("need n**2 within the float range")
     if not 0.0 <= a <= 1.0:
         raise ParamOutOfRangeError("overlap must lie in [0, 1]")
     pg = ((n - 1) * math.sqrt(1.0 - a) + math.sqrt((n - 1) * a + 1.0)) ** 2 / n**2
@@ -168,6 +180,8 @@ def vacuum_pg(n: int, omega: float) -> tuple[float, Validity]:
     """Raw form of ``bound_vacuum``."""
     if n < 2:
         raise ParamOutOfRangeError("need n >= 2")
+    if n > _FLOAT_MAX:
+        raise ParamOutOfRangeError("need n within the float range")
     if not 0.0 <= omega <= 1.0:
         raise ParamOutOfRangeError("omega must lie in [0, 1]")
     if omega > (n - 1) / n:
@@ -248,6 +262,8 @@ def almost_dim_pg(n: int, d: float, eps: float) -> tuple[float, Validity]:
     """Raw form of ``bound_almost_dim``."""
     if d < 1 or n < 1:
         raise ParamOutOfRangeError("need d >= 1 and n >= 1")
+    if d > _FLOAT_MAX or n > _FLOAT_MAX:
+        raise ParamOutOfRangeError("need d and n within the float range")
     return deviation_pg(min(1.0, d / n), eps)
 
 
@@ -283,8 +299,13 @@ def coherent_pg(n: int, nbar: float) -> tuple[float, Validity]:
     """Raw form of ``coherent_capacity``."""
     if nbar < 0.0:
         raise ParamOutOfRangeError("mean photon number must be >= 0")
+    if not math.isfinite(nbar):
+        # inf or NaN would reach the deviation bound as eps = NaN
+        raise ParamOutOfRangeError(f"mean photon number must be finite, got {nbar}")
     if n < 2:
         raise ParamOutOfRangeError("need n >= 2")
+    if n > _FLOAT_MAX:
+        raise ParamOutOfRangeError("need n within the float range")
     return almost_dim_pg(n, 2, almost_qubit_epsilon(nbar))
 
 

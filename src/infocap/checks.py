@@ -65,7 +65,8 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unit vector in C^dim."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
@@ -90,7 +91,7 @@ def _maybe_mix(rng: np.random.Generator, vectors: np.ndarray) -> StateEnsemble:
 def _member_dimension(rng: np.random.Generator):
     d = int(rng.integers(1, 5))
     n = int(rng.integers(2, 7))
-    vecs = np.stack([_random_unit(rng, d) for _ in range(n)])
+    vecs = np.stack([random_unit(rng, d) for _ in range(n)])
     e = _maybe_mix(rng, vecs)
     return e, Dimension(d=d), bounds.bound_dimension(d, n), {}
 
@@ -115,7 +116,7 @@ def _member_vacuum(rng: np.random.Generator):
     for x in range(n):
         w = rng.uniform(0.0, omega)
         tail = np.zeros(dim, dtype=complex)
-        tail[1:] = _random_unit(rng, dim - 1)
+        tail[1:] = random_unit(rng, dim - 1)
         vecs[x] = math.sqrt(1.0 - w) * vac + math.sqrt(w) * tail
     e = _maybe_mix(rng, vecs)
     return e, Vacuum(omega=omega), bounds.bound_vacuum(n, omega), {"vacuum_vector": vac}
@@ -146,9 +147,9 @@ def _member_almost_dim(rng: np.random.Generator):
     for x in range(n):
         beta = rng.uniform(1.0 - eps, 1.0)
         head = np.zeros(dim, dtype=complex)
-        head[:d] = _random_unit(rng, d)
+        head[:d] = random_unit(rng, d)
         tail = np.zeros(dim, dtype=complex)
-        tail[d:] = _random_unit(rng, n)
+        tail[d:] = random_unit(rng, n)
         vecs[x] = math.sqrt(beta) * head + math.sqrt(1.0 - beta) * tail
     e = _maybe_mix(rng, vecs)
     assumption = AlmostDim(d=d, eps=eps, projector=proj)
@@ -159,7 +160,7 @@ def _member_distrust(rng: np.random.Generator):
     n = int(rng.integers(2, 5))
     dim_t = int(rng.integers(2, 4))
     eps = rng.uniform(0.0, 0.4)
-    targets = np.stack([_random_unit(rng, dim_t) for _ in range(n)])
+    targets = np.stack([random_unit(rng, dim_t) for _ in range(n)])
     dim = dim_t + n
 
     def lab(x):
@@ -258,7 +259,7 @@ def _check_helstrom_pairs() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(100):
         dim = int(rng.integers(2, 5))
-        v1, v2 = _random_unit(rng, dim), _random_unit(rng, dim)
+        v1, v2 = random_unit(rng, dim), random_unit(rng, dim)
         a = abs(np.vdot(v1, v2))
         expected = (1.0 + math.sqrt(max(0.0, 1.0 - a * a))) / 2.0
         res = optimize_discrimination(ensemble_from_vectors(np.stack([v1, v2])), tol=1e-12)
@@ -290,7 +291,7 @@ def _random_lemma_triple(rng: np.random.Generator):
     rank = int(rng.integers(1, dim))
     u = _random_unitary(rng, dim)
     pi = u[:, :rank] @ u[:, :rank].conj().T
-    phi = _random_unit(rng, dim)
+    phi = random_unit(rng, dim)
     mu = rng.uniform(-1.0 + 1e-6, 4.0)
     return phi, pi, mu
 
@@ -388,7 +389,7 @@ def _average_strategy(rng: np.random.Generator, kind: str):
         return SRStrategy(tuple(branches)), avg, bounds.bound_almost_dim(d, n, avg).pg_bound, None
     if kind == "distrust":
         n, dim_t = 3, 2
-        targets = np.stack([_random_unit(rng, dim_t) for _ in range(n)])
+        targets = np.stack([random_unit(rng, dim_t) for _ in range(n)])
         epss = [float(rng.uniform(0.0, 0.4)) for _ in range(2)]
         branches = tuple(
             (w, ensemble_from_vectors(distrust_seed(targets, eps)), Distrust(targets=targets, eps=eps))
@@ -440,7 +441,7 @@ def _check_cq_embedding(strategies: int = 100) -> tuple[bool, str]:
         branches = []
         for b in range(n_branches):
             dim = int(rng.integers(2, 4))
-            vecs = np.stack([_random_unit(rng, dim) for _ in range(n)])
+            vecs = np.stack([random_unit(rng, dim) for _ in range(n)])
             branches.append((float(weights[b]), ensemble_from_vectors(vecs), Information(alpha=1.0)))
         strategy = SRStrategy(tuple(branches))
         mixture = mixture_guess_value(strategy, tol=1e-11)

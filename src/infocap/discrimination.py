@@ -39,7 +39,7 @@ class POVM:
         if not np.isfinite(el).all():
             raise InvalidPOVMError("elements must have finite entries")
         non_hermitian = linalg.hermitian_deviations(el) > 1e-8
-        lowest = linalg.lowest_eigenvalues(el)
+        lowest = linalg.lowest_eigenvalues(linalg.hermitize(el))
         bad = np.flatnonzero(non_hermitian | (lowest < -POVM_PSD_SLACK))
         if bad.size:
             i = bad[0]
@@ -117,15 +117,20 @@ def pgm(e: StateEnsemble) -> POVM:
     On the kernel of S the completeness deficit is split equally across the
     elements so the POVM is complete on the full space.
     """
+    return POVM(_pgm_elements(e))
+
+
+def _pgm_elements(e: StateEnsemble) -> np.ndarray:
+    # the elements of pgm(e), exactly Hermitian and not yet validated
     s = linalg.hermitize(e.states.sum(axis=0))
-    s_isqrt = linalg.mat_inv_sqrt(s)
+    s_isqrt = linalg._inv_sqrt_hermitized(s)
     elements = s_isqrt @ e.states @ s_isqrt
     deficit = np.eye(e.dim, dtype=complex) - elements.sum(axis=0)
     elements = linalg.hermitize(elements + deficit / e.n)
     if linalg.lowest_eigenvalues(elements).min() < -1e-12:
         # ill-conditioned S^(-1/2) can leave tiny negative eigenvalues
         elements = _repair_elements(elements)
-    return POVM(elements)
+    return elements
 
 
 def helstrom_two(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -154,7 +159,7 @@ def _repair_elements(elements: np.ndarray) -> np.ndarray:
     projected = (v * np.clip(w, 0.0, None)[:, None, :]) @ linalg.dagger(v)
     clipped = np.where((w[:, 0] >= 0.0)[:, None, None], elements, projected)
     total = linalg.hermitize(clipped.sum(axis=0))
-    tisq = linalg.mat_inv_sqrt(total)
+    tisq = linalg._inv_sqrt_hermitized(total)
     return linalg.hermitize(tisq @ clipped @ tisq)
 
 
@@ -183,18 +188,23 @@ def optimize_discrimination(
     measurement; the value is nondecreasing along the iteration.
     Convergence is declared when the accompanying dual certificate has
     gap <= 10*tol.
+
+    The ensemble is validated at construction and the result's POVM once,
+    at the end.  In between the loop trusts its own iterates: T and every
+    iterate are hermitized as they are built, so T^(-1/2) and the
+    eigenvalue tests skip the Hermiticity checks, which could not fire.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     rt = e.states / e.n
     eye = np.eye(e.dim, dtype=complex)
-    elements = pgm(e).elements.copy()
+    elements = _pgm_elements(e)
     value = float(np.einsum("xij,xji->", rt, elements).real)
     iterations = 0
     for iterations in range(1, max_iter + 1):
         g = rt @ elements @ rt
         t = linalg.hermitize(g.sum(axis=0))
-        t_isqrt = linalg.mat_inv_sqrt(t)
+        t_isqrt = linalg._inv_sqrt_hermitized(t)
         new = t_isqrt @ g @ t_isqrt
         deficit = eye - new.sum(axis=0)
         new = linalg.hermitize(new + deficit / e.n)

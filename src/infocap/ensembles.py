@@ -60,7 +60,10 @@ class StateEnsemble:
             raise InfocapError("states must have finite entries")
         dev = linalg.hermitian_deviations(states)
         traces = np.trace(states, axis1=1, axis2=2)
-        lowest = linalg.lowest_eigenvalues(states)
+        # the Hermitian part is stored, so later operators built from the
+        # states are Hermitian however far within the tolerance the input was
+        herm = linalg.hermitize(states)
+        lowest = linalg.lowest_eigenvalues(herm)
         non_hermitian = dev > 100 * linalg.HERMITIAN_TOL
         off_trace = np.abs(traces - 1.0) > TRACE_TOL
         bad = np.flatnonzero(non_hermitian | off_trace | (lowest < -linalg.PSD_SLACK))
@@ -71,9 +74,7 @@ class StateEnsemble:
             if off_trace[i]:
                 raise InfocapError(f"state {i} has trace {complex(traces[i])}, expected 1")
             raise InfocapError(f"state {i} has eigenvalue {lowest[i]:.3e}")
-        # the Hermitian part, so later operators built from the states are
-        # Hermitian however far within the tolerance the input was
-        states = linalg.hermitize(states)
+        states = herm
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
         if not self.pure_flags:

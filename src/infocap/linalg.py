@@ -30,7 +30,7 @@ RECON_TOL = 1e-10      # relative Frobenius reconstruction budget
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -45,8 +45,10 @@ def hermitian_deviations(a: np.ndarray) -> np.ndarray:
 
 
 def lowest_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each matrix in a stack."""
-    return np.linalg.eigvalsh(hermitize(a))[..., 0]
+    """Smallest eigenvalue of each matrix in a stack of exactly Hermitian
+    matrices.  ``eigvalsh`` reads one triangle only, so hermitize input
+    that is Hermitian only within a tolerance first."""
+    return np.linalg.eigvalsh(a)[..., 0]
 
 
 def require_square(a: np.ndarray) -> np.ndarray:
@@ -89,18 +91,25 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
+def _spectral_map(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    # mat_func on a matrix that is already exactly Hermitian, such as
+    # hermitize(s): the Hermiticity check and a second hermitize would be
+    # exact no-ops on it
+    w, v = np.linalg.eigh(h)
+    if w.size and w[0] < -PSD_SLACK:
+        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_SLACK:.0e}")
+    # np.maximum gives np.clip(w, 0.0, None) bit for bit, at less overhead
+    w = np.maximum(w, 0.0)
+    return hermitize((v * np.asarray(f(w))) @ v.conj().T)
+
+
 def mat_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to the spectrum of a Hermitian PSD matrix.
 
     Eigenvalues in [-PSD_SLACK, 0) are clipped to 0 before applying ``f``;
     anything below -PSD_SLACK raises NotPSDError.
     """
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(hermitize(a))
-    if w.size and w[0] < -PSD_SLACK:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_SLACK:.0e}")
-    w = np.clip(w, 0.0, None)
-    return hermitize((v * np.asarray(f(w))) @ v.conj().T)
+    return _spectral_map(hermitize(require_hermitian(a)), f)
 
 
 def mat_sqrt(a: np.ndarray) -> np.ndarray:
@@ -109,16 +118,21 @@ def mat_sqrt(a: np.ndarray) -> np.ndarray:
 
 def _inv_sqrt_spectrum(w: np.ndarray) -> np.ndarray:
     # Pseudo-inverse convention: the kernel (eigenvalues below the cutoff)
-    # maps to 0 instead of blowing up.
-    out = np.zeros_like(w)
-    mask = w > KERNEL_CUTOFF
-    out[mask] = 1.0 / np.sqrt(w[mask])
+    # maps to 0 instead of blowing up.  w arrives clipped to >= 0.
+    out = np.zeros(w.shape)
+    np.divide(1.0, np.sqrt(w), out=out, where=w > KERNEL_CUTOFF)
     return out
 
 
 def mat_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse square root on the support of ``a``, zero on its kernel."""
     return mat_func(a, _inv_sqrt_spectrum)
+
+
+def _inv_sqrt_hermitized(h: np.ndarray) -> np.ndarray:
+    """``mat_inv_sqrt`` of an exactly Hermitian matrix, unchecked: for hot
+    loops that hermitize their own operators."""
+    return _spectral_map(h, _inv_sqrt_spectrum)
 
 
 def vectors_from_gram(g: np.ndarray) -> np.ndarray:

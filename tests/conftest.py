@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from infocap import ensemble_from_vectors
+from infocap.checks import random_unit
+
 
 @pytest.fixture
 def rng():
@@ -17,12 +20,5 @@ def random_psd(rng, dim):
     return z @ z.conj().T
 
 
-def random_unit(rng, dim):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_pure_ensemble(rng, n, dim):
-    from infocap import ensemble_from_vectors
-
     return ensemble_from_vectors(np.stack([random_unit(rng, dim) for _ in range(n)]))

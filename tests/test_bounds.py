@@ -23,9 +23,8 @@ from infocap import (
     min_overlap_vacuum,
 )
 from infocap import bounds, linalg
+from infocap.checks import random_unit
 from infocap.errors import NonFiniteError, ParamOutOfRangeError
-
-from conftest import random_unit
 
 
 class TestDimension:
@@ -246,6 +245,13 @@ class TestCoherentCapacity:
     def test_monotone_in_photon_number(self):
         values = [coherent_capacity(float(x), 8).pg_bound for x in np.linspace(0, 2, 41)]
         assert np.all(np.diff(values) >= -1e-12)
+
+    @pytest.mark.parametrize("nbar", [math.inf, math.nan])
+    def test_rejects_non_finite_photon_number(self, nbar):
+        with pytest.raises(ParamOutOfRangeError, match="mean photon number must be finite"):
+            bounds.coherent_pg(4, nbar)
+        with pytest.raises(ParamOutOfRangeError, match="mean photon number must be finite"):
+            coherent_capacity(nbar, 4)
 
 
 class TestFractionalDimension:

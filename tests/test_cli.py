@@ -82,6 +82,45 @@ class TestBound:
         assert result.stderr == "error: omega must lie in [0, 1]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["dimension", "--d", "1" + "0" * 400, "--n", "4"], "need d and n within the float range"),
+            (["almost-dim", "--d", "1" + "0" * 400, "--eps", "0.1", "--n", "4"],
+             "need d and n within the float range"),
+            # d**2 / n would overflow although d itself is a float-sized int
+            (["ea-dimension", "--d", "1" + "0" * 200, "--n", "4"],
+             "need d**2 and n within the float range"),
+        ],
+        ids=["dimension", "almost-dim", "ea-dimension"],
+    )
+    def test_huge_d_exits_2(self, runner, args, message):
+        result = runner.invoke(main, ["bound", *args])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["dimension", "--d", "2"], "need d and n within the float range"),
+            (["vacuum", "--omega", "0.1"], "need n within the float range"),
+            (["coherent", "--nbar", "1"], "need n within the float range"),
+            (["overlap", "--a", "0.5"], "need n**2 within the float range"),
+        ],
+        ids=["dimension", "vacuum", "coherent", "overlap"],
+    )
+    def test_huge_n_exits_2(self, runner, args, message):
+        result = runner.invoke(main, ["bound", *args, "--n", "1" + "0" * 400])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("nbar", ["inf", "nan"])
+    def test_non_finite_nbar_exits_2(self, runner, nbar):
+        # it used to reach the deviation bound as eps = NaN and blame eps
+        result = runner.invoke(main, ["bound", "coherent", "--nbar", nbar, "--n", "4"])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: mean photon number must be finite, got {nbar}\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_bound_exits_1(self, runner, tmp_path, monkeypatch, fmt):
         # the clamp to [1/n, 1] would print a NaN bound as 1/n

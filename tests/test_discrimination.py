@@ -20,6 +20,7 @@ from infocap import (
     uniform_povm,
     vacuum_cone_ensemble,
 )
+from infocap import discrimination
 from infocap.discrimination import povm_from_json, povm_to_json
 from infocap.linalg import KERNEL_CUTOFF
 from infocap.errors import DimensionMismatchError, InvalidPOVMError
@@ -32,6 +33,32 @@ def rank2_ensemble(rng, n, dim):
     s = g @ np.conj(np.transpose(g, (0, 2, 1)))
     s = s / np.trace(s, axis1=1, axis2=2).real[:, None, None]
     return StateEnsemble((s + np.conj(np.transpose(s, (0, 2, 1)))) / 2)
+
+
+def subspace_ensemble(rng):
+    """Five rank-2 states confined to the first 3 of 6 dimensions."""
+    states = np.zeros((5, 6, 6), dtype=complex)
+    states[:, :3, :3] = rank2_ensemble(rng, 5, 3).states
+    return StateEnsemble(states)
+
+
+def near_kernel_ensemble(rng, n, dim_t):
+    """Each state mixes two pure states along one random target direction,
+    each leaking into the state's own extra dimension: S has eigenvalues
+    near the kernel cutoff."""
+    dim = dim_t + n
+    states = np.zeros((n, dim, dim), dtype=complex)
+    for x in range(n):
+        t = rng.standard_normal(dim_t) + 1j * rng.standard_normal(dim_t)
+        t /= np.linalg.norm(t)
+        lam = rng.uniform()
+        for weight in (lam, 1.0 - lam):
+            beta = rng.uniform(0.6, 1.0)
+            v = np.zeros(dim, dtype=complex)
+            v[:dim_t] = math.sqrt(beta) * t
+            v[dim_t + x] = math.sqrt(1.0 - beta)
+            states[x] += weight * np.outer(v, v.conj())
+    return StateEnsemble(states)
 
 
 def basis_povm(d):
@@ -164,6 +191,46 @@ class TestOptimizer:
         res = optimize_discrimination(rank2_ensemble(np.random.default_rng(11), 16, 8))
         assert res.iterations == 68
         assert abs(res.value - 0.3240721473114963) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make, value, upper, min_slack, iterations",
+        [
+            # pure qubits with n=4, the shape of distrust targets
+            (lambda: random_pure_ensemble(np.random.default_rng(5), 4, 2),
+             "0.49389760524454207", "0.4938976069646934", "-8.600756634669082e-10", 181),
+            (lambda: rank2_ensemble(np.random.default_rng(3), 6, 4),
+             "0.4715737597925722", "0.471573772777179", "-3.246151731965685e-09", 164),
+            # S and T have a 3-dimensional kernel: the KERNEL_CUTOFF branch
+            (lambda: subspace_ensemble(np.random.default_rng(2)),
+             "0.4633919254182888", "0.4633944736978009", "-4.2471325200247634e-07", 72),
+            # _repair_elements runs on the PGM and on the last iterate
+            (lambda: near_kernel_ensemble(np.random.default_rng(14), 2, 2),
+             "0.9088643672063539", "0.908864367207916", "-3.905175868546912e-13", 3),
+        ],
+        ids=["pure_qubits_n4", "rank2_6x4", "subspace_kernel", "repaired"],
+    )
+    def test_exact_output_pinned(self, make, value, upper, min_slack, iterations):
+        # literals captured before the loop stopped re-validating its own
+        # iterates; a kernel change that moves any bit shows here
+        res = optimize_discrimination(make())
+        assert repr(res.value) == value
+        assert repr(res.certificate.certified_upper()) == upper
+        assert repr(res.certificate.min_slack) == min_slack
+        assert res.iterations == iterations
+
+    def test_pinned_inputs_reach_their_branches(self, monkeypatch):
+        e = subspace_ensemble(np.random.default_rng(2))
+        assert np.sum(np.linalg.eigvalsh(e.states.sum(axis=0)) > KERNEL_CUTOFF) == 3
+        repaired = []
+
+        def spy(elements):
+            repaired.append(elements.shape)
+            return repair(elements)
+
+        repair = discrimination._repair_elements
+        monkeypatch.setattr(discrimination, "_repair_elements", spy)
+        optimize_discrimination(near_kernel_ensemble(np.random.default_rng(14), 2, 2))
+        assert len(repaired) == 2
 
     def test_converged_results_carry_tight_certificates(self, rng):
         for _ in range(5):

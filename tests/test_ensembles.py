@@ -26,6 +26,7 @@ from infocap import (
     linalg,
     vacuum_cone_ensemble,
 )
+from infocap.checks import random_unit
 from infocap.ensembles import assumption_from_json, assumption_to_json
 from infocap.errors import (
     CutoffTooSmallError,
@@ -35,8 +36,6 @@ from infocap.errors import (
     MixedStateOverlapError,
     OmegaOutOfRangeError,
 )
-
-from conftest import random_unit
 
 
 def overlaps(e):

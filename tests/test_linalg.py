@@ -73,6 +73,18 @@ class TestMatFunc:
         out = linalg.mat_sqrt(np.diag([1.0, -1e-10]))
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-5)
 
+    def test_inv_sqrt_validates_its_input(self):
+        # the oracle's unchecked kernel sits behind this entry point, which
+        # keeps both checks
+        with pytest.raises(NonHermitianError):
+            linalg.mat_inv_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(NotPSDError):
+            linalg.mat_inv_sqrt(np.diag([1.0, -1.0]))
+
+    def test_inv_sqrt_matches_the_unchecked_kernel(self, rng):
+        h = linalg.hermitize(random_psd(rng, 5))
+        np.testing.assert_array_equal(linalg.mat_inv_sqrt(h), linalg._inv_sqrt_hermitized(h))
+
 
 class TestMinEigenvalue:
     def test_diagonal(self):

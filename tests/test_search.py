@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from infocap import AlmostDim, Distrust, UniformOverlap, Vacuum, tightness_search
+from infocap.checks import random_unit
 from infocap.search import almost_dim_seed
-
-from conftest import random_unit
 
 
 class TestSeeds:
