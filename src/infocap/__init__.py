@@ -55,12 +55,7 @@ from .ensembles import (
     vacuum_cone_ensemble,
 )
 from .linalg import (
-    EigenDecomposition,
-    hermitian_eig,
-    kron,
-    mat_func,
     mat_inv_sqrt,
-    mat_sqrt,
     min_eigenvalue,
     partial_trace,
     vectors_from_gram,

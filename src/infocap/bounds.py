@@ -99,14 +99,6 @@ def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note:
 _FLOAT_MAX = sys.float_info.max
 
 
-def _integer_d(d: float) -> int:
-    # a fractional d would be recorded as some integer dimension whose
-    # bound is not d/n
-    if d % 1:
-        raise ParamOutOfRangeError(f"d must be an integer, got {d}")
-    return int(d)
-
-
 def dimension_pg(n: int, d: float) -> tuple[float, Validity]:
     """Raw form of ``bound_dimension``; ``d`` may be fractional, as in
     averaged-assumption arithmetic."""
@@ -120,7 +112,7 @@ def dimension_pg(n: int, d: float) -> tuple[float, Validity]:
 def bound_dimension(d: int, n: int) -> BoundResult:
     """States in a d-dimensional space: pg <= d/n, so at most log2(d) bits."""
     pg, validity = dimension_pg(n, d)
-    return _result(pg, Dimension(d=_integer_d(d)), n, validity)
+    return _result(pg, Dimension(d=d), n, validity)
 
 
 def ea_dimension_pg(n: int, d: float) -> tuple[float, Validity]:
@@ -135,7 +127,7 @@ def ea_dimension_pg(n: int, d: float) -> tuple[float, Validity]:
 def bound_ea_dimension(d: int, n: int) -> BoundResult:
     """Entanglement-assisted d-dimensional messages: pg <= d^2/n (2 log2 d bits)."""
     pg, validity = ea_dimension_pg(n, d)
-    return _result(pg, EADimension(d=_integer_d(d)), n, validity)
+    return _result(pg, EADimension(d=d), n, validity)
 
 
 def overlap_pg(n: int, a: float) -> tuple[float, Validity]:
@@ -271,7 +263,7 @@ def bound_almost_dim(d: int, n: int, eps: float) -> BoundResult:
     """Almost d-dimensional states, tr(rho_x Pi_d) >= 1-eps: the deviation
     bound applied to the dimension value d/n."""
     pg, validity = almost_dim_pg(n, d, eps)
-    return _result(pg, AlmostDim(d=_integer_d(d), eps=eps), n, validity)
+    return _result(pg, AlmostDim(d=d, eps=eps), n, validity)
 
 
 def targets_value(targets: StateEnsemble, tol: float = 1e-10) -> float:

@@ -69,29 +69,26 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_json_file(path: str) -> dict:
+def _load(path: str, decode: Callable, what: str):
+    """``decode`` applied to the JSON document in the file at ``path``.
+    A file that cannot be read or decoded exits 3 with one error line."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return decode(json.load(fh))
+    except OSError as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
-        sys.exit(3)
+    # malformed JSON, InfocapError, numpy's errors on ragged lists and
+    # LinAlgError are all ValueErrors; a number beyond the float range in
+    # an int() or complex() conversion is an OverflowError
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        click.echo(f"error: invalid {what} file {path}: {exc}", err=True)
+    sys.exit(3)
 
 
-def _load_ensemble(path: str):
-    obj = _load_json_file(path)
-    try:
-        return ensemble_from_json(obj)
-    except (InfocapError, KeyError, TypeError) as exc:
-        click.echo(f"error: invalid ensemble file {path}: {exc}", err=True)
-        sys.exit(3)
-
-
-def _load_targets(path: str) -> np.ndarray:
-    e = _load_ensemble(path)
+def _target_vectors(obj: dict) -> np.ndarray:
+    e = ensemble_from_json(obj)
     if not all(e.pure_flags):
-        click.echo(f"error: targets in {path} must be pure states", err=True)
-        sys.exit(3)
+        raise InfocapError("targets must be pure states")
     return e.state_vectors()
 
 
@@ -197,7 +194,7 @@ def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_val
     if not all(grid) or (spec.targets and not targets_file):
         click.echo(f"error: missing parameters for kind {kind}", err=True)
         sys.exit(2)
-    targets = _load_targets(targets_file) if spec.targets else None
+    targets = _load(targets_file, _target_vectors, "targets") if spec.targets else None
     if spec.targets and any(n != len(targets) for n in n_values):
         # the row count n of a targets kind is the number of targets
         click.echo(f"error: --n must equal the {len(targets)} targets for kind {kind}", err=True)
@@ -246,7 +243,7 @@ def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_val
 def oracle(ensemble_file, tol, max_iter, output):
     """Run the discrimination oracle on an ensemble file; exit 0 iff the
     dual certificate closes the gap."""
-    e = _load_ensemble(ensemble_file)
+    e = _load(ensemble_file, ensemble_from_json, "ensemble")
     try:
         res = optimize_discrimination(e, tol=tol, max_iter=max_iter)
     except InfocapError as exc:
@@ -271,14 +268,14 @@ def oracle(ensemble_file, tol, max_iter, output):
 def certify(ensemble_file, povm_file, output):
     """Evaluate a POVM on an ensemble and emit its dual certificate; exit 0
     iff the certificate is valid."""
-    e = _load_ensemble(ensemble_file)
-    obj = _load_json_file(povm_file)
-    try:
+    e = _load(ensemble_file, ensemble_from_json, "ensemble")
+
+    def measured(obj):
+        # a POVM that does not fit the ensemble is an invalid POVM file
         m = povm_from_json(obj)
-        value = guess_value(e, m)
-    except (InfocapError, KeyError, TypeError) as exc:
-        click.echo(f"error: invalid POVM file {povm_file}: {exc}", err=True)
-        sys.exit(3)
+        return m, guess_value(e, m)
+
+    m, value = _load(povm_file, measured, "POVM")
     cert = dual_certificate(e, m)
     payload = {
         "guess_value": value,
@@ -306,7 +303,7 @@ def certify(ensemble_file, povm_file, output):
 def search(kind, n, d, omega, a, eps, targets_file, restarts, seed, tol, output):
     """Seeded tightness search: best achievable value vs the bound."""
     spec = _KINDS[kind]
-    targets = _load_targets(targets_file) if targets_file else None
+    targets = _load(targets_file, _target_vectors, "targets") if targets_file else None
     # the assumption's fields are named like the options that set them
     params = {"d": d, "omega": omega, "a": a, "eps": eps, "targets": targets}
     needed = spec.columns + (("targets",) if spec.targets else ())
@@ -409,12 +406,7 @@ def sr_demo(tol, strategy_file):
     if strategy_file:
         from .randomness import averaged_log_pg, embed_cq, mixture_guess_value, strategy_from_json
 
-        obj = _load_json_file(strategy_file)
-        try:
-            s = strategy_from_json(obj)
-        except (InfocapError, KeyError, TypeError) as exc:
-            click.echo(f"error: invalid strategy file {strategy_file}: {exc}", err=True)
-            sys.exit(3)
+        s = _load(strategy_file, strategy_from_json, "strategy")
         mixture = mixture_guess_value(s, tol=tol)
         embedded = optimize_discrimination(embed_cq(s), tol=tol).value
         click.echo(f"branches: {len(s.branches)}, n = {s.n}, kind = {s.kind}")

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .ensembles import StateEnsemble
 from .errors import DimensionMismatchError, InvalidPOVMError
-from .serialize import matrix_from_json, matrix_to_json
+from .serialize import matrix_to_json, stack_from_json
 
 POVM_PSD_SLACK = 1e-9
 COMPLETENESS_TOL = 1e-8
@@ -34,18 +34,7 @@ class POVM:
 
     def __post_init__(self):
         el = np.asarray(self.elements, dtype=complex)
-        if el.ndim != 3 or el.shape[1] != el.shape[2]:
-            raise InvalidPOVMError(f"elements must have shape (n, d, d), got {el.shape}")
-        if not np.isfinite(el).all():
-            raise InvalidPOVMError("elements must have finite entries")
-        non_hermitian = linalg.hermitian_deviations(el) > 1e-8
-        lowest = linalg.lowest_eigenvalues(linalg.hermitize(el))
-        bad = np.flatnonzero(non_hermitian | (lowest < -POVM_PSD_SLACK))
-        if bad.size:
-            i = bad[0]
-            if non_hermitian[i]:
-                raise InvalidPOVMError(f"element {i} is not Hermitian")
-            raise InvalidPOVMError(f"element {i} has eigenvalue {lowest[i]:.3e}")
+        linalg.hermitian_stack(el, "element", 1e-8, POVM_PSD_SLACK, InvalidPOVMError, InvalidPOVMError)
         dev = float(np.linalg.norm(el.sum(axis=0) - np.eye(el.shape[1])))
         if dev > COMPLETENESS_TOL:
             raise InvalidPOVMError(f"completeness defect {dev:.3e} > {COMPLETENESS_TOL:.0e}")
@@ -258,7 +247,4 @@ def povm_to_json(m: POVM) -> dict:
 
 
 def povm_from_json(obj: dict) -> POVM:
-    m = POVM(np.stack([matrix_from_json(x) for x in obj["elements"]]))
-    if m.n != int(obj["n"]) or m.dim != int(obj["dim"]):
-        raise DimensionMismatchError("declared n/dim do not match the element list")
-    return m
+    return stack_from_json(obj, "elements", POVM)

@@ -11,6 +11,7 @@ tails.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
@@ -30,6 +31,7 @@ from .errors import (
 from .serialize import (
     matrix_from_json,
     matrix_to_json,
+    stack_from_json,
     vector_from_json,
     vector_to_json,
 )
@@ -51,30 +53,18 @@ class StateEnsemble:
     pure_flags: tuple[bool, ...] = field(default=())
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=complex)
-        if states.ndim != 3 or states.shape[1] != states.shape[2]:
-            raise DimensionMismatchError(f"states must have shape (n, d, d), got {states.shape}")
-        if states.shape[0] < 1:
-            raise InfocapError("an ensemble needs at least one state")
-        if not np.isfinite(states).all():
-            raise InfocapError("states must have finite entries")
-        dev = linalg.hermitian_deviations(states)
-        traces = np.trace(states, axis1=1, axis2=2)
+        raw = np.asarray(self.states, dtype=complex)
         # the Hermitian part is stored, so later operators built from the
         # states are Hermitian however far within the tolerance the input was
-        herm = linalg.hermitize(states)
-        lowest = linalg.lowest_eigenvalues(herm)
-        non_hermitian = dev > 100 * linalg.HERMITIAN_TOL
-        off_trace = np.abs(traces - 1.0) > TRACE_TOL
-        bad = np.flatnonzero(non_hermitian | off_trace | (lowest < -linalg.PSD_SLACK))
-        if bad.size:
-            i = bad[0]
-            if non_hermitian[i]:
-                raise InfocapError(f"state {i} deviates from Hermiticity by {dev[i]:.3e}")
-            if off_trace[i]:
-                raise InfocapError(f"state {i} has trace {complex(traces[i])}, expected 1")
-            raise InfocapError(f"state {i} has eigenvalue {lowest[i]:.3e}")
-        states = herm
+        states = linalg.hermitian_stack(
+            raw, "state", 100 * linalg.HERMITIAN_TOL, linalg.PSD_SLACK,
+            InfocapError, DimensionMismatchError,
+        )
+        traces = np.trace(raw, axis1=1, axis2=2)
+        off_trace = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
+        if off_trace.size:
+            i = off_trace[0]
+            raise InfocapError(f"state {i} has trace {complex(traces[i])}, expected 1")
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
         if not self.pure_flags:
@@ -93,10 +83,10 @@ class StateEnsemble:
 
     def state_vectors(self) -> np.ndarray:
         """Top eigenvectors, phase-fixed; meaningful for pure states only."""
+        # the stored states are exactly Hermitian, so eigh needs no check
+        tops = np.linalg.eigh(self.states)[1][:, :, -1]
         vecs = np.empty((self.n, self.dim), dtype=complex)
-        for i, rho in enumerate(self.states):
-            dec = linalg.hermitian_eig(rho)
-            v = dec.eigenvectors[:, 0]
+        for i, v in enumerate(tops):
             k = int(np.argmax(np.abs(v)))
             phase = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
             vecs[i] = v / phase
@@ -119,12 +109,20 @@ def _as_is(value):
     return value
 
 
+def _integer_d(d) -> int:
+    # a fractional or non-finite d would be recorded as some integer
+    # dimension whose bound is not d/n; an integral d is stored as an int
+    if not isinstance(d, numbers.Real) or d % 1:
+        raise ParamOutOfRangeError(f"d must be an integer, got {d}")
+    return int(d)
+
+
 class _Field(NamedTuple):
     """One JSON field of an assumption; ``key`` is also the dataclass field.
     An optional field is left out of the JSON when its value is None."""
 
     key: str
-    decode: Callable
+    decode: Callable = _as_is
     encode: Callable = _as_is
     optional: bool = False
 
@@ -164,10 +162,11 @@ class Dimension(Assumption):
     d: int
 
     kind = "dimension"
-    json_fields = (_Field("d", int),)
+    json_fields = (_Field("d"),)
     param = "d"
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer_d(self.d))
         if self.d < 1:
             raise ParamOutOfRangeError("dimension must be >= 1")
 
@@ -188,10 +187,11 @@ class EADimension(Assumption):
     d: int
 
     kind = "ea_dimension"
-    json_fields = (_Field("d", int),)
+    json_fields = (_Field("d"),)
     param = "d"
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer_d(self.d))
         if self.d < 1:
             raise ParamOutOfRangeError("message dimension must be >= 1")
 
@@ -278,7 +278,7 @@ class AlmostDim(Assumption):
 
     kind = "almost_dim"
     json_fields = (
-        _Field("d", int),
+        _Field("d"),
         _Field("eps", float),
         # a lambda, so a wrapper on this module's matrix_from_json sees the call
         _Field("projector", lambda obj: matrix_from_json(obj), matrix_to_json, optional=True),
@@ -287,6 +287,7 @@ class AlmostDim(Assumption):
     shared_fields = ("d",)
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer_d(self.d))
         if self.d < 1:
             raise ParamOutOfRangeError("dimension must be >= 1")
         if not 0.0 <= self.eps <= 1.0:
@@ -298,9 +299,9 @@ class AlmostDim(Assumption):
             pi = np.asarray(self.projector, dtype=complex)
         else:
             # heuristic witness: top-d eigenspace of the average state gives
-            # a sound sufficient check of the existential projector
-            dec = linalg.hermitian_eig(e.states.mean(axis=0))
-            v = dec.eigenvectors[:, : self.d]
+            # a sound sufficient check of the existential projector (the
+            # mean of exactly Hermitian states is exactly Hermitian)
+            v = np.linalg.eigh(e.states.mean(axis=0))[1][:, ::-1][:, : self.d]
             pi = v @ v.conj().T
             note = "top-d eigenspace of the average state"
         if pi.shape != (e.dim, e.dim):
@@ -326,7 +327,7 @@ class Distrust(Assumption):
         if t.ndim != 2:
             raise ParamOutOfRangeError("targets must be an (n, dim) array of unit vectors")
         norms = np.linalg.norm(t, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-10:
             raise ParamOutOfRangeError("target vectors must be normalized within 1e-10")
         if not 0.0 <= self.eps <= 1.0:
             raise ParamOutOfRangeError("eps must lie in [0, 1]")
@@ -353,8 +354,8 @@ class Information(Assumption):
     param = "alpha"
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ParamOutOfRangeError("alpha must be >= 0")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ParamOutOfRangeError("alpha must be finite and >= 0")
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg):
         if pg is None:
@@ -586,11 +587,7 @@ def ensemble_to_json(e: StateEnsemble) -> dict:
 
 
 def ensemble_from_json(obj: dict) -> StateEnsemble:
-    states = np.stack([matrix_from_json(s) for s in obj["states"]])
-    e = StateEnsemble(states)
-    if e.n != int(obj["n"]) or e.dim != int(obj["dim"]):
-        raise DimensionMismatchError("declared n/dim do not match the state list")
-    return e
+    return stack_from_json(obj, "states", StateEnsemble)
 
 
 def assumption_to_json(a: Assumption) -> dict:

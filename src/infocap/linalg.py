@@ -1,14 +1,12 @@
 """Dense complex-matrix kernel.
 
-Hermitian eigendecompositions, spectral matrix functions, Gram-matrix
-factorization and tensor-product helpers.  Everything operates on plain
-numpy arrays, treats inputs as immutable and returns new arrays.
+The validator of stacks of Hermitian PSD matrices, the inverse square
+root, Gram-matrix factorization and the partial trace.  Everything
+operates on plain numpy arrays, treats inputs as immutable and returns new
+arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from .errors import (
 HERMITIAN_TOL = 1e-12  # max entrywise |A - A^dag|
 PSD_SLACK = 1e-9       # eigenvalues above -PSD_SLACK count as nonnegative
 KERNEL_CUTOFF = 1e-10  # eigenvalues below this are treated as exact zeros
-RECON_TOL = 1e-10      # relative Frobenius reconstruction budget
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -37,11 +34,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^dag)/2 of a matrix or of each matrix in a stack;
     cheap guard against arithmetic drift."""
     return (a + dagger(a)) / 2.0
-
-
-def hermitian_deviations(a: np.ndarray) -> np.ndarray:
-    """Max entrywise |A - A^dag| of each matrix in a stack (n, d, d)."""
-    return np.abs(a - dagger(a)).max(axis=(-2, -1))
 
 
 def lowest_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -66,73 +58,67 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted descending; eigenvectors as matching columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(hermitize(a))
-    return EigenDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-
-
 def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     a = require_hermitian(a)
     return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
-def _spectral_map(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    # mat_func on a matrix that is already exactly Hermitian, such as
-    # hermitize(s): the Hermiticity check and a second hermitize would be
-    # exact no-ops on it
+def hermitian_stack(
+    a: np.ndarray,
+    item: str,
+    tol: float,
+    slack: float,
+    error: type[Exception],
+    shape_error: type[Exception],
+) -> np.ndarray:
+    """Hermitian part of a stack of n >= 1 finite (d, d) matrices, d >= 1,
+    each Hermitian within ``tol`` (max entrywise |A - A^dag|) and with no
+    eigenvalue below ``-slack``.
+
+    A stack of any other shape raises ``shape_error``; every other fault
+    raises ``error`` naming the first offending ``item`` by its index.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
+        raise shape_error(f"{item}s must have shape (n, d, d) with n, d >= 1, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise error(f"{item}s must have finite entries")
+    dev = np.abs(a - dagger(a)).max(axis=(-2, -1))
+    herm = hermitize(a)
+    lowest = lowest_eigenvalues(herm)
+    bad = np.flatnonzero((dev > tol) | (lowest < -slack))
+    if bad.size:
+        i = bad[0]
+        if dev[i] > tol:
+            raise error(f"{item} {i} deviates from Hermiticity by {dev[i]:.3e}")
+        raise error(f"{item} {i} has eigenvalue {lowest[i]:.3e}")
+    return herm
+
+
+def mat_inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """Inverse square root on the support of a Hermitian PSD matrix ``a``,
+    zero on its kernel."""
+    return _inv_sqrt_hermitized(hermitize(require_hermitian(a)))
+
+
+def _inv_sqrt_hermitized(h: np.ndarray) -> np.ndarray:
+    """``mat_inv_sqrt`` of an exactly Hermitian matrix, unchecked: for hot
+    loops that hermitize their own operators.
+
+    Eigenvalues in [-PSD_SLACK, 0) are clipped to 0; anything below
+    -PSD_SLACK raises NotPSDError.
+    """
     w, v = np.linalg.eigh(h)
     if w.size and w[0] < -PSD_SLACK:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_SLACK:.0e}")
     # np.maximum gives np.clip(w, 0.0, None) bit for bit, at less overhead
     w = np.maximum(w, 0.0)
-    return hermitize((v * np.asarray(f(w))) @ v.conj().T)
-
-
-def mat_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to the spectrum of a Hermitian PSD matrix.
-
-    Eigenvalues in [-PSD_SLACK, 0) are clipped to 0 before applying ``f``;
-    anything below -PSD_SLACK raises NotPSDError.
-    """
-    return _spectral_map(hermitize(require_hermitian(a)), f)
-
-
-def mat_sqrt(a: np.ndarray) -> np.ndarray:
-    return mat_func(a, np.sqrt)
-
-
-def _inv_sqrt_spectrum(w: np.ndarray) -> np.ndarray:
     # Pseudo-inverse convention: the kernel (eigenvalues below the cutoff)
-    # maps to 0 instead of blowing up.  w arrives clipped to >= 0.
-    out = np.zeros(w.shape)
-    np.divide(1.0, np.sqrt(w), out=out, where=w > KERNEL_CUTOFF)
-    return out
-
-
-def mat_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Inverse square root on the support of ``a``, zero on its kernel."""
-    return mat_func(a, _inv_sqrt_spectrum)
-
-
-def _inv_sqrt_hermitized(h: np.ndarray) -> np.ndarray:
-    """``mat_inv_sqrt`` of an exactly Hermitian matrix, unchecked: for hot
-    loops that hermitize their own operators."""
-    return _spectral_map(h, _inv_sqrt_spectrum)
+    # maps to 0 instead of blowing up.
+    f = np.zeros(w.shape)
+    np.divide(1.0, np.sqrt(w), out=f, where=w > KERNEL_CUTOFF)
+    return hermitize((v * f) @ v.conj().T)
 
 
 def vectors_from_gram(g: np.ndarray) -> np.ndarray:
@@ -154,11 +140,6 @@ def vectors_from_gram(g: np.ndarray) -> np.ndarray:
     # factor F = sqrt(L) V^dag restricted to the support; columns are the vectors
     factor = (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T)
     return factor.T.copy()
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(a: np.ndarray, dims: tuple[int, int], trace_out: int) -> np.ndarray:

@@ -10,11 +10,6 @@ def rng():
     return np.random.default_rng(7)
 
 
-def random_hermitian(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + z.conj().T) / 2
-
-
 def random_psd(rng, dim):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return z @ z.conj().T

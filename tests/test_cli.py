@@ -3,10 +3,15 @@ import hashlib
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infocap import basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json, pgm, uniform_povm
 from infocap.bounds import Validity
@@ -319,6 +324,97 @@ def test_distrust_n_other_than_target_count_exits_2(runner, tmp_path, n_options)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "--n must equal the 3 targets" in result.stderr
+
+
+class _Doc(NamedTuple):
+    """A JSON document that a command reads from a file."""
+
+    obj: object
+
+
+def _write_args(tmp_path, args):
+    """argv with every _Doc in ``args`` written to a file and replaced by its path."""
+    return [
+        write_json(tmp_path / f"{i}.json", a.obj) if isinstance(a, _Doc) else a
+        for i, a in enumerate(args)
+    ]
+
+
+_BASIS_STATES = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+
+
+def _stack_faults(key):
+    """Stack files with one fault each, keyed by fault."""
+    def stack(matrices, n=2, dim=2):
+        return {"n": n, "dim": dim, key: matrices}
+
+    return {
+        "ragged_matrix": stack([[[[1, 0], [0, 0]], [[0, 0]]], _BASIS_STATES[1]]),
+        "two_sizes": stack([_BASIS_STATES[0], [[[1, 0]]]]),
+        "re_only_pair": stack([[[[1], [0, 0]], [[0, 0], [0, 0]]], _BASIS_STATES[1]]),
+        "empty": stack([], n=0),
+        "n_not_a_number": stack(_BASIS_STATES, n="x"),
+        "pairs_nested_too_deep": stack([[[[p] for p in row] for row in m] for m in _BASIS_STATES]),
+    }
+
+
+def _strategy(gamma, q=1.0):
+    ensemble = {"n": 2, "dim": 2, "states": _BASIS_STATES}
+    return {"branches": [{"q": q, "ensemble": ensemble, "gamma": gamma}]}
+
+
+_STRATEGY_FAULTS = {
+    "q_not_a_number": _strategy({"kind": "dimension", "d": 2}, q="x"),
+    "d_not_a_number": _strategy({"kind": "dimension", "d": "two"}),
+    "ragged_targets": _strategy({"kind": "distrust", "eps": 0.1, "targets": [[[1, 0], [0, 0]], [[1, 0]]]}),
+    "one_element_projector_pair": _strategy(
+        {"kind": "almost_dim", "d": 1, "eps": 0.1, "projector": [[[1], [0, 0]], [[0, 0], [0, 0]]]}
+    ),
+}
+
+
+def _malformed_cases():
+    good_ensemble = _Doc({"n": 2, "dim": 2, "states": _BASIS_STATES})
+    good_povm = _Doc({"n": 2, "dim": 2, "elements": _BASIS_STATES})
+    for fault, obj in _stack_faults("states").items():
+        yield f"oracle-{fault}", ["oracle", _Doc(obj)]
+        yield f"certify_ensemble-{fault}", ["certify", _Doc(obj), good_povm]
+        yield f"bound_targets-{fault}", ["bound", "distrust", "--n", "2", "--eps", "0.1", "--targets", _Doc(obj)]
+    for fault, obj in _stack_faults("elements").items():
+        yield f"certify_povm-{fault}", ["certify", good_ensemble, _Doc(obj)]
+    for fault, obj in _STRATEGY_FAULTS.items():
+        yield f"sr_demo-{fault}", ["sr-demo", "--strategy", _Doc(obj)]
+
+
+@pytest.mark.parametrize("args", [args for _, args in _malformed_cases()],
+                         ids=[case for case, _ in _malformed_cases()])
+def test_malformed_file_exits_3(runner, tmp_path, args):
+    result = runner.invoke(main, _write_args(tmp_path, args))
+    assert result.exit_code == 3, result.exception
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
+_KEYS = ["n", "dim", "states", "elements", "branches", "q", "ensemble", "gamma", "kind", "d", "eps",
+         "targets", "projector", "omega", "a", "alpha"]
+_JSON_DOCS = st.recursive(
+    st.none() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["dimension", "almost_dim", "distrust", "information", "vacuum"]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.sampled_from(_KEYS), children),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(doc=_JSON_DOCS)
+def test_arbitrary_json_never_raises(doc):
+    good_ensemble = _Doc({"n": 2, "dim": 2, "states": _BASIS_STATES})
+    doc = _Doc(doc)
+    for args in (["oracle", doc], ["certify", good_ensemble, doc], ["sr-demo", "--strategy", doc]):
+        with tempfile.TemporaryDirectory() as tmp:
+            result = CliRunner().invoke(main, _write_args(Path(tmp), args))
+        assert result.exit_code in (0, 1, 3)
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
 
 
 class TestOracle:

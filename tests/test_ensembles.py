@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infocap import (
     AlmostDim,
@@ -28,6 +30,8 @@ from infocap import (
 )
 from infocap.checks import random_unit
 from infocap.ensembles import assumption_from_json, assumption_to_json
+
+from conftest import random_pure_ensemble
 from infocap.errors import (
     CutoffTooSmallError,
     GramNotPSDError,
@@ -35,6 +39,7 @@ from infocap.errors import (
     MissingContextError,
     MixedStateOverlapError,
     OmegaOutOfRangeError,
+    ParamOutOfRangeError,
 )
 
 
@@ -49,6 +54,48 @@ class TestStateEnsembleType:
         states[1, 0, 1] = np.nan
         with pytest.raises(InfocapError):
             StateEnsemble(states)
+
+
+class TestStateVectors:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 8), dim=st.integers(1, 9))
+    def test_matches_per_state_eigh_reference(self, seed, n, dim):
+        e = random_pure_ensemble(np.random.default_rng(seed), n, dim)
+        expected = np.empty((n, dim), dtype=complex)
+        for i, rho in enumerate(e.states):
+            # top eigenvector of each state on its own, phase-fixed
+            v = np.linalg.eigh(rho)[1][:, ::-1].copy()[:, 0]
+            k = int(np.argmax(np.abs(v)))
+            phase = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
+            expected[i] = v / phase
+        np.testing.assert_array_equal(e.state_vectors(), expected)
+
+
+class TestAssumptionParameters:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Information(alpha=math.nan),
+            lambda: Dimension(d=math.nan),
+            lambda: Distrust(targets=np.array([[1.0, 0.0], [math.nan, 0.0]]), eps=0.1),
+            lambda: assumption_from_json({"kind": "dimension", "d": 2.5}),
+        ],
+        ids=["information_nan_alpha", "dimension_nan_d", "distrust_nan_target", "json_fractional_d"],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(ParamOutOfRangeError):
+            make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Dimension(d=2.0), lambda: EADimension(d=2.0), lambda: AlmostDim(d=2.0, eps=0.1)],
+        ids=["dimension", "ea_dimension", "almost_dim"],
+    )
+    def test_integral_d_stored_as_int(self, make):
+        # files record "d": 2, not "d": 2.0
+        a = make()
+        assert type(a.d) is int
+        assert json.dumps(assumption_to_json(a)["d"]) == "2"
 
 
 class TestBasisEnsemble:
