@@ -40,7 +40,6 @@ from .errors import NonFiniteError, ParamOutOfRangeError, ZeroProjectionError
 class Validity(str, Enum):
     VALID = "valid"
     TRIVIALLY_ONE = "trivially_one"
-    OUT_OF_DOMAIN = "out_of_domain"
 
 
 @dataclass(frozen=True, eq=False)

@@ -517,7 +517,3 @@ def run_check(name: str) -> CheckResult:
     return CheckResult(
         name=name, passed=passed, detail=detail, elapsed_s=time.perf_counter() - start
     )
-
-
-def run_all() -> list[CheckResult]:
-    return [run_check(name) for name in CHECK_NAMES]

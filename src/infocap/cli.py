@@ -6,14 +6,17 @@ an ensemble and POVM pair), search (seeded tightness search), sweep
 (plot-ready CSV along one parameter axis), paper-numbers (built-in
 reference checks) and sr-demo (shared-randomness demonstration).
 
-Exit codes: 0 success, 1 check or convergence failure, 2 parameter-domain
-error, 3 input-file error.
+Exit codes: 0 success, 1 check or convergence failure (or a non-finite
+result), 2 parameter-domain error, 3 file error.  Commands raise an
+InfocapError for every error; the group maps it to its exit code through
+one table, ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -37,26 +40,29 @@ from .ensembles import (
     equiangular_ensemble,
     vacuum_cone_ensemble,
 )
-from .errors import InfocapError, NonFiniteError, ParamOutOfRangeError
+from .errors import FileFaultError, InfocapError, NonFiniteError, ParamOutOfRangeError
 from .randomness import ea_average_counterexample
 from .search import almost_dim_seed, tightness_search
 
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FileFaultError(f"cannot write {output}: {exc}") from exc
     else:
         click.echo(text, nl=False)
 
 
 def _json_text(obj) -> str:
-    """Indented JSON text of ``obj``; a non-finite number in it exits 1."""
+    """Indented JSON text of ``obj``; a non-finite number in it raises
+    NonFiniteError."""
     try:
         return json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        raise NonFiniteError(str(exc)) from exc
 
 
 def _fmt9(x: float) -> str:
@@ -71,18 +77,18 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 def _load(path: str, decode: Callable, what: str):
     """``decode`` applied to the JSON document in the file at ``path``.
-    A file that cannot be read or decoded exits 3 with one error line."""
+    A file that cannot be read or decoded raises FileFaultError."""
     try:
         with open(path) as fh:
             return decode(json.load(fh))
     except OSError as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
+        raise FileFaultError(f"cannot read {path}: {exc}") from exc
     # malformed JSON, InfocapError, numpy's errors on ragged lists and
     # LinAlgError are all ValueErrors; a number beyond the float range in
-    # an int() or complex() conversion is an OverflowError
-    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-        click.echo(f"error: invalid {what} file {path}: {exc}", err=True)
-    sys.exit(3)
+    # an int() or complex() conversion is an OverflowError, and JSON nested
+    # deeper than the parser's recursion limit a RecursionError
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError) as exc:
+        raise FileFaultError(f"invalid {what} file {path}: {exc}") from exc
 
 
 def _target_vectors(obj: dict) -> np.ndarray:
@@ -92,7 +98,23 @@ def _target_vectors(obj: dict) -> np.ndarray:
     return e.state_vectors()
 
 
-@click.group()
+# the exit code of an InfocapError: that of the first class it is an instance of
+_EXIT_CODES = ((FileFaultError, 3), (NonFiniteError, 1), (InfocapError, 2))
+
+
+class _Main(click.Group):
+    """The command group.  An InfocapError from any command ends in one
+    ``error:`` line on stderr and the exit code ``_EXIT_CODES`` gives it."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InfocapError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
+
+
+@click.group(cls=_Main)
 def main():
     """Capacity bounds and discrimination oracles for restricted quantum
     state ensembles."""
@@ -192,42 +214,33 @@ def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_val
     values = {"d": d_values, "omega": omega_values, "a": a_values, "eps": eps_values, "nbar": nbar_values}
     grid = [values[c] for c in spec.columns]
     if not all(grid) or (spec.targets and not targets_file):
-        click.echo(f"error: missing parameters for kind {kind}", err=True)
-        sys.exit(2)
+        raise ParamOutOfRangeError(f"missing parameters for kind {kind}")
     targets = _load(targets_file, _target_vectors, "targets") if spec.targets else None
     if spec.targets and any(n != len(targets) for n in n_values):
         # the row count n of a targets kind is the number of targets
-        click.echo(f"error: --n must equal the {len(targets)} targets for kind {kind}", err=True)
-        sys.exit(2)
-    try:
-        if spec.targets:
-            # one row per parameter point, with n the number of targets,
-            # whose oracle runs once for the whole grid
-            ensemble = ensemble_from_vectors(targets)
-            firsts = [(ensemble.n, bounds.targets_value(ensemble))]
-            extra = {"targets": ensemble.state_vectors()}
+        raise ParamOutOfRangeError(f"--n must equal the {len(targets)} targets for kind {kind}")
+    if spec.targets:
+        # one row per parameter point, with n the number of targets,
+        # whose oracle runs once for the whole grid
+        ensemble = ensemble_from_vectors(targets)
+        firsts = [(ensemble.n, bounds.targets_value(ensemble))]
+        extra = {"targets": ensemble.state_vectors()}
+    else:
+        firsts = [(n, n) for n in n_values]
+        extra = {}
+    # every row is computed before anything is written, so a bad grid
+    # point leaves no output
+    lines = []
+    for params in itertools.product(*grid):
+        rows = []
+        for n, first in firsts:
+            pg, validity = spec.formula(first, *params)
+            rows.append((n, *bounds.clamp(pg, n), validity.value))
+        if fmt == "csv":
+            lines += _csv_rows(kind, params, rows)
         else:
-            firsts = [(n, n) for n in n_values]
-            extra = {}
-        # every row is computed before anything is written, so a bad grid
-        # point leaves no output
-        lines = []
-        for params in itertools.product(*grid):
-            rows = []
-            for n, first in firsts:
-                pg, validity = spec.formula(first, *params)
-                rows.append((n, *bounds.clamp(pg, n), validity.value))
-            if fmt == "csv":
-                lines += _csv_rows(kind, params, rows)
-            else:
-                named = dict(zip(spec.columns, params))
-                lines += _json_rows(spec.assumption(**named, **extra), named, rows)
-    except ParamOutOfRangeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except NonFiniteError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+            named = dict(zip(spec.columns, params))
+            lines += _json_rows(spec.assumption(**named, **extra), named, rows)
     if fmt == "csv":
         header = ",".join(["assumption", *spec.columns, "n", "pg_bound", "info_bits", "validity"])
         _emit("\n".join([header, *lines]) + "\n", output)
@@ -244,11 +257,7 @@ def oracle(ensemble_file, tol, max_iter, output):
     """Run the discrimination oracle on an ensemble file; exit 0 iff the
     dual certificate closes the gap."""
     e = _load(ensemble_file, ensemble_from_json, "ensemble")
-    try:
-        res = optimize_discrimination(e, tol=tol, max_iter=max_iter)
-    except InfocapError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    res = optimize_discrimination(e, tol=tol, max_iter=max_iter)
     cert = res.certificate
     payload = {
         "value": res.value,
@@ -307,17 +316,11 @@ def search(kind, n, d, omega, a, eps, targets_file, restarts, seed, tol, output)
     # the assumption's fields are named like the options that set them
     params = {"d": d, "omega": omega, "a": a, "eps": eps, "targets": targets}
     needed = spec.columns + (("targets",) if spec.targets else ())
-    try:
-        if any(params[c] is None for c in needed):
-            flags = " and ".join(f"--{c}" for c in needed)
-            raise ParamOutOfRangeError(f"{kind} search needs {flags}")
-        assumption = spec.assumption(**{c: params[c] for c in needed})
-        if not spec.targets and n is None:
-            raise ParamOutOfRangeError("search needs --n")
-        report = tightness_search(assumption, n, restarts=restarts, seed=seed, tol=tol)
-    except ParamOutOfRangeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    if any(params[c] is None for c in needed):
+        flags = " and ".join(f"--{c}" for c in needed)
+        raise ParamOutOfRangeError(f"{kind} search needs {flags}")
+    assumption = spec.assumption(**{c: params[c] for c in needed})
+    report = tightness_search(assumption, n, restarts=restarts, seed=seed, tol=tol)
     _emit(_json_text(report.to_json()) + "\n", output)
 
 
@@ -334,39 +337,32 @@ def search(kind, n, d, omega, a, eps, targets_file, restarts, seed, tol, output)
 def sweep(kind, n, d, start, stop, points, with_oracle, tol, output):
     """Sweep the assumption's scalar parameter and emit plot-ready CSV."""
     if points < 1:
-        click.echo("error: need at least one grid point", err=True)
-        sys.exit(2)
+        raise ParamOutOfRangeError("need at least one grid point")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParamOutOfRangeError(f"need a finite --start and --stop, got {start} and {stop}")
     spec = _KINDS[kind]
     if with_oracle and spec.construction is None:
-        click.echo(f"error: kind {kind} has no saturating construction for --with-oracle", err=True)
-        sys.exit(2)
+        raise ParamOutOfRangeError(f"kind {kind} has no saturating construction for --with-oracle")
     axis = np.linspace(start, stop, points)
     header = [spec.sweep_axis, "pg_bound", "info_bits"]
     if with_oracle:
         header.append("oracle_value")
     rows = []
-    try:
-        for x in axis:
-            x = float(x)
-            # --d is the only parameter a sweep holds fixed
-            params = [x if c == spec.sweep_axis else d for c in spec.columns]
-            pg, bits = bounds.clamp(spec.formula(n, *params)[0], n)
-            row = [_fmt9(x), _fmt9(pg), _fmt9(bits)]
-            if with_oracle:
-                ens = spec.construction(n, *params)
-                if ens is None:
-                    raise ParamOutOfRangeError(
-                        f"no saturating {kind} construction at {spec.sweep_axis}={_fmt9(x)}"
-                        " for --with-oracle"
-                    )
-                row.append(_fmt9(optimize_discrimination(ens, tol=tol).value))
-            rows.append(row)
-    except ParamOutOfRangeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except NonFiniteError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    for x in axis:
+        x = float(x)
+        # --d is the only parameter a sweep holds fixed
+        params = [x if c == spec.sweep_axis else d for c in spec.columns]
+        pg, bits = bounds.clamp(spec.formula(n, *params)[0], n)
+        row = [_fmt9(x), _fmt9(pg), _fmt9(bits)]
+        if with_oracle:
+            ens = spec.construction(n, *params)
+            if ens is None:
+                raise ParamOutOfRangeError(
+                    f"no saturating {kind} construction at {spec.sweep_axis}={_fmt9(x)}"
+                    " for --with-oracle"
+                )
+            row.append(_fmt9(optimize_discrimination(ens, tol=tol).value))
+        rows.append(row)
     _emit(_csv(header, rows), output)
 
 
@@ -378,12 +374,14 @@ def paper_numbers(only):
     from .checks import CHECK_NAMES, run_check
 
     names = list(CHECK_NAMES)
-    if only:
+    if only is not None:
         wanted = [s.strip() for s in only.split(",") if s.strip()]
         unknown = [w for w in wanted if w not in CHECK_NAMES]
         if unknown:
-            click.echo(f"error: unknown checks {unknown}", err=True)
-            sys.exit(2)
+            raise ParamOutOfRangeError(f"unknown checks {unknown}")
+        if not wanted:
+            # running no check would report that all passed
+            raise ParamOutOfRangeError("--only names no check")
         names = wanted
     all_ok = True
     for name in names:
@@ -409,10 +407,11 @@ def sr_demo(tol, strategy_file):
         s = _load(strategy_file, strategy_from_json, "strategy")
         mixture = mixture_guess_value(s, tol=tol)
         embedded = optimize_discrimination(embed_cq(s), tol=tol).value
+        averaged = averaged_log_pg(s, tol=tol)
         click.echo(f"branches: {len(s.branches)}, n = {s.n}, kind = {s.kind}")
         click.echo(f"mixture guessing value:            {mixture:.9f}")
         click.echo(f"embedded-ensemble guessing value:  {embedded:.9f}")
-        click.echo(f"log-averaged information (bits):   {averaged_log_pg(s, tol=tol):.9f}")
+        click.echo(f"log-averaged information (bits):   {averaged:.9f}")
         return
     peak, average = ea_average_counterexample(tol=tol)
     cap = bounds.bound_ea_dimension(3, 30).pg_bound

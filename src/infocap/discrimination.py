@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .ensembles import StateEnsemble
-from .errors import DimensionMismatchError, InvalidPOVMError
+from .errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
 from .serialize import matrix_to_json, stack_from_json
 
 POVM_PSD_SLACK = 1e-9
@@ -109,13 +109,19 @@ def pgm(e: StateEnsemble) -> POVM:
     return POVM(_pgm_elements(e))
 
 
+def _completed(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """S^(-1/2) a_x S^(-1/2) + (I - sum_y S^(-1/2) a_y S^(-1/2))/n with
+    S = sum_x a_x, hermitized: the pretty good measurement of the stack
+    ``a``, with the deficit on the kernel of S split equally."""
+    s_isqrt = linalg._inv_sqrt_hermitized(linalg.hermitize(a.sum(axis=0)))
+    elements = s_isqrt @ a @ s_isqrt
+    deficit = eye - elements.sum(axis=0)
+    return linalg.hermitize(elements + deficit / a.shape[0])
+
+
 def _pgm_elements(e: StateEnsemble) -> np.ndarray:
     # the elements of pgm(e), exactly Hermitian and not yet validated
-    s = linalg.hermitize(e.states.sum(axis=0))
-    s_isqrt = linalg._inv_sqrt_hermitized(s)
-    elements = s_isqrt @ e.states @ s_isqrt
-    deficit = np.eye(e.dim, dtype=complex) - elements.sum(axis=0)
-    elements = linalg.hermitize(elements + deficit / e.n)
+    elements = _completed(e.states, np.eye(e.dim, dtype=complex))
     if linalg.lowest_eigenvalues(elements).min() < -1e-12:
         # ill-conditioned S^(-1/2) can leave tiny negative eigenvalues
         elements = _repair_elements(elements)
@@ -176,27 +182,24 @@ def optimize_discrimination(
     r_x = rho_x/n and T = sum_y r_y N_y r_y, started from the pretty good
     measurement; the value is nondecreasing along the iteration.
     Convergence is declared when the accompanying dual certificate has
-    gap <= 10*tol.
+    gap <= 10*tol.  ``tol`` must be positive and finite and ``max_iter``
+    at least 1; otherwise ParamOutOfRangeError is raised.
 
     The ensemble is validated at construction and the result's POVM once,
     at the end.  In between the loop trusts its own iterates: T and every
     iterate are hermitized as they are built, so T^(-1/2) and the
     eigenvalue tests skip the Hermiticity checks, which could not fire.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ParamOutOfRangeError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ParamOutOfRangeError(f"max_iter must be >= 1, got {max_iter}")
     rt = e.states / e.n
     eye = np.eye(e.dim, dtype=complex)
     elements = _pgm_elements(e)
     value = float(np.einsum("xij,xji->", rt, elements).real)
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = rt @ elements @ rt
-        t = linalg.hermitize(g.sum(axis=0))
-        t_isqrt = linalg._inv_sqrt_hermitized(t)
-        new = t_isqrt @ g @ t_isqrt
-        deficit = eye - new.sum(axis=0)
-        new = linalg.hermitize(new + deficit / e.n)
+        new = _completed(rt @ elements @ rt, eye)
         new_value = float(np.einsum("xij,xji->", rt, new).real)
         if new_value < value - 1e-12:
             # the pseudo-inverse truncation can cost more value than the

@@ -47,10 +47,11 @@ class StateEnsemble:
 
     ``states`` has shape (n, dim, dim).  Validation enforces Hermiticity,
     positivity within linalg.PSD_SLACK and unit trace within TRACE_TOL.
+    ``pure_flags`` says which states are pure; it is computed, not passed.
     """
 
     states: np.ndarray
-    pure_flags: tuple[bool, ...] = field(default=())
+    pure_flags: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
         raw = np.asarray(self.states, dtype=complex)
@@ -67,11 +68,8 @@ class StateEnsemble:
             raise InfocapError(f"state {i} has trace {complex(traces[i])}, expected 1")
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
-        if not self.pure_flags:
-            purities = np.einsum("xij,xji->x", states, states).real
-            object.__setattr__(
-                self, "pure_flags", tuple(bool(p >= 1.0 - PURITY_TOL) for p in purities)
-            )
+        purities = np.einsum("xij,xji->x", states, states).real
+        object.__setattr__(self, "pure_flags", tuple(bool(p >= 1.0 - PURITY_TOL) for p in purities))
 
     @property
     def n(self) -> int:

@@ -49,6 +49,10 @@ class NonFiniteError(InfocapError):
     """A computed value that should be a finite number is not."""
 
 
+class FileFaultError(InfocapError):
+    """A file cannot be read, written or decoded."""
+
+
 class InvalidPOVMError(InfocapError):
     pass
 

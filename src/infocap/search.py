@@ -20,7 +20,6 @@ feasible point but generally not optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .discrimination import optimize_discrimination
 from .ensembles import (
     AlmostDim,
     Assumption,
+    Distrust,
     StateEnsemble,
     check_assumption,
     ensemble_from_vectors,
@@ -45,6 +45,8 @@ from .errors import ParamOutOfRangeError
 from .linalg import vectors_from_gram
 
 _SIGMAS = (0.02, 0.05, 0.1, 0.2)
+# the oracle's iteration cap for each restart
+MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -171,81 +173,59 @@ def _project_overlap(gram: np.ndarray, a: float, n: int) -> np.ndarray | None:
     return None
 
 
-def _rescaled(projectors, weight: float) -> Callable:
-    """Projection that rescales each perturbed state to weight ``weight``
-    inside its own projector ``projectors[x]``."""
-
-    def project(perturbed: np.ndarray, rng: np.random.Generator) -> StateEnsemble:
-        vecs = np.empty_like(perturbed)
-        for x in range(perturbed.shape[0]):
-            vecs[x] = _split_and_rescale(perturbed[x], projectors[x], weight, rng)
-        return ensemble_from_vectors(vecs)
-
-    return project
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """One search: the assumption searched (with any witness filled in), the
-    closed-form bound, the saturating seed, the projection of a perturbed
-    seed back onto the constraint surface (None when that fails) and the
-    membership context."""
+    closed-form bound, the saturating seed and the membership context.
+
+    The constraint surface a perturbed seed is projected back onto is data:
+    state x keeps weight ``weight`` inside its anchor projector
+    ``anchors[x]``.  Overlap has no anchors, since its constraint is
+    pairwise: its perturbed Gram matrix is blended toward the equiangular
+    one until every pairwise overlap is at least ``weight``.
+    """
 
     assumption: Assumption
     n: int
     bound: BoundResult
     seed_vectors: np.ndarray
-    project: Callable[[np.ndarray, np.random.Generator], StateEnsemble | None]
+    anchors: np.ndarray | None
+    weight: float
     membership_aux: dict
 
 
-def _require_n(a: Assumption, n: int | None) -> int:
-    if n is None:
-        raise ParamOutOfRangeError(f"{a.kind} search needs n")
-    return n
-
-
 def _vacuum_plan(a, n, tol) -> _Plan:
-    n = _require_n(a, n)
     bound = bound_vacuum(n, a.omega)
     ens, vac = vacuum_cone_ensemble(n, min(a.omega, (n - 1) / n))
     seed_vectors = ens.state_vectors()
-    axis = np.zeros(seed_vectors.shape[1], dtype=complex)
-    axis[0] = 1.0
-    project = _rescaled([np.outer(axis, axis.conj())] * n, 1.0 - a.omega)
-    return _Plan(a, n, bound, seed_vectors, project, {"vacuum_vector": vac})
+    dim = seed_vectors.shape[1]
+    vacuum_projector = np.zeros((dim, dim), dtype=complex)  # the cone's vacuum is e_0
+    vacuum_projector[0, 0] = 1.0
+    anchors = np.broadcast_to(vacuum_projector, (n, dim, dim))
+    return _Plan(a, n, bound, seed_vectors, anchors, 1.0 - a.omega, {"vacuum_vector": vac})
 
 
 def _overlap_plan(a, n, tol) -> _Plan:
-    n = _require_n(a, n)
-
-    def project(perturbed, rng):
-        vecs = np.stack([v / np.linalg.norm(v) for v in perturbed])
-        g = _project_overlap(vecs.conj() @ vecs.T, a.a, n)
-        if g is None:
-            return None
-        return ensemble_from_vectors(vectors_from_gram((g + g.conj().T) / 2.0))
-
     bound = bound_overlap(n, a.a)
-    return _Plan(a, n, bound, equiangular_ensemble(n, a.a).state_vectors(), project, {})
+    return _Plan(a, n, bound, equiangular_ensemble(n, a.a).state_vectors(), None, a.a, {})
 
 
 def _almost_dim_plan(a, n, tol) -> _Plan:
-    n = _require_n(a, n)
     bound = bound_almost_dim(a.d, n, a.eps)
     seed_vectors, projector = almost_dim_seed(a.d, n, a.eps)
     witnessed = AlmostDim(d=a.d, eps=a.eps, projector=projector)
-    return _Plan(witnessed, n, bound, seed_vectors, _rescaled([projector] * n, 1.0 - a.eps), {})
+    anchors = np.broadcast_to(projector, (n, *projector.shape))
+    return _Plan(witnessed, n, bound, seed_vectors, anchors, 1.0 - a.eps, {})
 
 
 def _distrust_plan(a, n, tol) -> _Plan:
     targets = a.targets
     bound = bound_distrust(ensemble_from_vectors(targets), a.eps, tol)
     seed_vectors = distrust_seed(targets, a.eps)
-    padded = np.zeros((targets.shape[0], seed_vectors.shape[1]), dtype=complex)
+    padded = np.zeros((n, seed_vectors.shape[1]), dtype=complex)
     padded[:, : targets.shape[1]] = targets
-    project = _rescaled([np.outer(t, t.conj()) for t in padded], 1.0 - a.eps)
-    return _Plan(a, targets.shape[0], bound, seed_vectors, project, {})
+    anchors = padded[:, :, None] * padded.conj()[:, None, :]
+    return _Plan(a, n, bound, seed_vectors, anchors, 1.0 - a.eps, {})
 
 
 _PLANS = {
@@ -257,12 +237,24 @@ _PLANS = {
 
 
 def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnsemble | None:
+    """Restart 0 is the seed; a later restart perturbs it and projects it
+    back onto the plan's constraint surface (None when that fails)."""
     if restart == 0:
         return ensemble_from_vectors(plan.seed_vectors)
     sigma = _SIGMAS[(restart - 1) % len(_SIGMAS)]
     shape = plan.seed_vectors.shape
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return plan.project(plan.seed_vectors + sigma * noise, rng)
+    perturbed = plan.seed_vectors + sigma * noise
+    if plan.anchors is None:
+        vecs = np.stack([v / np.linalg.norm(v) for v in perturbed])
+        g = _project_overlap(vecs.conj() @ vecs.T, plan.weight, plan.n)
+        if g is None:
+            return None
+        return ensemble_from_vectors(vectors_from_gram((g + g.conj().T) / 2.0))
+    vecs = np.empty_like(perturbed)
+    for x in range(plan.n):
+        vecs[x] = _split_and_rescale(perturbed[x], plan.anchors[x], plan.weight, rng)
+    return ensemble_from_vectors(vecs)
 
 
 def tightness_search(
@@ -272,9 +264,12 @@ def tightness_search(
     restarts: int = 16,
     seed: int = 0,
     tol: float = 1e-10,
-    max_iter: int = 2000,
 ) -> SearchReport:
     """Search for the best guessing value inside one assumption set.
+
+    ``n`` is required, except for Distrust, whose n is the number of its
+    targets (an ``n`` given with them must equal it).  ``restarts`` must
+    be at least 1; otherwise ParamOutOfRangeError is raised.
 
     Deterministic for a fixed ``seed``: restart k draws from a generator
     seeded with seed + k.
@@ -282,20 +277,25 @@ def tightness_search(
     make_plan = _PLANS.get(assumption.kind)
     if make_plan is None:
         raise ParamOutOfRangeError(f"search does not support assumption {assumption!r}")
+    if isinstance(assumption, Distrust):
+        count = assumption.targets.shape[0]
+        if n not in (None, count):
+            raise ParamOutOfRangeError(f"n must equal the {count} targets for a distrust search, got {n}")
+        n = count
+    if n is None:
+        raise ParamOutOfRangeError(f"{assumption.kind} search needs n")
+    if restarts < 1:
+        raise ParamOutOfRangeError(f"restarts must be >= 1, got {restarts}")
     plan = make_plan(assumption, n, tol)
     outcomes: list[RestartOutcome] = []
     best = 0.0
-    for k in range(max(1, restarts)):
+    for k in range(restarts):
         rng = np.random.default_rng(seed + k)
         cand = _candidate(plan, k, rng)
-        if cand is None:
+        if cand is None or not check_assumption(cand, plan.assumption, **plan.membership_aux).satisfied:
             outcomes.append(RestartOutcome(index=k, value=0.0, converged=False, feasible=False))
             continue
-        report = check_assumption(cand, plan.assumption, **plan.membership_aux)
-        if not report.satisfied:
-            outcomes.append(RestartOutcome(index=k, value=0.0, converged=False, feasible=False))
-            continue
-        res = optimize_discrimination(cand, tol=tol, max_iter=max_iter)
+        res = optimize_discrimination(cand, tol=tol, max_iter=MAX_ITER)
         outcomes.append(
             RestartOutcome(index=k, value=res.value, converged=res.converged, feasible=True)
         )

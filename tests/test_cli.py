@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tempfile
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ from infocap import basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json
 from infocap.bounds import Validity
 from infocap.cli import main
 from infocap.discrimination import povm_to_json
+from infocap.errors import FileFaultError, NonFiniteError, ParamOutOfRangeError
 
 
 @pytest.fixture
@@ -417,7 +419,116 @@ def test_arbitrary_json_never_raises(doc):
         assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
 
 
+_ENSEMBLE_DOC = _Doc({"n": 2, "dim": 2, "states": _BASIS_STATES})
+_QUBIT_TARGETS = _Doc(ensemble_to_json(ensemble_from_vectors(np.array([[1, 0], [0, 1], [0.6, 0.8]], dtype=complex))))
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+
+
+def _option_floats(low, high):
+    """nan, +-inf, +-0, a negative float or one in [low, high]."""
+    return _SPECIAL_FLOATS | st.floats(-10.0, -1e-12) | st.floats(low, high)
+
+
+_TOLS = _option_floats(1e-9, 1e-3)
+_UNIT = _option_floats(0.0, 1.0)
+_INTS = st.integers(-3, 12)
+
+
+@st.composite
+def _option_argv(draw):
+    """argv of one command with drawn option values; each valid run is cheap
+    (a tolerance >= 1e-9, at most 12 points and 4 restarts)."""
+    def opt(name, values):
+        return f"--{name}={draw(values)!r}"
+
+    command = draw(st.sampled_from(["oracle", "search", "sweep", "bound", "sr-demo"]))
+    if command == "oracle":
+        return ["oracle", _ENSEMBLE_DOC, opt("tol", _TOLS), opt("max-iter", _INTS)]
+    if command == "sr-demo":
+        return ["sr-demo", opt("tol", _TOLS)]
+    if command == "search":
+        kind = draw(st.sampled_from(["vacuum", "overlap", "almost-dim", "distrust"]))
+        params = {
+            "vacuum": [opt("omega", _UNIT)],
+            "overlap": [opt("a", _UNIT)],
+            "almost-dim": [opt("d", _INTS), opt("eps", _UNIT)],
+            "distrust": [opt("eps", _UNIT), "--targets", _QUBIT_TARGETS],
+        }[kind]
+        return ["search", kind, opt("n", _INTS), *params, opt("restarts", st.integers(-3, 4)),
+                opt("tol", _TOLS), opt("seed", st.integers(0, 5))]
+    if command == "sweep":
+        kind = draw(st.sampled_from(["vacuum", "overlap", "almost-dim", "coherent"]))
+        axis = _option_floats(0.0, 2.0)
+        oracle = ["--with-oracle"] if kind != "coherent" and draw(st.booleans()) else []
+        return ["sweep", kind, opt("n", _INTS), opt("d", _INTS), opt("start", axis), opt("stop", axis),
+                opt("points", _INTS), opt("tol", _TOLS), *oracle]
+    kind = draw(st.sampled_from(list(cli._KINDS)))
+    targets = ["--targets", _QUBIT_TARGETS] if kind == "distrust" else []
+    return ["bound", kind, opt("n", _INTS), opt("d", _INTS), opt("omega", _UNIT), opt("a", _UNIT),
+            opt("eps", _UNIT), opt("nbar", _option_floats(0.0, 5.0)), *targets,
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@settings(deadline=None, max_examples=100)
+@given(args=_option_argv())
+def test_arbitrary_option_values_never_raise(args):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # numpy's warnings on nan or inf arithmetic would reach the user's stderr
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, _write_args(Path(tmp), args))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code == 2:
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
+
+_TOL_COMMANDS = {
+    "oracle": ["oracle", _ENSEMBLE_DOC],
+    "sweep": ["sweep", "vacuum", "--n", "4", "--start", "0", "--stop", "0.5", "--points", "3", "--with-oracle"],
+    "search": ["search", "vacuum", "--n", "3", "--omega", "0.2", "--restarts", "2"],
+    "sr_demo": ["sr-demo"],
+}
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", list(_TOL_COMMANDS.values()), ids=list(_TOL_COMMANDS))
+def test_tol_out_of_range_exits_2(runner, tmp_path, command, tol):
+    result = runner.invoke(main, _write_args(tmp_path, [*command, f"--tol={tol}"]))
+    assert result.exit_code == 2, result.exception
+    assert result.stderr == f"error: tol must be positive and finite, got {float(tol)}\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("error, code", [(FileFaultError, 3), (NonFiniteError, 1), (ParamOutOfRangeError, 2)])
+def test_exit_code_table(runner, tmp_path, monkeypatch, error, code):
+    def fail(e, **kw):
+        raise error("message")
+
+    monkeypatch.setattr(cli, "optimize_discrimination", fail)
+    result = runner.invoke(main, _write_args(tmp_path, ["oracle", _ENSEMBLE_DOC]))
+    assert result.exit_code == code
+    assert result.stderr == "error: message\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["bound", "vacuum", "--n", "4", "--omega", "0.1"], ["oracle", _ENSEMBLE_DOC]],
+                         ids=["bound", "oracle"])
+def test_output_in_missing_directory_exits_3(runner, tmp_path, args):
+    out = tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, [*_write_args(tmp_path, args), "--output", str(out)])
+    assert result.exit_code == 3, result.exception
+    assert result.stderr.startswith(f"error: cannot write {out}: ") and result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 class TestOracle:
+    def test_max_iter_zero_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, _write_args(tmp_path, ["oracle", _ENSEMBLE_DOC, "--max-iter", "0"]))
+        assert result.exit_code == 2
+        assert result.stderr == "error: max_iter must be >= 1, got 0\n"
+        assert result.stdout == ""
+
     def test_basis_ensemble_file(self, runner, tmp_path):
         path = write_json(tmp_path / "e.json", ensemble_to_json(basis_ensemble(3, 3)))
         result = runner.invoke(main, ["oracle", path])
@@ -431,6 +542,14 @@ class TestOracle:
         bad.write_text("{not json")
         result = runner.invoke(main, ["oracle", str(bad)])
         assert result.exit_code == 3
+
+    def test_too_deeply_nested_file_exits_3(self, runner, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        result = runner.invoke(main, ["oracle", str(deep)])
+        assert result.exit_code == 3, result.exception
+        assert result.stderr.startswith(f"error: invalid ensemble file {deep}: ") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
 
     def test_invalid_ensemble_exits_3(self, runner, tmp_path):
         path = write_json(tmp_path / "e.json", {"n": 1, "dim": 2, "states": [[[[2, 0], [0, 0]], [[0, 0], [0, 0]]]]})
@@ -500,6 +619,24 @@ class TestSearch:
         result = runner.invoke(main, ["search", "vacuum", "--n", "3"])
         assert result.exit_code == 2
 
+    def test_missing_n_exits_2(self, runner):
+        result = runner.invoke(main, ["search", "vacuum", "--omega", "0.2"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: vacuum search needs n\n"
+
+    def test_zero_restarts_exits_2(self, runner):
+        result = runner.invoke(main, ["search", "vacuum", "--n", "3", "--omega", "0.2", "--restarts", "0"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: restarts must be >= 1, got 0\n"
+        assert result.stdout == ""
+
+    def test_distrust_n_other_than_target_count_exits_2(self, runner, tmp_path):
+        args = _write_args(tmp_path, ["search", "distrust", "--n", "99", "--eps", "0.1", "--targets", _QUBIT_TARGETS])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == "error: n must equal the 3 targets for a distrust search, got 99\n"
+        assert result.stdout == ""
+
 
 class TestSweep:
     def test_row_count_and_header(self, runner):
@@ -565,6 +702,16 @@ class TestSweep:
         assert result.stdout == ""
         assert "no saturating vacuum construction at omega=0.7" in result.stderr
 
+    @pytest.mark.parametrize("start", ["inf", "-inf", "nan"])
+    def test_non_finite_axis_exits_2(self, runner, start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(
+                main, ["sweep", "vacuum", "--n", "4", f"--start={start}", "--stop", "0.5", "--points", "3"]
+            )
+        assert result.exit_code == 2, result.exception
+        assert result.stderr == f"error: need a finite --start and --stop, got {float(start)} and 0.5\n"
+
 
 class TestReferenceChecks:
     def test_single_check_passes(self, runner):
@@ -575,6 +722,13 @@ class TestReferenceChecks:
     def test_unknown_check_exits_2(self, runner):
         result = runner.invoke(main, ["paper-numbers", "--only", "nope"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("only", ["", ",", " , "])
+    def test_no_check_named_exits_2(self, runner, only):
+        result = runner.invoke(main, ["paper-numbers", "--only", only])
+        assert result.exit_code == 2
+        assert result.stderr == "error: --only names no check\n"
+        assert result.stdout == ""
 
 
 class TestSRDemo:

@@ -23,7 +23,7 @@ from infocap import (
 from infocap import discrimination
 from infocap.discrimination import povm_from_json, povm_to_json
 from infocap.linalg import KERNEL_CUTOFF
-from infocap.errors import DimensionMismatchError, InvalidPOVMError
+from infocap.errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
 
 from conftest import random_pure_ensemble
 
@@ -158,6 +158,16 @@ class TestHelstrom:
 
 
 class TestOptimizer:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_tol_outside_positive_finite(self, tol):
+        with pytest.raises(ParamOutOfRangeError, match="tol must be positive and finite"):
+            optimize_discrimination(basis_ensemble(2, 2), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(ParamOutOfRangeError, match="max_iter must be >= 1"):
+            optimize_discrimination(basis_ensemble(2, 2), max_iter=max_iter)
+
     def test_orthonormal_basis(self):
         res = optimize_discrimination(basis_ensemble(3, 3))
         assert res.value == pytest.approx(1.0, abs=1e-10)

@@ -55,6 +55,14 @@ class TestStateEnsembleType:
         with pytest.raises(InfocapError):
             StateEnsemble(states)
 
+    def test_pure_flags_are_computed_not_passed(self):
+        # overlap membership and the distrust targets hold for pure states only
+        mixed = np.stack([np.eye(2, dtype=complex) / 2] * 2)
+        with pytest.raises(TypeError):
+            StateEnsemble(mixed, pure_flags=(True, True))
+        assert StateEnsemble(mixed).pure_flags == (False, False)
+        assert basis_ensemble(2, 2).pure_flags == (True, True)
+
 
 class TestStateVectors:
     @settings(deadline=None, max_examples=40)

@@ -3,6 +3,7 @@ import pytest
 
 from infocap import AlmostDim, Distrust, UniformOverlap, Vacuum, tightness_search
 from infocap.checks import random_unit
+from infocap.errors import ParamOutOfRangeError
 from infocap.search import almost_dim_seed
 
 
@@ -54,6 +55,24 @@ class TestDistrustSearch:
         report = tightness_search(Distrust(targets=targets, eps=0.1), restarts=4, seed=0)
         assert report.gap >= -1e-8
         assert any(o.feasible for o in report.restarts)
+
+
+class TestOptions:
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_rejects_restarts_below_one(self, restarts):
+        with pytest.raises(ParamOutOfRangeError, match="restarts must be >= 1"):
+            tightness_search(Vacuum(omega=0.2), n=3, restarts=restarts)
+
+    @pytest.mark.parametrize("assumption", [Vacuum(omega=0.2), UniformOverlap(a=0.4), AlmostDim(d=2, eps=0.1)])
+    def test_requires_n(self, assumption):
+        with pytest.raises(ParamOutOfRangeError, match="search needs n"):
+            tightness_search(assumption, restarts=1)
+
+    def test_distrust_n_must_be_the_target_count(self, rng):
+        a = Distrust(targets=np.stack([random_unit(rng, 2) for _ in range(3)]), eps=0.1)
+        with pytest.raises(ParamOutOfRangeError, match="n must equal the 3 targets"):
+            tightness_search(a, 99, restarts=1)
+        assert tightness_search(a, 3, restarts=1).n == 3
 
 
 class TestDeterminism:
