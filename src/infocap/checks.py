@@ -48,6 +48,7 @@ from .randomness import (
     ea_average_counterexample,
     embed_cq,
     mixture_guess_value,
+    scalar_param,
 )
 from .search import almost_dim_seed, distrust_seed, tightness_search
 
@@ -138,7 +139,6 @@ def _member_overlap(rng: np.random.Generator):
 def _member_almost_dim(rng: np.random.Generator):
     d = int(rng.integers(1, 4))
     n = int(rng.integers(d, 7)) if d > 1 else int(rng.integers(2, 7))
-    n = max(n, d)
     eps = rng.uniform(0.0, 0.5)
     dim = d + n
     proj = np.zeros((dim, dim), dtype=complex)
@@ -185,13 +185,76 @@ def _member_distrust(rng: np.random.Generator):
     return e, Distrust(targets=targets, eps=eps), bound, {}
 
 
-_MEMBER_SAMPLERS = {
-    "dimension": _member_dimension,
-    "ea_dimension": _member_ea_dimension,
-    "vacuum": _member_vacuum,
-    "uniform_overlap": _member_overlap,
-    "almost_dim": _member_almost_dim,
-    "distrust": _member_distrust,
+# two-branch average-parameter strategies built from saturating members:
+# each builder maps (rng, branch weights) to (strategy, the bound as a
+# function of the average parameter, aux)
+
+
+def _average_dimension(rng: np.random.Generator, weights: tuple[float, float]):
+    n = int(rng.integers(4, 7))
+    ds = [int(rng.integers(1, 5)) for _ in range(2)]
+    branches = tuple(
+        (w, basis_ensemble(d, n), Dimension(d=d)) for w, d in zip(weights, ds)
+    )
+    # the averaged d is fractional, which only the raw formula accepts
+    return SRStrategy(branches), lambda avg: bounds.dimension_pg(n, avg)[0], None
+
+
+def _average_vacuum(rng: np.random.Generator, weights: tuple[float, float]):
+    n = int(rng.integers(2, 6))
+    omegas = [float(rng.uniform(0.0, (n - 1) / n)) for _ in range(2)]
+    built = [vacuum_cone_ensemble(n, w) for w in omegas]
+    branches = tuple(
+        (wgt, ens, Vacuum(omega=om)) for wgt, (ens, _), om in zip(weights, built, omegas)
+    )
+    aux = [{"vacuum_vector": vac} for _, vac in built]
+    return SRStrategy(branches), lambda avg: bounds.bound_vacuum(n, avg).pg_bound, aux
+
+
+def _average_overlap(rng: np.random.Generator, weights: tuple[float, float]):
+    n = int(rng.integers(2, 6))
+    overlaps = [float(rng.uniform(0.05, 0.95)) for _ in range(2)]
+    branches = tuple(
+        (w, equiangular_ensemble(n, a), UniformOverlap(a=a))
+        for w, a in zip(weights, overlaps)
+    )
+    return SRStrategy(branches), lambda avg: bounds.bound_overlap(n, avg).pg_bound, None
+
+
+def _average_almost_dim(rng: np.random.Generator, weights: tuple[float, float]):
+    d, n = 2, 4
+    epss = [float(rng.uniform(0.0, 0.4)) for _ in range(2)]
+    branches = []
+    for w, eps in zip(weights, epss):
+        vecs, proj = almost_dim_seed(d, n, eps)
+        branches.append(
+            (w, ensemble_from_vectors(vecs), AlmostDim(d=d, eps=eps, projector=proj))
+        )
+    return SRStrategy(tuple(branches)), lambda avg: bounds.bound_almost_dim(d, n, avg).pg_bound, None
+
+
+def _average_distrust(rng: np.random.Generator, weights: tuple[float, float]):
+    n, dim_t = 3, 2
+    targets = np.stack([random_unit(rng, dim_t) for _ in range(n)])
+    epss = [float(rng.uniform(0.0, 0.4)) for _ in range(2)]
+    branches = tuple(
+        (w, ensemble_from_vectors(distrust_seed(targets, eps)), Distrust(targets=targets, eps=eps))
+        for w, eps in zip(weights, epss)
+    )
+    bound = lambda avg: bounds.bound_distrust(ensemble_from_vectors(targets), avg, tol=1e-10).pg_bound
+    return SRStrategy(branches), bound, None
+
+
+# per assumption class, in the order the checks draw from their rngs: the
+# member sampler and the average-strategy builder (None where no average
+# bound holds: the entanglement-assisted dimension counterexample)
+_SAMPLERS = {
+    Dimension: (_member_dimension, _average_dimension),
+    EADimension: (_member_ea_dimension, None),
+    Vacuum: (_member_vacuum, _average_vacuum),
+    UniformOverlap: (_member_overlap, _average_overlap),
+    AlmostDim: (_member_almost_dim, _average_almost_dim),
+    Distrust: (_member_distrust, _average_distrust),
 }
 
 
@@ -330,75 +393,17 @@ def _check_soundness_sweep(samples_per_assumption: int = 1000) -> tuple[bool, st
     rng = np.random.default_rng(20240503)
     worst = -1.0
     worst_kind = ""
-    for kind, sampler in _MEMBER_SAMPLERS.items():
+    for cls, (sampler, _) in _SAMPLERS.items():
         for _ in range(samples_per_assumption):
             e, assumption, bound, aux = sampler(rng)
             report = check_assumption(e, assumption, **aux)
             if not report.satisfied:
-                return False, f"{kind} sampler produced a non-member (slack {report.worst_slack:.2e})"
+                return False, f"{cls.kind} sampler produced a non-member (slack {report.worst_slack:.2e})"
             res = optimize_discrimination(e, tol=1e-7, max_iter=150)
             excess = res.value - bound.pg_bound
             if excess > worst:
-                worst, worst_kind = excess, kind
+                worst, worst_kind = excess, cls.kind
     return worst <= 1e-6, f"max oracle - bound = {worst:.2e} ({worst_kind})"
-
-
-def _average_strategy(rng: np.random.Generator, kind: str):
-    """Two-branch average-parameter strategy built from saturating members,
-    returning (strategy, average parameter, bound at the average, aux)."""
-    q = float(rng.uniform(0.2, 0.8))
-    weights = (q, 1.0 - q)
-    if kind == "dimension":
-        n = int(rng.integers(4, 7))
-        ds = [int(rng.integers(1, 5)) for _ in range(2)]
-        branches = tuple(
-            (w, basis_ensemble(d, n), Dimension(d=d)) for w, d in zip(weights, ds)
-        )
-        avg = sum(w * d for w, d in zip(weights, ds))
-        # the averaged d is fractional, which only the raw formula accepts
-        return SRStrategy(branches), avg, bounds.dimension_pg(n, avg)[0], None
-    if kind == "vacuum":
-        n = int(rng.integers(2, 6))
-        omegas = [float(rng.uniform(0.0, (n - 1) / n)) for _ in range(2)]
-        built = [vacuum_cone_ensemble(n, w) for w in omegas]
-        branches = tuple(
-            (wgt, ens, Vacuum(omega=om)) for wgt, (ens, _), om in zip(weights, built, omegas)
-        )
-        aux = [{"vacuum_vector": vac} for _, vac in built]
-        avg = sum(w * om for w, om in zip(weights, omegas))
-        return SRStrategy(branches), avg, bounds.bound_vacuum(n, avg).pg_bound, aux
-    if kind == "uniform_overlap":
-        n = int(rng.integers(2, 6))
-        overlaps = [float(rng.uniform(0.05, 0.95)) for _ in range(2)]
-        branches = tuple(
-            (w, equiangular_ensemble(n, a), UniformOverlap(a=a))
-            for w, a in zip(weights, overlaps)
-        )
-        avg = sum(w * a for w, a in zip(weights, overlaps))
-        return SRStrategy(branches), avg, bounds.bound_overlap(n, avg).pg_bound, None
-    if kind == "almost_dim":
-        d, n = 2, 4
-        epss = [float(rng.uniform(0.0, 0.4)) for _ in range(2)]
-        branches = []
-        for w, eps in zip(weights, epss):
-            vecs, proj = almost_dim_seed(d, n, eps)
-            branches.append(
-                (w, ensemble_from_vectors(vecs), AlmostDim(d=d, eps=eps, projector=proj))
-            )
-        avg = sum(w * eps for w, eps in zip(weights, epss))
-        return SRStrategy(tuple(branches)), avg, bounds.bound_almost_dim(d, n, avg).pg_bound, None
-    if kind == "distrust":
-        n, dim_t = 3, 2
-        targets = np.stack([random_unit(rng, dim_t) for _ in range(n)])
-        epss = [float(rng.uniform(0.0, 0.4)) for _ in range(2)]
-        branches = tuple(
-            (w, ensemble_from_vectors(distrust_seed(targets, eps)), Distrust(targets=targets, eps=eps))
-            for w, eps in zip(weights, epss)
-        )
-        avg = sum(w * eps for w, eps in zip(weights, epss))
-        bound = bounds.bound_distrust(ensemble_from_vectors(targets), avg, tol=1e-10).pg_bound
-        return SRStrategy(branches), avg, bound, None
-    raise ValueError(kind)
 
 
 def _check_concavity_and_average(strategies_per_kind: int = 100) -> tuple[bool, str]:
@@ -414,15 +419,19 @@ def _check_concavity_and_average(strategies_per_kind: int = 100) -> tuple[bool, 
     rng = np.random.default_rng(20240504)
     worst = -1.0
     worst_kind = ""
-    for kind in ("dimension", "vacuum", "uniform_overlap", "almost_dim", "distrust"):
+    for cls, (_, builder) in _SAMPLERS.items():
+        if builder is None:
+            continue
         for _ in range(strategies_per_kind):
-            strategy, avg, cap, aux = _average_strategy(rng, kind)
+            q = float(rng.uniform(0.2, 0.8))
+            strategy, cap, aux = builder(rng, (q, 1.0 - q))
+            avg = sum(w * scalar_param(g) for w, _, g in strategy.branches)
             rep = check_average(strategy, avg, aux=aux)
             if not rep.satisfied:
-                return False, f"{kind} average strategy failed membership"
-            excess = mixture_guess_value(strategy, tol=1e-9) - cap
+                return False, f"{cls.kind} average strategy failed membership"
+            excess = mixture_guess_value(strategy, tol=1e-9) - cap(avg)
             if excess > worst:
-                worst, worst_kind = excess, kind
+                worst, worst_kind = excess, cls.kind
     min_margin = min(p.min_margin for p in probes)
     return (
         worst <= 1e-6,
@@ -458,38 +467,26 @@ def _check_cli_determinism() -> tuple[bool, str]:
 
     from .cli import main
 
+    runs = {
+        "search": ["search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05",
+                   "--restarts", "4", "--seed", "7"],
+        "sweep": ["sweep", "vacuum", "--n", "4", "--start", "0", "--stop", "0.75",
+                  "--points", "20", "--with-oracle"],
+    }
     runner = CliRunner()
+    same = {}
     with tempfile.TemporaryDirectory() as tmp:
-        outputs = []
-        for tag in ("a", "b"):
-            path = Path(tmp) / f"search_{tag}.json"
-            result = runner.invoke(
-                main,
-                [
-                    "search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05",
-                    "--restarts", "4", "--seed", "7", "--output", str(path),
-                ],
-            )
-            if result.exit_code != 0:
-                return False, f"search exited {result.exit_code}: {result.output}"
-            outputs.append(path.read_bytes())
-        search_same = outputs[0] == outputs[1]
-        outputs = []
-        for tag in ("a", "b"):
-            path = Path(tmp) / f"sweep_{tag}.csv"
-            result = runner.invoke(
-                main,
-                [
-                    "sweep", "vacuum", "--n", "4", "--start", "0", "--stop", "0.75",
-                    "--points", "20", "--with-oracle", "--output", str(path),
-                ],
-            )
-            if result.exit_code != 0:
-                return False, f"sweep exited {result.exit_code}: {result.output}"
-            outputs.append(path.read_bytes())
-        sweep_same = outputs[0] == outputs[1]
-    ok = search_same and sweep_same
-    return ok, f"search byte-identical: {search_same}, sweep byte-identical: {sweep_same}"
+        # each command runs twice into its own files, whose bytes must match
+        for name, args in runs.items():
+            outputs = []
+            for tag in ("a", "b"):
+                path = Path(tmp) / f"{name}_{tag}"
+                result = runner.invoke(main, [*args, "--output", str(path)])
+                if result.exit_code != 0:
+                    return False, f"{name} exited {result.exit_code}: {result.output}"
+                outputs.append(path.read_bytes())
+            same[name] = outputs[0] == outputs[1]
+    return all(same.values()), f"search byte-identical: {same['search']}, sweep byte-identical: {same['sweep']}"
 
 
 _CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {

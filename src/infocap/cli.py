@@ -69,12 +69,6 @@ def _fmt9(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _load(path: str, decode: Callable, what: str):
     """``decode`` applied to the JSON document in the file at ``path``.
     A file that cannot be read or decoded raises FileFaultError."""
@@ -131,7 +125,8 @@ class _Kind:
     the recorded assumption from the columns (and ``targets``) as keywords.
     ``sweep_axis`` names the column `sweep` varies and ``construction`` maps
     (n, *params) to a saturating ensemble (or None) for --with-oracle.
-    ``search`` says whether `search` supports the kind.
+    ``search`` says whether `search` supports the kind, and ``targets``
+    whether it takes a targets file.
     """
 
     columns: tuple[str, ...]
@@ -141,6 +136,11 @@ class _Kind:
     construction: Callable | None = None
     search: bool = False
     targets: bool = False
+
+    @property
+    def options(self) -> tuple[str, ...]:
+        """The parameter options the kind takes."""
+        return self.columns + (("targets",) if self.targets else ())
 
 
 # grids and sweeps run the raw formulas of `bounds` per row, not the
@@ -197,29 +197,64 @@ def _json_rows(assumption: Assumption, params: dict, rows: list[tuple]) -> list[
     ]
 
 
+# the parameter options, in --help order, with their types and help texts
+_PARAM_OPTIONS = {
+    "d": (int, "Dimension parameter"),
+    "omega": (float, "Vacuum deviation"),
+    "a": (float, "Pairwise overlap"),
+    "eps": (float, "Deviation parameter"),
+    "nbar": (float, "Mean photon number"),
+    "targets": (str, "Target ensemble JSON (distrust)"),
+}
+_SEARCH_KINDS = [k for k, spec in _KINDS.items() if spec.search]
+
+
+def _param_options(kinds, repeatable: bool):
+    """Decorator adding the parameter options that some of ``kinds`` take,
+    all but --targets repeatable if ``repeatable``.  The command receives
+    them as keywords it leaves to ``_kind_params``."""
+    def decorate(f):
+        # click lists options in the reverse order of decoration
+        for name, (type_, text) in reversed(_PARAM_OPTIONS.items()):
+            multiple = repeatable and name != "targets"
+            if any(name in _KINDS[k].options for k in kinds):
+                f = click.option(f"--{name}", type=type_, multiple=multiple,
+                                 help=f"{text} (repeatable)." if multiple else f"{text}.")(f)
+        return f
+    return decorate
+
+
+def _kind_params(kind: str, names: tuple[str, ...]) -> dict:
+    """The values of the current command's parameter options ``names``, by
+    name.  Another parameter option given on the command line, or one of
+    ``names`` without a value, raises ParamOutOfRangeError."""
+    ctx = click.get_current_context()
+    foreign = [f"--{name}" for name in _PARAM_OPTIONS if name in ctx.params and name not in names
+               and ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT]
+    if foreign:
+        raise ParamOutOfRangeError(f"kind {kind} does not take {' or '.join(foreign)}")
+    missing = [f"--{name}" for name in names if ctx.params[name] in (None, ())]
+    if missing:
+        raise ParamOutOfRangeError(f"kind {kind} needs {' and '.join(missing)}")
+    return {name: ctx.params[name] for name in names}
+
+
 @main.command()
 @click.argument("kind", type=click.Choice(list(_KINDS)))
 @click.option("--n", "n_values", type=int, multiple=True, required=True, help="Number of inputs (repeatable).")
-@click.option("--d", "d_values", type=int, multiple=True, help="Dimension parameter (repeatable).")
-@click.option("--omega", "omega_values", type=float, multiple=True, help="Vacuum deviation (repeatable).")
-@click.option("--a", "a_values", type=float, multiple=True, help="Pairwise overlap (repeatable).")
-@click.option("--eps", "eps_values", type=float, multiple=True, help="Deviation parameter (repeatable).")
-@click.option("--nbar", "nbar_values", type=float, multiple=True, help="Mean photon number (repeatable).")
-@click.option("--targets", "targets_file", type=str, default=None, help="Target ensemble JSON (distrust).")
+@_param_options(_KINDS, repeatable=True)
 @click.option("--output", "-o", type=str, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv")
-def bound(kind, n_values, d_values, omega_values, a_values, eps_values, nbar_values, targets_file, output, fmt):
+def bound(kind, n_values, output, fmt, **_):
     """Evaluate the closed-form bound for one assumption over a grid."""
     spec = _KINDS[kind]
-    values = {"d": d_values, "omega": omega_values, "a": a_values, "eps": eps_values, "nbar": nbar_values}
-    grid = [values[c] for c in spec.columns]
-    if not all(grid) or (spec.targets and not targets_file):
-        raise ParamOutOfRangeError(f"missing parameters for kind {kind}")
-    targets = _load(targets_file, _target_vectors, "targets") if spec.targets else None
-    if spec.targets and any(n != len(targets) for n in n_values):
-        # the row count n of a targets kind is the number of targets
-        raise ParamOutOfRangeError(f"--n must equal the {len(targets)} targets for kind {kind}")
+    options = _kind_params(kind, spec.options)
+    grid = [options[c] for c in spec.columns]
     if spec.targets:
+        targets = _load(options["targets"], _target_vectors, "targets")
+        if any(n != len(targets) for n in n_values):
+            # the row count n of a targets kind is the number of targets
+            raise ParamOutOfRangeError(f"--n must equal the {len(targets)} targets for kind {kind}")
         # one row per parameter point, with n the number of targets,
         # whose oracle runs once for the whole grid
         ensemble = ensemble_from_vectors(targets)
@@ -298,29 +333,21 @@ def certify(ensemble_file, povm_file, output):
 
 
 @main.command()
-@click.argument("kind", type=click.Choice([k for k, spec in _KINDS.items() if spec.search]))
+@click.argument("kind", type=click.Choice(_SEARCH_KINDS))
 @click.option("--n", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--omega", type=float, default=None)
-@click.option("--a", type=float, default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--targets", "targets_file", type=str, default=None)
+@_param_options(_SEARCH_KINDS, repeatable=False)
 @click.option("--restarts", type=int, default=16)
 @click.option("--seed", type=int, default=0)
 @click.option("--tol", type=float, default=1e-10)
 @click.option("--output", "-o", type=str, default=None)
-def search(kind, n, d, omega, a, eps, targets_file, restarts, seed, tol, output):
+def search(kind, n, restarts, seed, tol, output, **_):
     """Seeded tightness search: best achievable value vs the bound."""
     spec = _KINDS[kind]
-    targets = _load(targets_file, _target_vectors, "targets") if targets_file else None
     # the assumption's fields are named like the options that set them
-    params = {"d": d, "omega": omega, "a": a, "eps": eps, "targets": targets}
-    needed = spec.columns + (("targets",) if spec.targets else ())
-    if any(params[c] is None for c in needed):
-        flags = " and ".join(f"--{c}" for c in needed)
-        raise ParamOutOfRangeError(f"{kind} search needs {flags}")
-    assumption = spec.assumption(**{c: params[c] for c in needed})
-    report = tightness_search(assumption, n, restarts=restarts, seed=seed, tol=tol)
+    params = _kind_params(kind, spec.options)
+    if spec.targets:
+        params["targets"] = _load(params["targets"], _target_vectors, "targets")
+    report = tightness_search(spec.assumption(**params), n, restarts=restarts, seed=seed, tol=tol)
     _emit(_json_text(report.to_json()) + "\n", output)
 
 
@@ -334,24 +361,24 @@ def search(kind, n, d, omega, a, eps, targets_file, restarts, seed, tol, output)
 @click.option("--with-oracle", is_flag=True, default=False)
 @click.option("--tol", type=float, default=1e-10)
 @click.option("--output", "-o", type=str, default=None)
-def sweep(kind, n, d, start, stop, points, with_oracle, tol, output):
+def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
     """Sweep the assumption's scalar parameter and emit plot-ready CSV."""
+    spec = _KINDS[kind]
+    fixed = _kind_params(kind, tuple(c for c in spec.columns if c != spec.sweep_axis))
     if points < 1:
         raise ParamOutOfRangeError("need at least one grid point")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ParamOutOfRangeError(f"need a finite --start and --stop, got {start} and {stop}")
-    spec = _KINDS[kind]
     if with_oracle and spec.construction is None:
         raise ParamOutOfRangeError(f"kind {kind} has no saturating construction for --with-oracle")
     axis = np.linspace(start, stop, points)
     header = [spec.sweep_axis, "pg_bound", "info_bits"]
     if with_oracle:
         header.append("oracle_value")
-    rows = []
+    lines = [",".join(header)]
     for x in axis:
         x = float(x)
-        # --d is the only parameter a sweep holds fixed
-        params = [x if c == spec.sweep_axis else d for c in spec.columns]
+        params = [x if c == spec.sweep_axis else fixed[c] for c in spec.columns]
         pg, bits = bounds.clamp(spec.formula(n, *params)[0], n)
         row = [_fmt9(x), _fmt9(pg), _fmt9(bits)]
         if with_oracle:
@@ -362,8 +389,8 @@ def sweep(kind, n, d, start, stop, points, with_oracle, tol, output):
                     " for --with-oracle"
                 )
             row.append(_fmt9(optimize_discrimination(ens, tol=tol).value))
-        rows.append(row)
-    _emit(_csv(header, rows), output)
+        lines.append(",".join(row))
+    _emit("\n".join(lines) + "\n", output)
 
 
 @main.command(name="paper-numbers")

@@ -235,7 +235,7 @@ def accessible_information(n: int, pg: float) -> float:
     to 1/n with a RuntimeWarning so the information never goes negative.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParamOutOfRangeError("n must be >= 1")
     if pg < 1.0 / n:
         warnings.warn(
             f"guessing value {pg} below the trivial 1/{n}; clamping", RuntimeWarning

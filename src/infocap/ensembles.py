@@ -107,11 +107,13 @@ def _as_is(value):
     return value
 
 
-def _integer_d(d) -> int:
+def _integer_d(d, what: str) -> int:
     # a fractional or non-finite d would be recorded as some integer
     # dimension whose bound is not d/n; an integral d is stored as an int
     if not isinstance(d, numbers.Real) or d % 1:
         raise ParamOutOfRangeError(f"d must be an integer, got {d}")
+    if d < 1:
+        raise ParamOutOfRangeError(f"{what} must be >= 1")
     return int(d)
 
 
@@ -164,20 +166,18 @@ class Dimension(Assumption):
     param = "d"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _integer_d(self.d))
-        if self.d < 1:
-            raise ParamOutOfRangeError("dimension must be >= 1")
+        object.__setattr__(self, "d", _integer_d(self.d, "dimension"))
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg):
         d = self.d
         if e.dim <= d:
-            return _report([0.0] * e.n, note="ambient dimension within bound")
+            return slack_report([0.0] * e.n, note="ambient dimension within bound")
         avg = linalg.hermitize(e.states.mean(axis=0))
         w = np.linalg.eigvalsh(avg)[::-1]
         # joint support must fit in d dimensions: the (d+1)-th eigenvalue of
         # the average state must vanish
         slack = -float(w[d])
-        return _report([slack], note="slack is minus the (d+1)-th eigenvalue of the average state")
+        return slack_report([slack], note="slack is minus the (d+1)-th eigenvalue of the average state")
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,7 @@ class EADimension(Assumption):
     param = "d"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _integer_d(self.d))
-        if self.d < 1:
-            raise ParamOutOfRangeError("message dimension must be >= 1")
+        object.__setattr__(self, "d", _integer_d(self.d, "message dimension"))
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg):
         d = self.d
@@ -219,7 +217,7 @@ class EADimension(Assumption):
                 w = np.linalg.eigvalsh(linalg.hermitize(m))[::-1]
                 slacks.append(-float(w[d]) if d < len(w) else 0.0)
             note += " and Schmidt number"
-        return _report(slacks, note=note)
+        return slack_report(slacks, note=note)
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,7 @@ class Vacuum(Assumption):
         if v.shape[0] != e.dim:
             raise DimensionMismatchError("vacuum vector dimension does not match the ensemble")
         weights = np.einsum("i,xij,j->x", v.conj(), e.states, v).real
-        return _report([float(self.omega - (1.0 - w)) for w in weights])
+        return slack_report([float(self.omega - (1.0 - w)) for w in weights])
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ class UniformOverlap(Assumption):
         g = np.einsum("xij,yji->xy", e.states, e.states).real
         ov = np.sqrt(np.clip(g, 0.0, None))
         slacks = [float(ov[x, y] - self.a) for x in range(e.n) for y in range(x + 1, e.n)]
-        return _report(slacks if slacks else [0.0])
+        return slack_report(slacks if slacks else [0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,9 +283,7 @@ class AlmostDim(Assumption):
     shared_fields = ("d",)
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _integer_d(self.d))
-        if self.d < 1:
-            raise ParamOutOfRangeError("dimension must be >= 1")
+        object.__setattr__(self, "d", _integer_d(self.d, "dimension"))
         if not 0.0 <= self.eps <= 1.0:
             raise ParamOutOfRangeError("eps must lie in [0, 1]")
 
@@ -305,7 +301,7 @@ class AlmostDim(Assumption):
         if pi.shape != (e.dim, e.dim):
             raise DimensionMismatchError("projector dimension does not match the ensemble")
         weights = np.einsum("ij,xji->x", pi, e.states).real
-        return _report([float(w - (1.0 - self.eps)) for w in weights], note=note)
+        return slack_report([float(w - (1.0 - self.eps)) for w in weights], note=note)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +336,7 @@ class Distrust(Assumption):
         if t.shape[1] < e.dim:
             t = np.pad(t, ((0, 0), (0, e.dim - t.shape[1])))
         fid = np.einsum("xi,xij,xj->x", t.conj(), e.states, t).real
-        return _report([float(f - (1.0 - self.eps)) for f in fid])
+        return slack_report([float(f - (1.0 - self.eps)) for f in fid])
 
 
 @dataclass(frozen=True)
@@ -360,7 +356,7 @@ class Information(Assumption):
             raise MissingContextError(
                 "information membership needs a precomputed guessing probability (pg)"
             )
-        return _report([float(2.0**self.alpha / e.n - pg)])
+        return slack_report([float(2.0**self.alpha / e.n - pg)])
 
 
 @dataclass(frozen=True)
@@ -377,7 +373,9 @@ class MembershipReport:
     note: str = ""
 
 
-def _report(slacks: list[float], note: str = "") -> MembershipReport:
+def slack_report(slacks: list[float], note: str = "") -> MembershipReport:
+    """The report of constraint margins ``slacks``: satisfied unless one falls
+    below -MEMBERSHIP_SLACK."""
     worst = min(slacks) if slacks else 0.0
     return MembershipReport(
         satisfied=bool(worst >= -MEMBERSHIP_SLACK),

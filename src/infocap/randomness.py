@@ -31,6 +31,7 @@ from .ensembles import (
     dense_coding_ensemble,
     ensemble_from_json,
     ensemble_to_json,
+    slack_report,
 )
 from .errors import InfocapError, NonScalarParameterError, ParamOutOfRangeError
 
@@ -111,17 +112,9 @@ def check_peak(s: SRStrategy, gamma: Assumption, aux=None) -> MembershipReport:
     """
     if gamma.kind != s.kind:
         raise InfocapError(f"assumption kind {gamma.kind} does not match strategy kind {s.kind}")
-    slacks: list[float] = []
-    for i, (_, e, _) in enumerate(s.branches):
-        rep = check_assumption(e, gamma, **_branch_aux(aux, i))
-        slacks.append(rep.worst_slack)
-    worst = min(slacks)
-    return MembershipReport(
-        satisfied=bool(worst >= -1e-8),
-        worst_slack=float(worst),
-        detail=tuple(slacks),
-        note="per-branch worst slacks",
-    )
+    slacks = [check_assumption(e, gamma, **_branch_aux(aux, i)).worst_slack
+              for i, (_, e, _) in enumerate(s.branches)]
+    return slack_report(slacks, note="per-branch worst slacks")
 
 
 def scalar_param(a: Assumption) -> float:
@@ -150,20 +143,12 @@ def check_average(s: SRStrategy, gamma_target: float, aux=None) -> MembershipRep
         ref = getattr(first, key)
         if any(not _same_value(getattr(g, key), ref) for _, _, g in s.branches[1:]):
             raise NonScalarParameterError(f"averaging {first.kind} branches requires a fixed {key}")
-    slacks: list[float] = []
-    for i, (_, e, g) in enumerate(s.branches):
-        rep = check_assumption(e, g, **_branch_aux(aux, i))
-        slacks.append(rep.worst_slack)
+    slacks = [check_assumption(e, g, **_branch_aux(aux, i)).worst_slack
+              for i, (_, e, g) in enumerate(s.branches)]
     avg = sum(q * scalar_param(g) for q, _, g in s.branches)
     avg_slack = gamma_target - avg if first.larger_is_weaker else avg - gamma_target
     slacks.append(float(avg_slack + AVERAGE_SLACK))
-    worst = min(slacks)
-    return MembershipReport(
-        satisfied=bool(worst >= -1e-8),
-        worst_slack=float(worst),
-        detail=tuple(slacks),
-        note=f"branch average {avg:.12g} vs target {gamma_target:.12g}",
-    )
+    return slack_report(slacks, note=f"branch average {avg:.12g} vs target {gamma_target:.12g}")
 
 
 def averaged_log_pg(s: SRStrategy, tol: float = 1e-10) -> float:

@@ -19,7 +19,7 @@ feasible point but generally not optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,15 +77,7 @@ class SearchReport:
             "bound": self.bound.to_json(),
             "best_value": self.best_value,
             "gap": self.gap,
-            "restarts": [
-                {
-                    "index": r.index,
-                    "value": r.value,
-                    "converged": r.converged,
-                    "feasible": r.feasible,
-                }
-                for r in self.restarts
-            ],
+            "restarts": [asdict(r) for r in self.restarts],
         }
 
 

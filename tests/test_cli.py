@@ -434,12 +434,32 @@ _UNIT = _option_floats(0.0, 1.0)
 _INTS = st.integers(-3, 12)
 
 
+_PARAM_STRATEGIES = {"d": _INTS, "omega": _UNIT, "a": _UNIT, "eps": _UNIT, "nbar": _option_floats(0.0, 5.0)}
+
+
+def _takes(kind):
+    """The parameter options a kind takes: its columns and, if it has
+    targets, --targets."""
+    spec = cli._KINDS[kind]
+    return spec.columns + (("targets",) if spec.targets else ())
+
+
 @st.composite
 def _option_argv(draw):
     """argv of one command with drawn option values; each valid run is cheap
-    (a tolerance >= 1e-9, at most 12 points and 4 restarts)."""
+    (a tolerance >= 1e-9, at most 12 points and 4 restarts).  A command gets
+    its kind's parameter options and, in some draws, one the kind does not
+    take."""
     def opt(name, values):
         return f"--{name}={draw(values)!r}"
+
+    def params(names, taken):
+        # the parameter options ``names``, and sometimes one other of ``taken``
+        foreign = [name for name in taken if name not in names]
+        if foreign and draw(st.integers(0, 3)) == 0:
+            names = [*names, draw(st.sampled_from(foreign))]
+        return [arg for name in names
+                for arg in (["--targets", _QUBIT_TARGETS] if name == "targets" else [opt(name, _PARAM_STRATEGIES[name])])]
 
     command = draw(st.sampled_from(["oracle", "search", "sweep", "bound", "sr-demo"]))
     if command == "oracle":
@@ -448,24 +468,19 @@ def _option_argv(draw):
         return ["sr-demo", opt("tol", _TOLS)]
     if command == "search":
         kind = draw(st.sampled_from(["vacuum", "overlap", "almost-dim", "distrust"]))
-        params = {
-            "vacuum": [opt("omega", _UNIT)],
-            "overlap": [opt("a", _UNIT)],
-            "almost-dim": [opt("d", _INTS), opt("eps", _UNIT)],
-            "distrust": [opt("eps", _UNIT), "--targets", _QUBIT_TARGETS],
-        }[kind]
-        return ["search", kind, opt("n", _INTS), *params, opt("restarts", st.integers(-3, 4)),
-                opt("tol", _TOLS), opt("seed", st.integers(0, 5))]
+        taken = ["d", "omega", "a", "eps", "targets"]
+        return ["search", kind, opt("n", _INTS), *params(_takes(kind), taken),
+                opt("restarts", st.integers(-3, 4)), opt("tol", _TOLS), opt("seed", st.integers(0, 5))]
     if command == "sweep":
         kind = draw(st.sampled_from(["vacuum", "overlap", "almost-dim", "coherent"]))
+        spec = cli._KINDS[kind]
+        fixed = [c for c in spec.columns if c != spec.sweep_axis]
         axis = _option_floats(0.0, 2.0)
         oracle = ["--with-oracle"] if kind != "coherent" and draw(st.booleans()) else []
-        return ["sweep", kind, opt("n", _INTS), opt("d", _INTS), opt("start", axis), opt("stop", axis),
+        return ["sweep", kind, opt("n", _INTS), *params(fixed, ["d"]), opt("start", axis), opt("stop", axis),
                 opt("points", _INTS), opt("tol", _TOLS), *oracle]
     kind = draw(st.sampled_from(list(cli._KINDS)))
-    targets = ["--targets", _QUBIT_TARGETS] if kind == "distrust" else []
-    return ["bound", kind, opt("n", _INTS), opt("d", _INTS), opt("omega", _UNIT), opt("a", _UNIT),
-            opt("eps", _UNIT), opt("nbar", _option_floats(0.0, 5.0)), *targets,
+    return ["bound", kind, opt("n", _INTS), *params(_takes(kind), [*_PARAM_STRATEGIES, "targets"]),
             "--format", draw(st.sampled_from(["csv", "json"]))]
 
 
@@ -481,6 +496,50 @@ def test_arbitrary_option_values_never_raise(args):
     if result.exit_code == 2:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert result.stdout == ""
+
+
+# a valid value of each parameter option, and the options each command has
+_OPTION_VALUES = {"d": "3", "omega": "0.1", "a": "0.5", "eps": "0.1", "nbar": "1", "targets": _QUBIT_TARGETS}
+_COMMAND_OPTIONS = {
+    "bound": list(_OPTION_VALUES),
+    "search": ["d", "omega", "a", "eps", "targets"],
+    "sweep": ["d"],
+}
+
+
+def _option_args(names):
+    return [arg for name in names for arg in (f"--{name}", _OPTION_VALUES[name])]
+
+
+# (command argv without parameter options, the kind's own parameter options)
+_VALID_RUNS = {
+    **{("bound", kind): (["bound", kind, "--n", "3"], _takes(kind)) for kind in cli._KINDS},
+    **{("search", kind): (["search", kind, "--n", "3", "--restarts", "1"], _takes(kind))
+       for kind in ["vacuum", "overlap", "almost-dim", "distrust"]},
+    **{("sweep", kind): (["sweep", kind, "--n", "4", "--start", "0", "--stop", "0.5", "--points", "2"], ())
+       for kind in ["vacuum", "overlap", "coherent"]},
+}
+_FOREIGN_OPTIONS = [
+    (command, kind, name)
+    for (command, kind), (_, own) in _VALID_RUNS.items()
+    for name in _COMMAND_OPTIONS[command]
+    if name not in own
+]
+
+
+@pytest.mark.parametrize("command, kind, option", _FOREIGN_OPTIONS,
+                         ids=[f"{c}-{k}-{o}" for c, k, o in _FOREIGN_OPTIONS])
+def test_option_the_kind_does_not_take_exits_2(runner, tmp_path, command, kind, option):
+    argv, own = _VALID_RUNS[command, kind]
+    argv = _write_args(tmp_path, [*argv, *_option_args(own)])
+    valid = runner.invoke(main, argv)
+    assert valid.exit_code == 0, valid.output
+    # a foreign --targets names a missing file: options are checked before any file is read
+    value = str(tmp_path / "missing.json") if option == "targets" else _OPTION_VALUES[option]
+    result = runner.invoke(main, [*argv, f"--{option}", value])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: kind {kind} does not take --{option}\n"
+    assert result.stdout == ""
 
 
 _TOL_COMMANDS = {

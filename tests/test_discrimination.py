@@ -296,6 +296,11 @@ class TestAccessibleInformation:
         with pytest.warns(RuntimeWarning):
             assert accessible_information(4, 0.2) == pytest.approx(0.0)
 
+    def test_no_inputs_is_a_parameter_error(self):
+        # a package error, so callers that catch InfocapError see it
+        with pytest.raises(ParamOutOfRangeError, match=r"^n must be >= 1$"):
+            accessible_information(0, 0.5)
+
 
 class TestPOVMType:
     def test_rejects_incomplete(self):
