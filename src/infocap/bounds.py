@@ -13,10 +13,12 @@ bounds are concave and nondecreasing in their slack parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -63,21 +65,30 @@ class BoundResult:
         }
 
 
-def clamp(pg: float, n: int) -> tuple[float, float]:
-    """The emitted ``(pg_bound, info_bits)`` of a raw bound ``pg`` on n
-    inputs: pg clamped to [1/n, 1], and log2(n pg) bits.
+def clamp(pgs: Sequence[float], ns: Sequence[int]) -> list[tuple[float, float]]:
+    """The emitted ``(pg_bound, info_bits)`` of each raw bound in ``pgs`` on
+    the n inputs of its row in ``ns``: pg clamped to [1/n, 1], and log2(n pg)
+    bits.
 
     The clamp would turn a NaN into 1/n, an unsound bound, so a non-finite
-    ``pg`` raises NonFiniteError instead.
+    ``pg`` raises NonFiniteError instead, at the first such row.
     """
-    if not math.isfinite(pg):
-        raise NonFiniteError(f"bound evaluated to {pg}")
-    pg = min(1.0, max(1.0 / n, pg))
-    return pg, math.log2(n * pg)
+    isfinite, log2 = math.isfinite, math.log2
+    rows = []
+    for raw, n in zip(pgs, ns):
+        if not isfinite(raw):
+            raise NonFiniteError(f"bound evaluated to {raw}")
+        # min(1.0, max(1.0 / n, raw)) as comparisons: the same selections,
+        # without two builtin calls per row
+        low = 1.0 / n
+        pg = raw if raw > low else low
+        pg = pg if pg < 1.0 else 1.0
+        rows.append((pg, log2(n * pg)))
+    return rows
 
 
 def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note: str = "") -> BoundResult:
-    pg, bits = clamp(pg, n)
+    [(pg, bits)] = clamp([pg], [n])
     return BoundResult(
         pg_bound=pg,
         info_bits=bits,
@@ -88,57 +99,93 @@ def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note:
     )
 
 
-# Each closed-form kind has one raw formula (n, *params) -> (pg, validity),
-# with pg before the clamp.  bound_<kind> wraps it in a BoundResult; the CLI
-# evaluates grids and sweeps with the formula itself.
+# Each closed-form kind has one raw formula (ns, *params) -> [(pg, validity)]:
+# the bound before the clamp, and its validity, for each n of the column ns
+# at one parameter point.  bound_<kind> evaluates it on a one-element column
+# and wraps the row in a BoundResult; the CLI evaluates a grid point's whole
+# column of n at once.
 #
 # The formulas take n and d as Python ints, whose divisions and conversions
 # raise OverflowError beyond the float range, so each one first rejects an n
-# or d (or the square it forms) beyond that range.
+# or d (or the square it forms) beyond that range.  A factor that does not
+# depend on the row is computed once per call, and a min(1.0, x) is spelled
+# ``x if x < 1.0 else 1.0``, the same selection without a call, so each row
+# is bit for bit what the formula gives it on its own.
 _FLOAT_MAX = sys.float_info.max
 
 
-def dimension_pg(n: int, d: float) -> tuple[float, Validity]:
+def _column(formula):
+    """``formula`` with the error of the first failing row.
+
+    A formula checks its parameters once and each condition on the rows over
+    the whole column, in the order the checks apply to one row, so on one
+    row it raises that row's error.  When a longer column fails, its rows
+    are evaluated one at a time, so the error raised is the first failing
+    row's.  An empty column has no rows and no error.
+    """
+
+    @functools.wraps(formula)
+    def column(firsts, *params):
+        if not firsts:
+            return []
+        try:
+            return formula(firsts, *params)
+        except ParamOutOfRangeError:
+            for first in firsts:
+                formula([first], *params)
+            raise
+
+    return column
+
+
+@_column
+def dimension_pg(ns: Sequence[int], d: float) -> list[tuple[float, Validity]]:
     """Raw form of ``bound_dimension``; ``d`` may be fractional, as in
     averaged-assumption arithmetic."""
-    if d < 1 or n < 1:
+    if d < 1 or min(ns) < 1:
         raise ParamOutOfRangeError("need d >= 1 and n >= 1")
-    if d > _FLOAT_MAX or n > _FLOAT_MAX:
+    if d > _FLOAT_MAX or max(ns) > _FLOAT_MAX:
         raise ParamOutOfRangeError("need d and n within the float range")
-    return min(1.0, d / n), Validity.VALID
+    valid = Validity.VALID
+    return [(pg if pg < 1.0 else 1.0, valid) for n in ns for pg in [d / n]]
 
 
 def bound_dimension(d: int, n: int) -> BoundResult:
     """States in a d-dimensional space: pg <= d/n, so at most log2(d) bits."""
-    pg, validity = dimension_pg(n, d)
+    [(pg, validity)] = dimension_pg([n], d)
     return _result(pg, Dimension(d=d), n, validity)
 
 
-def ea_dimension_pg(n: int, d: float) -> tuple[float, Validity]:
+@_column
+def ea_dimension_pg(ns: Sequence[int], d: float) -> list[tuple[float, Validity]]:
     """Raw form of ``bound_ea_dimension``."""
-    if d < 1 or n < 1:
+    if d < 1 or min(ns) < 1:
         raise ParamOutOfRangeError("need d >= 1 and n >= 1")
-    if d * d > _FLOAT_MAX or n > _FLOAT_MAX:
+    square = d * d
+    if square > _FLOAT_MAX or max(ns) > _FLOAT_MAX:
         raise ParamOutOfRangeError("need d**2 and n within the float range")
-    return min(1.0, d * d / n), Validity.VALID
+    valid = Validity.VALID
+    return [(pg if pg < 1.0 else 1.0, valid) for n in ns for pg in [square / n]]
 
 
 def bound_ea_dimension(d: int, n: int) -> BoundResult:
     """Entanglement-assisted d-dimensional messages: pg <= d^2/n (2 log2 d bits)."""
-    pg, validity = ea_dimension_pg(n, d)
+    [(pg, validity)] = ea_dimension_pg([n], d)
     return _result(pg, EADimension(d=d), n, validity)
 
 
-def overlap_pg(n: int, a: float) -> tuple[float, Validity]:
+@_column
+def overlap_pg(ns: Sequence[int], a: float) -> list[tuple[float, Validity]]:
     """Raw form of ``bound_overlap``."""
-    if n < 2:
+    if min(ns) < 2:
         raise ParamOutOfRangeError("need n >= 2")
-    if n * n > _FLOAT_MAX:
+    largest = max(ns)
+    if largest * largest > _FLOAT_MAX:
         raise ParamOutOfRangeError("need n**2 within the float range")
     if not 0.0 <= a <= 1.0:
         raise ParamOutOfRangeError("overlap must lie in [0, 1]")
-    pg = ((n - 1) * math.sqrt(1.0 - a) + math.sqrt((n - 1) * a + 1.0)) ** 2 / n**2
-    return pg, Validity.VALID
+    root, valid = math.sqrt(1.0 - a), Validity.VALID
+    return [(((n - 1) * root + math.sqrt((n - 1) * a + 1.0)) ** 2 / n**2, valid) for n in ns]
 
 
 def bound_overlap(n: int, a: float) -> BoundResult:
@@ -148,7 +195,7 @@ def bound_overlap(n: int, a: float) -> BoundResult:
 
     attained by the equiangular ensemble under the pretty good measurement.
     """
-    pg, validity = overlap_pg(n, a)
+    [(pg, validity)] = overlap_pg([n], a)
     return _result(pg, UniformOverlap(a=a), n, validity)
 
 
@@ -167,17 +214,20 @@ def min_overlap_vacuum(n: int, omega: float) -> float:
     return 1.0 - n * omega / (n - 1)
 
 
-def vacuum_pg(n: int, omega: float) -> tuple[float, Validity]:
+@_column
+def vacuum_pg(ns: Sequence[int], omega: float) -> list[tuple[float, Validity]]:
     """Raw form of ``bound_vacuum``."""
-    if n < 2:
+    if min(ns) < 2:
         raise ParamOutOfRangeError("need n >= 2")
-    if n > _FLOAT_MAX:
+    if max(ns) > _FLOAT_MAX:
         raise ParamOutOfRangeError("need n within the float range")
     if not 0.0 <= omega <= 1.0:
         raise ParamOutOfRangeError("omega must lie in [0, 1]")
-    if omega > (n - 1) / n:
-        return 1.0, Validity.TRIVIALLY_ONE
-    return (math.sqrt(omega * (n - 1)) + math.sqrt(1.0 - omega)) ** 2 / n, Validity.VALID
+    amplitude, valid, one = math.sqrt(1.0 - omega), Validity.VALID, Validity.TRIVIALLY_ONE
+    return [
+        (1.0, one) if omega > (n - 1) / n else ((math.sqrt(omega * (n - 1)) + amplitude) ** 2 / n, valid)
+        for n in ns
+    ]
 
 
 def bound_vacuum(n: int, omega: float) -> BoundResult:
@@ -187,7 +237,7 @@ def bound_vacuum(n: int, omega: float) -> BoundResult:
 
     for omega <= (n-1)/n; beyond that the bound is trivially 1.
     """
-    pg, validity = vacuum_pg(n, omega)
+    [(pg, validity)] = vacuum_pg([n], omega)
     return _result(pg, Vacuum(omega=omega), n, validity)
 
 
@@ -233,35 +283,39 @@ def bound_eps(pg0: float, eps: float) -> float:
     for eps <= 1-pg0, and trivially 1 beyond (the mu >= -1 family bottoms
     out at mu = -1 there).  Concave and nondecreasing in eps.
     """
-    if not 0.0 <= pg0 <= 1.0:
+    [(pg, _)] = deviation_pg([pg0], eps)
+    return pg
+
+
+@_column
+def deviation_pg(pg0s: Sequence[float], eps: float) -> list[tuple[float, Validity]]:
+    """The deviation bound ``bound_eps`` for each pg0 of the column, with its
+    validity: trivially one past eps = 1 - pg0."""
+    if not all(0.0 <= pg0 <= 1.0 for pg0 in pg0s):
         raise ParamOutOfRangeError("pg0 must lie in [0, 1]")
     if not 0.0 <= eps <= 1.0:
         raise ParamOutOfRangeError("eps must lie in [0, 1]")
-    if eps > 1.0 - pg0:
-        return 1.0
-    value = (math.sqrt(pg0 * (1.0 - eps)) + math.sqrt((1.0 - pg0) * eps)) ** 2
-    return min(1.0, max(pg0, value))
+    keep, valid, one = 1.0 - eps, Validity.VALID, Validity.TRIVIALLY_ONE
+    # min(1.0, max(pg0, value)) of each row short of trivially one
+    return [
+        (1.0, one) if eps > 1.0 - pg0 else (pg if pg < 1.0 else 1.0, valid)
+        for pg0 in pg0s
+        for value in [(math.sqrt(pg0 * keep) + math.sqrt((1.0 - pg0) * eps)) ** 2]
+        for pg in [value if value > pg0 else pg0]
+    ]
 
 
-def deviation_pg(pg0: float, eps: float) -> tuple[float, Validity]:
-    """The deviation bound with its validity: trivially one past eps = 1 - pg0."""
-    pg = bound_eps(pg0, eps)
-    return pg, Validity.TRIVIALLY_ONE if eps > 1.0 - pg0 else Validity.VALID
-
-
-def almost_dim_pg(n: int, d: float, eps: float) -> tuple[float, Validity]:
-    """Raw form of ``bound_almost_dim``."""
-    if d < 1 or n < 1:
-        raise ParamOutOfRangeError("need d >= 1 and n >= 1")
-    if d > _FLOAT_MAX or n > _FLOAT_MAX:
-        raise ParamOutOfRangeError("need d and n within the float range")
-    return deviation_pg(min(1.0, d / n), eps)
+@_column
+def almost_dim_pg(ns: Sequence[int], d: float, eps: float) -> list[tuple[float, Validity]]:
+    """Raw form of ``bound_almost_dim``: the deviation bound of the
+    dimension value."""
+    return deviation_pg([pg0 for pg0, _ in dimension_pg(ns, d)], eps)
 
 
 def bound_almost_dim(d: int, n: int, eps: float) -> BoundResult:
     """Almost d-dimensional states, tr(rho_x Pi_d) >= 1-eps: the deviation
     bound applied to the dimension value d/n."""
-    pg, validity = almost_dim_pg(n, d, eps)
+    [(pg, validity)] = almost_dim_pg([n], d, eps)
     return _result(pg, AlmostDim(d=d, eps=eps), n, validity)
 
 
@@ -281,23 +335,24 @@ def bound_distrust(targets: StateEnsemble, eps: float, tol: float = 1e-10) -> Bo
     despite the numeric inner maximization.  Generally not tight unless the
     targets are themselves optimal for discrimination.
     """
-    pg, validity = deviation_pg(targets_value(targets, tol), eps)
+    [(pg, validity)] = deviation_pg([targets_value(targets, tol)], eps)
     assumption = Distrust(targets=targets.state_vectors(), eps=eps)
     return _result(pg, assumption, targets.n, validity, note="not tight unless targets are optimal")
 
 
-def coherent_pg(n: int, nbar: float) -> tuple[float, Validity]:
+@_column
+def coherent_pg(ns: Sequence[int], nbar: float) -> list[tuple[float, Validity]]:
     """Raw form of ``coherent_capacity``."""
     if nbar < 0.0:
         raise ParamOutOfRangeError("mean photon number must be >= 0")
     if not math.isfinite(nbar):
         # inf or NaN would reach the deviation bound as eps = NaN
         raise ParamOutOfRangeError(f"mean photon number must be finite, got {nbar}")
-    if n < 2:
+    if min(ns) < 2:
         raise ParamOutOfRangeError("need n >= 2")
-    if n > _FLOAT_MAX:
+    if max(ns) > _FLOAT_MAX:
         raise ParamOutOfRangeError("need n within the float range")
-    return almost_dim_pg(n, 2, almost_qubit_epsilon(nbar))
+    return almost_dim_pg(ns, 2, almost_qubit_epsilon(nbar))
 
 
 def coherent_assumption(nbar: float) -> AlmostDim:
@@ -310,7 +365,7 @@ def coherent_capacity(nbar: float, n: int) -> BoundResult:
     """Capacity of n phase-keyed coherent states with mean photon number
     ``nbar``: treat them as almost-qubits with deviation
     eps = 1 - exp(-nbar)(1 + nbar) and apply the almost-dimension bound."""
-    pg, validity = coherent_pg(n, nbar)
+    [(pg, validity)] = coherent_pg([n], nbar)
     assumption = coherent_assumption(nbar)
     note = f"mean photon number {nbar:.9g} mapped to eps={assumption.eps:.9g}"
     return _result(pg, assumption, n, validity, note=note)

@@ -197,7 +197,7 @@ def _average_dimension(rng: np.random.Generator, weights: tuple[float, float]):
         (w, basis_ensemble(d, n), Dimension(d=d)) for w, d in zip(weights, ds)
     )
     # the averaged d is fractional, which only the raw formula accepts
-    return SRStrategy(branches), lambda avg: bounds.dimension_pg(n, avg)[0], None
+    return SRStrategy(branches), lambda avg: bounds.dimension_pg([n], avg)[0][0], None
 
 
 def _average_vacuum(rng: np.random.Generator, weights: tuple[float, float]):

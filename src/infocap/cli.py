@@ -119,23 +119,27 @@ class _Kind:
     """What the CLI knows about one assumption kind.
 
     ``columns`` are its parameter options, in grid and CSV column order.
-    ``formula`` maps (n, *params) to the raw bound and its validity (see
-    ``bounds``); for a kind with ``targets`` its first argument is the
-    targets' certified guessing value instead of n.  ``assumption`` builds
-    the recorded assumption from the columns (and ``targets``) as keywords.
+    ``formula`` maps (ns, *params) to the raw bound and its validity for
+    each n of the column ns (see ``bounds``); for a kind with ``targets``
+    the column holds the targets' certified guessing value instead of n.
+    ``assumption`` builds the recorded assumption from the columns (and
+    ``targets``) as keywords.
     ``sweep_axis`` names the column `sweep` varies and ``construction`` maps
     (n, *params) to a saturating ensemble (or None) for --with-oracle.
     ``search`` says whether `search` supports the kind, and ``targets``
-    whether it takes a targets file.
+    whether it takes a targets file.  ``state_dim`` maps n and the
+    parameters, as keywords, to the largest state dimension that the
+    kind's search or construction builds.
     """
 
     columns: tuple[str, ...]
-    formula: Callable[..., tuple[float, bounds.Validity]]
+    formula: Callable[..., list[tuple[float, bounds.Validity]]]
     assumption: Callable[..., Assumption]
     sweep_axis: str | None = None
     construction: Callable | None = None
     search: bool = False
     targets: bool = False
+    state_dim: Callable[..., int] | None = None
 
     @property
     def options(self) -> tuple[str, ...]:
@@ -143,8 +147,8 @@ class _Kind:
         return self.columns + (("targets",) if self.targets else ())
 
 
-# grids and sweeps run the raw formulas of `bounds` per row, not the
-# bound_* wrappers, so no BoundResult is built for a row
+# grids and sweeps run the raw formulas of `bounds`, not the bound_*
+# wrappers, so no BoundResult is built for a row
 _KINDS = {
     "dimension": _Kind(("d",), bounds.dimension_pg, Dimension),
     "ea-dimension": _Kind(("d",), bounds.ea_dimension_pg, EADimension),
@@ -155,6 +159,7 @@ _KINDS = {
         sweep_axis="omega",
         construction=lambda n, w: vacuum_cone_ensemble(n, w)[0] if w <= (n - 1) / n else None,
         search=True,
+        state_dim=lambda n, **_: n + 1,
     ),
     "overlap": _Kind(
         ("a",),
@@ -163,6 +168,7 @@ _KINDS = {
         sweep_axis="a",
         construction=equiangular_ensemble,
         search=True,
+        state_dim=lambda n, **_: n,
     ),
     "almost-dim": _Kind(
         ("d", "eps"),
@@ -171,19 +177,43 @@ _KINDS = {
         sweep_axis="eps",
         construction=lambda n, d, e: ensemble_from_vectors(almost_dim_seed(d, n, e)[0]),
         search=True,
+        state_dim=lambda n, d, **_: n + min(d, n),
     ),
     "coherent": _Kind(("nbar",), bounds.coherent_pg, bounds.coherent_assumption, sweep_axis="nbar"),
-    "distrust": _Kind(("eps",), bounds.deviation_pg, Distrust, search=True, targets=True),
+    "distrust": _Kind(("eps",), bounds.deviation_pg, Distrust, search=True, targets=True,
+                      state_dim=lambda n, targets, **_: targets.shape[1] + n),
 }
 
 
-def _csv_rows(kind: str, params: tuple, rows: list[tuple]) -> list[str]:
-    """CSV lines of one grid point's (n, pg_bound, info_bits, validity) rows."""
+# `search` and `sweep --with-oracle` build n states of dimension dim as a
+# stack of dim x dim complex128 matrices, 16 n dim**2 bytes, on which the
+# oracle then works; a larger stack than this is refused before it is built
+MAX_STATE_STACK_BYTES = 2**28
+
+
+def _check_state_stack(kind: str, n: int, params: dict) -> None:
+    """Raise ParamOutOfRangeError if the states that a search or
+    --with-oracle construction of ``kind`` on n inputs builds would take
+    more than MAX_STATE_STACK_BYTES."""
+    dim = _KINDS[kind].state_dim(n, **params)
+    size = 16 * n * dim * dim
+    if size > MAX_STATE_STACK_BYTES:
+        raise ParamOutOfRangeError(
+            f"kind {kind} with n={n} needs {n} states of dimension {dim} ({size} bytes),"
+            f" over the limit of {MAX_STATE_STACK_BYTES} bytes"
+        )
+
+
+# A grid point's rows come as the column of n, the formula's (pg, validity)
+# and the clamped (pg_bound, info_bits) of each row.  A Validity is a str,
+# whose text a concatenation takes without an enum lookup.
+def _csv_rows(kind: str, params: tuple, ns, rows, clamped) -> list[str]:
+    """CSV lines of one grid point's rows."""
     head = ",".join([kind, *[_fmt9(p) if isinstance(p, float) else str(p) for p in params]])
-    return [f"{head},{n},{pg:.9g},{bits:.9g},{v}" for n, pg, bits, v in rows]
+    return [f"{head},{n},{pg:.9g},{bits:.9g}," + v for n, (_, v), (pg, bits) in zip(ns, rows, clamped)]
 
 
-def _json_rows(assumption: Assumption, params: dict, rows: list[tuple]) -> list[str]:
+def _json_rows(assumption: Assumption, params: dict, ns, rows, clamped) -> list[str]:
     """One grid point's rows as the elements of json.dumps(all rows, indent=2)
     renders them, keys in the order assumption, params, pg_bound, info_bits,
     validity, n.  The rows carry Python floats, whose repr is json's."""
@@ -191,9 +221,9 @@ def _json_rows(assumption: Assumption, params: dict, rows: list[tuple]) -> list[
     # the point's object one level in, up to its closing brace
     head = "  " + _json_text(point)[:-2].replace("\n", "\n  ")
     return [
-        f'{head},\n    "pg_bound": {pg!r},\n    "info_bits": {bits!r},\n'
-        f'    "validity": "{v}",\n    "n": {n}\n  }}'
-        for n, pg, bits, v in rows
+        f'{head},\n    "pg_bound": {pg!r},\n    "info_bits": {bits!r},\n    "validity": "'
+        + v + f'",\n    "n": {n}\n  }}'
+        for n, (_, v), (pg, bits) in zip(ns, rows, clamped)
     ]
 
 
@@ -258,24 +288,22 @@ def bound(kind, n_values, output, fmt, **_):
         # one row per parameter point, with n the number of targets,
         # whose oracle runs once for the whole grid
         ensemble = ensemble_from_vectors(targets)
-        firsts = [(ensemble.n, bounds.targets_value(ensemble))]
+        ns, firsts = [ensemble.n], [bounds.targets_value(ensemble)]
         extra = {"targets": ensemble.state_vectors()}
     else:
-        firsts = [(n, n) for n in n_values]
+        ns = firsts = n_values
         extra = {}
     # every row is computed before anything is written, so a bad grid
-    # point leaves no output
+    # point leaves no output; each grid point's rows are one column over n
     lines = []
     for params in itertools.product(*grid):
-        rows = []
-        for n, first in firsts:
-            pg, validity = spec.formula(first, *params)
-            rows.append((n, *bounds.clamp(pg, n), validity.value))
+        rows = spec.formula(firsts, *params)
+        clamped = bounds.clamp([pg for pg, _ in rows], ns)
         if fmt == "csv":
-            lines += _csv_rows(kind, params, rows)
+            lines += _csv_rows(kind, params, ns, rows, clamped)
         else:
             named = dict(zip(spec.columns, params))
-            lines += _json_rows(spec.assumption(**named, **extra), named, rows)
+            lines += _json_rows(spec.assumption(**named, **extra), named, ns, rows, clamped)
     if fmt == "csv":
         header = ",".join(["assumption", *spec.columns, "n", "pg_bound", "info_bits", "validity"])
         _emit("\n".join([header, *lines]) + "\n", output)
@@ -347,7 +375,12 @@ def search(kind, n, restarts, seed, tol, output, **_):
     params = _kind_params(kind, spec.options)
     if spec.targets:
         params["targets"] = _load(params["targets"], _target_vectors, "targets")
-    report = tightness_search(spec.assumption(**params), n, restarts=restarts, seed=seed, tol=tol)
+    assumption = spec.assumption(**params)
+    # a distrust search has one input per target
+    count = len(params["targets"]) if spec.targets else n
+    if count is not None:
+        _check_state_stack(kind, count, params)
+    report = tightness_search(assumption, n, restarts=restarts, seed=seed, tol=tol)
     _emit(_json_text(report.to_json()) + "\n", output)
 
 
@@ -379,9 +412,12 @@ def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
     for x in axis:
         x = float(x)
         params = [x if c == spec.sweep_axis else fixed[c] for c in spec.columns]
-        pg, bits = bounds.clamp(spec.formula(n, *params)[0], n)
+        [(pg, _)] = spec.formula([n], *params)
+        [(pg, bits)] = bounds.clamp([pg], [n])
         row = [_fmt9(x), _fmt9(pg), _fmt9(bits)]
         if with_oracle:
+            # the row's bound has checked n and the parameters
+            _check_state_stack(kind, n, fixed)
             ens = spec.construction(n, *params)
             if ens is None:
                 raise ParamOutOfRangeError(

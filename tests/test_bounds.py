@@ -249,7 +249,7 @@ class TestCoherentCapacity:
     @pytest.mark.parametrize("nbar", [math.inf, math.nan])
     def test_rejects_non_finite_photon_number(self, nbar):
         with pytest.raises(ParamOutOfRangeError, match="mean photon number must be finite"):
-            bounds.coherent_pg(4, nbar)
+            bounds.coherent_pg([4], nbar)
         with pytest.raises(ParamOutOfRangeError, match="mean photon number must be finite"):
             coherent_capacity(nbar, 4)
 
@@ -275,7 +275,7 @@ class TestFractionalDimension:
         assert res.assumption.d == 3
 
     def test_raw_formula_takes_averaged_d(self):
-        assert bounds.dimension_pg(10, 2.5) == (0.25, Validity.VALID)
+        assert bounds.dimension_pg([10], 2.5)[0] == (0.25, Validity.VALID)
 
 
 class TestRawFormulas:
@@ -293,15 +293,88 @@ class TestRawFormulas:
     )
     def test_wrapper_is_the_clamped_formula(self, wrapper, formula, args):
         res = wrapper(*args)
-        pg, validity = formula(*args)
-        assert (res.pg_bound, res.info_bits) == bounds.clamp(pg, args[0])
+        [(pg, validity)] = formula([args[0]], *args[1:])
+        assert (res.pg_bound, res.info_bits) == bounds.clamp([pg], [args[0]])[0]
         assert res.validity is validity
 
     @pytest.mark.parametrize("pg", [math.nan, math.inf, -math.inf])
     def test_clamp_rejects_non_finite(self, pg):
         # min(1, max(1/n, nan)) would report the unsound bound 1/n
         with pytest.raises(NonFiniteError):
-            bounds.clamp(pg, 4)
+            bounds.clamp([pg], [4])
+
+
+# seeded column draws: n (or pg0) values at and past every row check, and
+# parameter values in range, out of range and nan
+_HUGE = 10**400
+_N_POOL = [-2, 0, 1, 2, 3, 4, 7, 30, 20000, 2**600, _HUGE]
+_PG0_POOL = [-0.1, 0.0, 0.25, 0.5, 0.9, 1.0, 1.2, math.nan]
+_FORMULA_PARAMS = {
+    "dimension_pg": [[0, 1, 2, 2.5, 3, 500, _HUGE, math.nan]],
+    "ea_dimension_pg": [[0, 1, 2, 2.5, 3, 10**200, math.nan]],
+    "vacuum_pg": [[-0.1, 0.0, 0.3, 0.75, 0.9, 1.0, 1.5, math.nan]],
+    "overlap_pg": [[-0.5, 0.0, 0.2, 1.0, 2.0, math.nan]],
+    "almost_dim_pg": [[0, 1, 2, 2.5, 500, _HUGE, math.nan], [-0.1, 0.0, 0.05, 0.5, 1.0, 1.5, math.nan]],
+    "coherent_pg": [[-1.0, 0.0, 0.7, 5.0, math.inf, math.nan]],
+    "deviation_pg": [[-0.1, 0.0, 0.05, 0.5, 1.0, 1.5, math.nan]],
+}
+
+
+def _row_by_row(call, firsts):
+    """The rows of one-element calls, in order; raises what the first
+    failing row raises."""
+    return [row for first in firsts for row in call([first])]
+
+
+def _same_outcome(call, firsts):
+    """``call`` on the column ``firsts`` returns what its one-element calls
+    return, bit for bit, or raises the first failing row's exception."""
+    try:
+        expected = _row_by_row(call, firsts)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            call(firsts)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return False
+    # repr is exact for floats and, unlike ==, tells -0.0 from 0.0 and matches nan
+    assert repr(call(firsts)) == repr(expected)
+    return True
+
+
+class TestColumns:
+    @pytest.mark.parametrize("name", list(_FORMULA_PARAMS))
+    def test_column_is_its_rows(self, name):
+        formula = getattr(bounds, name)
+        pool = _PG0_POOL if name == "deviation_pg" else _N_POOL
+        rng = np.random.default_rng(7)
+        passed = failed = 0
+        for _ in range(300):
+            params = [values[rng.integers(len(values))] for values in _FORMULA_PARAMS[name]]
+            firsts = [pool[i] for i in rng.integers(len(pool), size=rng.integers(0, 7))]
+            if _same_outcome(lambda column: formula(column, *params), firsts):
+                passed += 1
+            else:
+                failed += 1
+        # the draws reach both outcomes often
+        assert passed > 30 and failed > 30
+
+    def test_empty_column_has_no_rows(self):
+        # no row fails, even at parameters every row would fail on
+        assert bounds.vacuum_pg([], 2.0) == []
+        assert bounds.clamp([], []) == []
+
+    def test_clamp_column_is_its_rows(self):
+        rng = np.random.default_rng(8)
+        pool = [0.0, 0.1, 0.5, 1.0, 3.0, -1.0, math.nan, math.inf, -math.inf]
+        outcomes = set()
+        for _ in range(300):
+            rows = rng.integers(0, 7)
+            pgs = [pool[i] for i in rng.integers(len(pool), size=rows)]
+            ns = [int(n) for n in rng.integers(1, 9, size=rows)]
+            # one-element calls of the clamp take the row's n with its pg
+            call = lambda column: bounds.clamp([pg for pg, _ in column], [n for _, n in column])
+            outcomes.add(_same_outcome(call, list(zip(pgs, ns))))
+        assert outcomes == {True, False}
 
 
 class TestBoundResultInvariants:

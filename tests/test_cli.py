@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -131,7 +132,7 @@ class TestBound:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_bound_exits_1(self, runner, tmp_path, monkeypatch, fmt):
         # the clamp to [1/n, 1] would print a NaN bound as 1/n
-        nan_formula = lambda n, omega: (math.nan, Validity.VALID)
+        nan_formula = lambda ns, omega: [(math.nan, Validity.VALID) for _ in ns]
         spec = dataclasses.replace(cli._KINDS["vacuum"], formula=nan_formula)
         monkeypatch.setitem(cli._KINDS, "vacuum", spec)
         out = tmp_path / f"grid.{fmt}"
@@ -316,6 +317,28 @@ def test_bound_grid_digests(runner, tmp_path, kind):
     assert js.exit_code == 0
     digests = hashlib.sha256(csv.stdout_bytes).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == _GRID_DIGESTS[kind]
+
+
+# a grid whose rows fail on different checks reports the first failing row,
+# in grid-point order and then --n order (messages captured at the commit
+# that evaluated grids row by row)
+_ERROR_PRECEDENCE = [
+    (["dimension", "--d", "2", "--n", "5", "--n", "0"], "need d >= 1 and n >= 1"),
+    (["vacuum", "--omega", "2", "--n", "5", "--n", "1"], "omega must lie in [0, 1]"),
+    (["vacuum", "--omega", "0.2", "--n", "1", "--n", "5"], "need n >= 2"),
+    (["dimension", "--d", "3", "--n", "4", "--n", "1" + "0" * 400, "--n", "0"],
+     "need d and n within the float range"),
+    (["almost-dim", "--d", "2", "--n", "4", "--n", "0", "--eps", "1.5"], "eps must lie in [0, 1]"),
+    (["coherent", "--nbar", "1", "--n", "1"], "need n >= 2"),
+]
+
+
+@pytest.mark.parametrize("args, message", _ERROR_PRECEDENCE, ids=[str(i) for i in range(len(_ERROR_PRECEDENCE))])
+def test_bound_error_precedence_pinned(runner, args, message):
+    result = runner.invoke(main, ["bound", *args])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("n_options", [["--n", "99", "--n", "5"], ["--n", "3", "--n", "4"]])
@@ -770,6 +793,54 @@ class TestSweep:
             )
         assert result.exit_code == 2, result.exception
         assert result.stderr == f"error: need a finite --start and --stop, got {float(start)} and 0.5\n"
+
+
+# sha256 of the stdout of the README's bound-only sweeps, captured at the
+# commit that evaluated them with scalar formulas
+_SWEEP_DIGESTS = {
+    "vacuum": (["--n", "4", "--start", "0", "--stop", "0.75", "--points", "41"],
+               "c3f26a4a8557c171ef6cf62688d5dae50e21de043f061f6b672dea3ec2934ada"),
+    "overlap": (["--n", "4", "--start", "0", "--stop", "1", "--points", "41"],
+                "977f1d4e78b86fb914e2e3a116a81bfc76abf4d7a78e8c4601acd919ef652944"),
+    "almost-dim": (["--n", "4", "--d", "2", "--start", "0", "--stop", "0.5", "--points", "41"],
+                   "57615e7d42c598cf3fb0e57ce195e4ec22ddbc7e872ddf78f07dbd39af851201"),
+    "coherent": (["--n", "4", "--start", "0", "--stop", "2", "--points", "41"],
+                 "3568a5902d47d152192acb948d3a202fbc7705524c5ce2c75d07a1b8909f03b5"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SWEEP_DIGESTS))
+def test_sweep_output_pinned(runner, kind):
+    options, digest = _SWEEP_DIGESTS[kind]
+    result = runner.invoke(main, ["sweep", kind, *options])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "vacuum", "--n", "1000", "--omega", "0.1", "--restarts", "1"],
+        ["sweep", "vacuum", "--n", "1000", "--start", "0.5", "--stop", "0.5", "--points", "1", "--with-oracle"],
+    ],
+    ids=["search", "sweep"],
+)
+def test_state_stack_over_limit_exits_2(runner, argv):
+    # 1000 states of dimension 1001 take 14.9 GiB; the refusal comes before
+    # any of it is allocated
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.exception
+    assert result.stderr == (
+        "error: kind vacuum with n=1000 needs 1000 states of dimension 1001 (16032016000 bytes),"
+        f" over the limit of {cli.MAX_STATE_STACK_BYTES} bytes\n"
+    )
+    assert result.stdout == ""
+    assert peak < 2**20
 
 
 class TestReferenceChecks:
