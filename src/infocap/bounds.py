@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -88,12 +89,16 @@ def clamp(pgs: Sequence[float], ns: Sequence[int]) -> list[tuple[float, float]]:
 
 
 def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note: str = "") -> BoundResult:
+    # a NaN n would clamp to pg 1, and a fractional one give a bound for no
+    # number of inputs; an integral n is stored as an int
+    if not isinstance(n, numbers.Real) or not math.isfinite(n) or n % 1:
+        raise ParamOutOfRangeError(f"n must be an integer, got {n}")
     [(pg, bits)] = clamp([pg], [n])
     return BoundResult(
         pg_bound=pg,
         info_bits=bits,
         assumption=assumption,
-        n=n,
+        n=int(n),
         validity=validity,
         note=note,
     )

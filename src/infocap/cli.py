@@ -42,7 +42,7 @@ from .ensembles import (
 )
 from .errors import FileFaultError, InfocapError, NonFiniteError, ParamOutOfRangeError
 from .randomness import ea_average_counterexample
-from .search import almost_dim_seed, tightness_search
+from .search import almost_dim_seed, check_state_stack, tightness_search
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -127,9 +127,7 @@ class _Kind:
     ``sweep_axis`` names the column `sweep` varies and ``construction`` maps
     (n, *params) to a saturating ensemble (or None) for --with-oracle.
     ``search`` says whether `search` supports the kind, and ``targets``
-    whether it takes a targets file.  ``state_dim`` maps n and the
-    parameters, as keywords, to the largest state dimension that the
-    kind's search or construction builds.
+    whether it takes a targets file.
     """
 
     columns: tuple[str, ...]
@@ -139,7 +137,6 @@ class _Kind:
     construction: Callable | None = None
     search: bool = False
     targets: bool = False
-    state_dim: Callable[..., int] | None = None
 
     @property
     def options(self) -> tuple[str, ...]:
@@ -159,7 +156,6 @@ _KINDS = {
         sweep_axis="omega",
         construction=lambda n, w: vacuum_cone_ensemble(n, w)[0] if w <= (n - 1) / n else None,
         search=True,
-        state_dim=lambda n, **_: n + 1,
     ),
     "overlap": _Kind(
         ("a",),
@@ -168,7 +164,6 @@ _KINDS = {
         sweep_axis="a",
         construction=equiangular_ensemble,
         search=True,
-        state_dim=lambda n, **_: n,
     ),
     "almost-dim": _Kind(
         ("d", "eps"),
@@ -177,31 +172,10 @@ _KINDS = {
         sweep_axis="eps",
         construction=lambda n, d, e: ensemble_from_vectors(almost_dim_seed(d, n, e)[0]),
         search=True,
-        state_dim=lambda n, d, **_: n + min(d, n),
     ),
     "coherent": _Kind(("nbar",), bounds.coherent_pg, bounds.coherent_assumption, sweep_axis="nbar"),
-    "distrust": _Kind(("eps",), bounds.deviation_pg, Distrust, search=True, targets=True,
-                      state_dim=lambda n, targets, **_: targets.shape[1] + n),
+    "distrust": _Kind(("eps",), bounds.deviation_pg, Distrust, search=True, targets=True),
 }
-
-
-# `search` and `sweep --with-oracle` build n states of dimension dim as a
-# stack of dim x dim complex128 matrices, 16 n dim**2 bytes, on which the
-# oracle then works; a larger stack than this is refused before it is built
-MAX_STATE_STACK_BYTES = 2**28
-
-
-def _check_state_stack(kind: str, n: int, params: dict) -> None:
-    """Raise ParamOutOfRangeError if the states that a search or
-    --with-oracle construction of ``kind`` on n inputs builds would take
-    more than MAX_STATE_STACK_BYTES."""
-    dim = _KINDS[kind].state_dim(n, **params)
-    size = 16 * n * dim * dim
-    if size > MAX_STATE_STACK_BYTES:
-        raise ParamOutOfRangeError(
-            f"kind {kind} with n={n} needs {n} states of dimension {dim} ({size} bytes),"
-            f" over the limit of {MAX_STATE_STACK_BYTES} bytes"
-        )
 
 
 # A grid point's rows come as the column of n, the formula's (pg, validity)
@@ -375,12 +349,7 @@ def search(kind, n, restarts, seed, tol, output, **_):
     params = _kind_params(kind, spec.options)
     if spec.targets:
         params["targets"] = _load(params["targets"], _target_vectors, "targets")
-    assumption = spec.assumption(**params)
-    # a distrust search has one input per target
-    count = len(params["targets"]) if spec.targets else n
-    if count is not None:
-        _check_state_stack(kind, count, params)
-    report = tightness_search(assumption, n, restarts=restarts, seed=seed, tol=tol)
+    report = tightness_search(spec.assumption(**params), n, restarts=restarts, seed=seed, tol=tol)
     _emit(_json_text(report.to_json()) + "\n", output)
 
 
@@ -417,7 +386,7 @@ def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
         row = [_fmt9(x), _fmt9(pg), _fmt9(bits)]
         if with_oracle:
             # the row's bound has checked n and the parameters
-            _check_state_stack(kind, n, fixed)
+            check_state_stack(spec.assumption(**dict(zip(spec.columns, params))), n)
             ens = spec.construction(n, *params)
             if ens is None:
                 raise ParamOutOfRangeError(

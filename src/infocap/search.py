@@ -227,6 +227,32 @@ _PLANS = {
     "distrust": _distrust_plan,
 }
 
+# each kind's largest state dimension on n inputs, in its seed or in its
+# saturating construction
+_STATE_DIMS = {
+    "vacuum": lambda a, n: n + 1,
+    "uniform_overlap": lambda a, n: n,
+    "almost_dim": lambda a, n: n + min(a.d, n),
+    "distrust": lambda a, n: a.targets.shape[1] + n,
+}
+# n states of dimension dim are a stack of dim x dim complex128 matrices,
+# 16 n dim**2 bytes, on which the oracle then works; a larger stack than
+# this is refused before it is built
+MAX_STATE_STACK_BYTES = 2**28
+
+
+def check_state_stack(assumption: Assumption, n: int) -> None:
+    """Raise ParamOutOfRangeError if the n states that a search, or a
+    saturating construction, under ``assumption`` builds would take more
+    than MAX_STATE_STACK_BYTES."""
+    dim = _STATE_DIMS[assumption.kind](assumption, n)
+    size = 16 * n * dim * dim
+    if size > MAX_STATE_STACK_BYTES:
+        raise ParamOutOfRangeError(
+            f"kind {assumption.kind} with n={n} needs {n} states of dimension {dim} ({size} bytes),"
+            f" over the limit of {MAX_STATE_STACK_BYTES} bytes"
+        )
+
 
 def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnsemble | None:
     """Restart 0 is the seed; a later restart perturbs it and projects it
@@ -261,7 +287,8 @@ def tightness_search(
 
     ``n`` is required, except for Distrust, whose n is the number of its
     targets (an ``n`` given with them must equal it).  ``restarts`` must
-    be at least 1; otherwise ParamOutOfRangeError is raised.
+    be at least 1, and the states must fit ``check_state_stack``;
+    otherwise ParamOutOfRangeError is raised, before anything is built.
 
     Deterministic for a fixed ``seed``: restart k draws from a generator
     seeded with seed + k.
@@ -269,13 +296,15 @@ def tightness_search(
     make_plan = _PLANS.get(assumption.kind)
     if make_plan is None:
         raise ParamOutOfRangeError(f"search does not support assumption {assumption!r}")
-    if isinstance(assumption, Distrust):
-        count = assumption.targets.shape[0]
-        if n not in (None, count):
-            raise ParamOutOfRangeError(f"n must equal the {count} targets for a distrust search, got {n}")
-        n = count
-    if n is None:
+    # a distrust search has one input per target
+    count = assumption.targets.shape[0] if isinstance(assumption, Distrust) else n
+    if count is not None:
+        check_state_stack(assumption, count)
+    if n not in (None, count):
+        raise ParamOutOfRangeError(f"n must equal the {count} targets for a distrust search, got {n}")
+    if count is None:
         raise ParamOutOfRangeError(f"{assumption.kind} search needs n")
+    n = count
     if restarts < 1:
         raise ParamOutOfRangeError(f"restarts must be >= 1, got {restarts}")
     plan = make_plan(assumption, n, tol)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,33 @@ class TestFractionalDimension:
 
     def test_raw_formula_takes_averaged_d(self):
         assert bounds.dimension_pg([10], 2.5)[0] == (0.25, Validity.VALID)
+
+
+# every bound_<kind> that takes n, as a function of n
+_BOUNDS_OF_N = {
+    "dimension": lambda n: bound_dimension(2, n),
+    "ea_dimension": lambda n: bound_ea_dimension(2, n),
+    "vacuum": lambda n: bound_vacuum(n, 0.1),
+    "overlap": lambda n: bound_overlap(n, 0.3),
+    "almost_dim": lambda n: bound_almost_dim(2, n, 0.1),
+    "coherent": lambda n: coherent_capacity(0.5, n),
+}
+
+
+class TestIntegerN:
+    @pytest.mark.parametrize("n", [math.nan, 4.5])
+    @pytest.mark.parametrize("kind", list(_BOUNDS_OF_N))
+    def test_rejected(self, kind, n):
+        # nan used to give pg_bound 1.0 with nan bits, and 4.5 a bound for
+        # 4.5 inputs
+        with pytest.raises(ParamOutOfRangeError, match=re.escape(f"n must be an integer, got {n}")):
+            _BOUNDS_OF_N[kind](n)
+
+    @pytest.mark.parametrize("kind", list(_BOUNDS_OF_N))
+    def test_integer_valued_float_accepted(self, kind):
+        res = _BOUNDS_OF_N[kind](4.0)
+        assert repr(res) == repr(_BOUNDS_OF_N[kind](4))
+        assert type(res.n) is int
 
 
 class TestRawFormulas:

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infocap import basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json, pgm, uniform_povm
+from infocap import basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json, pgm, search, uniform_povm
 from infocap.bounds import Validity
 from infocap.cli import main
 from infocap.discrimination import povm_to_json
@@ -837,10 +837,37 @@ def test_state_stack_over_limit_exits_2(runner, argv):
     assert result.exit_code == 2, result.exception
     assert result.stderr == (
         "error: kind vacuum with n=1000 needs 1000 states of dimension 1001 (16032016000 bytes),"
-        f" over the limit of {cli.MAX_STATE_STACK_BYTES} bytes\n"
+        f" over the limit of {search.MAX_STATE_STACK_BYTES} bytes\n"
     )
     assert result.stdout == ""
     assert peak < 2**20
+
+
+def _many_qubit_targets(count):
+    angles = np.linspace(0.0, math.pi, count, endpoint=False)
+    vectors = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
+    return _Doc(ensemble_to_json(ensemble_from_vectors(vectors)))
+
+
+@pytest.mark.parametrize(
+    ("argv", "stderr"),
+    [
+        (["search", "vacuum", "--n", "1000", "--omega", "0.1", "--restarts", "0"],
+         "error: kind vacuum with n=1000 needs 1000 states of dimension 1001 (16032016000 bytes),"
+         " over the limit of 268435456 bytes\n"),
+        # a distrust search has n = 2 000, the number of its targets
+        (["search", "distrust", "--n", "2", "--eps", "0.1", "--targets", _many_qubit_targets(2000)],
+         "error: kind distrust with n=2000 needs 2000 states of dimension 2002 (128256128000 bytes),"
+         " over the limit of 268435456 bytes\n"),
+    ],
+    ids=["before_restarts", "before_n"],
+)
+def test_state_stack_error_precedence_pinned(runner, tmp_path, argv, stderr):
+    # the state-stack refusal comes before the --restarts and --n checks
+    result = runner.invoke(main, _write_args(tmp_path, argv))
+    assert result.exit_code == 2, result.exception
+    assert result.stderr == stderr
+    assert result.stdout == ""
 
 
 class TestReferenceChecks:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from infocap import AlmostDim, Distrust, UniformOverlap, Vacuum, tightness_search
+from infocap import AlmostDim, Distrust, UniformOverlap, Vacuum, search, tightness_search
 from infocap.checks import random_unit
+from infocap.cli import _KINDS
 from infocap.errors import ParamOutOfRangeError
 from infocap.search import almost_dim_seed
 
@@ -73,6 +76,69 @@ class TestOptions:
         with pytest.raises(ParamOutOfRangeError, match="n must equal the 3 targets"):
             tightness_search(a, 99, restarts=1)
         assert tightness_search(a, 3, restarts=1).n == 3
+
+
+def _qubit_targets(count):
+    angles = np.linspace(0.0, np.pi, count, endpoint=False)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
+
+
+class TestStateStack:
+    @pytest.mark.parametrize(
+        ("assumption", "n", "message"),
+        [
+            # 1 000 states of dimension 1 001 take 14.9 GiB
+            (Vacuum(omega=0.1), 1000,
+             "kind vacuum with n=1000 needs 1000 states of dimension 1001 (16032016000 bytes),"
+             " over the limit of 268435456 bytes"),
+            # 2 000 qubit targets give 2 000 states of dimension 2 002, 119 GiB
+            (Distrust(targets=_qubit_targets(2000), eps=0.1), None,
+             "kind distrust with n=2000 needs 2000 states of dimension 2002 (128256128000 bytes),"
+             " over the limit of 268435456 bytes"),
+        ],
+        ids=["vacuum", "distrust"],
+    )
+    def test_over_limit_refused_before_it_is_built(self, assumption, n, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParamOutOfRangeError) as info:
+                tightness_search(assumption, n, restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 2**20
+
+
+# two parameter points per kind: the assumption on n inputs, and the CLI
+# kind and parameters of its `sweep --with-oracle` construction (if any)
+_STACK_CASES = [
+    (lambda n: Vacuum(omega=0.1), "vacuum", (0.1,)),
+    (lambda n: Vacuum(omega=0.4), "vacuum", (0.4,)),
+    (lambda n: UniformOverlap(a=0.2), "overlap", (0.2,)),
+    (lambda n: UniformOverlap(a=0.8), "overlap", (0.8,)),
+    (lambda n: AlmostDim(d=2, eps=0.1), "almost-dim", (2, 0.1)),
+    (lambda n: AlmostDim(d=5, eps=0.3), "almost-dim", (5, 0.3)),
+    (lambda n: Distrust(targets=_qubit_targets(n), eps=0.1), None, ()),
+    (lambda n: Distrust(targets=np.eye(3, dtype=complex)[np.arange(n) % 3], eps=0.3), None, ()),
+]
+
+
+class TestStateDims:
+    def test_every_search_kind_covered(self):
+        assert {case(2).kind for case, _, _ in _STACK_CASES} == set(search._PLANS)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("case", range(len(_STACK_CASES)))
+    def test_declared_dim_covers_what_is_built(self, case, n):
+        build, cli_kind, params = _STACK_CASES[case]
+        a = build(n)
+        declared = search._STATE_DIMS[a.kind](a, n)
+        assert declared >= search._PLANS[a.kind](a, n, 1e-10).seed_vectors.shape[1]
+        if cli_kind is not None:
+            ens = _KINDS[cli_kind].construction(n, *params)
+            assert ens is not None
+            assert declared >= ens.dim
 
 
 class TestDeterminism:
