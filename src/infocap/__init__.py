@@ -43,7 +43,6 @@ from .ensembles import (
     UniformOverlap,
     Vacuum,
     almost_qubit_epsilon,
-    almost_qudit_ensemble,
     basis_ensemble,
     check_assumption,
     coherent_state,

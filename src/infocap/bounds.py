@@ -34,8 +34,14 @@ from .ensembles import (
     StateEnsemble,
     UniformOverlap,
     Vacuum,
+    almost_dim_seed,
     almost_qubit_epsilon,
     assumption_to_json,
+    basis_ensemble,
+    dense_coding_ensemble,
+    ensemble_from_vectors,
+    equiangular_ensemble,
+    vacuum_cone_ensemble,
 )
 from .errors import NonFiniteError, ParamOutOfRangeError, ZeroProjectionError
 
@@ -374,3 +380,39 @@ def coherent_capacity(nbar: float, n: int) -> BoundResult:
     assumption = coherent_assumption(nbar)
     note = f"mean photon number {nbar:.9g} mapped to eps={assumption.eps:.9g}"
     return _result(pg, assumption, n, validity, note=note)
+
+
+def _vacuum_witness(n: int, omega: float):
+    if omega > (n - 1) / n:  # the bound is trivially 1 there, and the cone undefined
+        return None
+    ens, vacuum = vacuum_cone_ensemble(n, omega)
+    return ens, Vacuum(omega=omega), {"vacuum_vector": vacuum}
+
+
+def _almost_dim_witness(n: int, d: int, eps: float):
+    vectors, projector = almost_dim_seed(d, n, eps)
+    return ensemble_from_vectors(vectors), AlmostDim(d=d, eps=eps, projector=projector), {}
+
+
+def _distrust_witness(n: int, d: int, eps: float):
+    # the sector seed, each state's target the normalized projection of the
+    # state onto its sector anchor: fidelity 1-eps, and targets worth d/n
+    vectors, projector = almost_dim_seed(d, n, eps)
+    anchored = vectors @ projector.T
+    targets = anchored / np.linalg.norm(anchored, axis=1, keepdims=True)
+    return ensemble_from_vectors(vectors), Distrust(targets=targets, eps=eps), {}
+
+
+# Each kind's saturating witness, keyed by assumption class: (n, *params) ->
+# (ensemble, the assumption carrying the witness data, membership context
+# for check_assumption), or None where there is none.  The params are the
+# kind's CLI columns, but (d, eps) for distrust, whose witness defines its
+# targets; almost-dim and distrust witnesses are tight where d divides n.
+WITNESSES = {
+    Dimension: lambda n, d: (basis_ensemble(d, n), Dimension(d=d), {}),
+    EADimension: lambda n, d: (dense_coding_ensemble(d, n), EADimension(d=d), {"subsystem_dims": (d, d)}),
+    Vacuum: _vacuum_witness,
+    UniformOverlap: lambda n, a: (equiangular_ensemble(n, a), UniformOverlap(a=a), {}),
+    AlmostDim: _almost_dim_witness,
+    Distrust: _distrust_witness,
+}

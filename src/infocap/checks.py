@@ -34,12 +34,8 @@ from .ensembles import (
     StateEnsemble,
     UniformOverlap,
     Vacuum,
-    basis_ensemble,
     check_assumption,
-    dense_coding_ensemble,
     ensemble_from_vectors,
-    equiangular_ensemble,
-    vacuum_cone_ensemble,
 )
 from .randomness import (
     SRStrategy,
@@ -50,7 +46,7 @@ from .randomness import (
     mixture_guess_value,
     scalar_param,
 )
-from .search import almost_dim_seed, distrust_seed, tightness_search
+from .search import distrust_seed, tightness_search
 
 
 @dataclass(frozen=True)
@@ -190,47 +186,40 @@ def _member_distrust(rng: np.random.Generator):
 # function of the average parameter, aux)
 
 
+def _witness_strategy(cls, weights, points):
+    """The strategy of witnesses of ``cls`` at ``points``, and their aux."""
+    witnesses = [bounds.WITNESSES[cls](*point) for point in points]
+    branches = tuple((w, e, a) for w, (e, a, _) in zip(weights, witnesses))
+    return SRStrategy(branches), [aux for _, _, aux in witnesses]
+
+
 def _average_dimension(rng: np.random.Generator, weights: tuple[float, float]):
     n = int(rng.integers(4, 7))
     ds = [int(rng.integers(1, 5)) for _ in range(2)]
-    branches = tuple(
-        (w, basis_ensemble(d, n), Dimension(d=d)) for w, d in zip(weights, ds)
-    )
+    strategy, aux = _witness_strategy(Dimension, weights, [(n, d) for d in ds])
     # the averaged d is fractional, which only the raw formula accepts
-    return SRStrategy(branches), lambda avg: bounds.dimension_pg([n], avg)[0][0], None
+    return strategy, lambda avg: bounds.dimension_pg([n], avg)[0][0], aux
 
 
 def _average_vacuum(rng: np.random.Generator, weights: tuple[float, float]):
     n = int(rng.integers(2, 6))
     omegas = [float(rng.uniform(0.0, (n - 1) / n)) for _ in range(2)]
-    built = [vacuum_cone_ensemble(n, w) for w in omegas]
-    branches = tuple(
-        (wgt, ens, Vacuum(omega=om)) for wgt, (ens, _), om in zip(weights, built, omegas)
-    )
-    aux = [{"vacuum_vector": vac} for _, vac in built]
-    return SRStrategy(branches), lambda avg: bounds.bound_vacuum(n, avg).pg_bound, aux
+    strategy, aux = _witness_strategy(Vacuum, weights, [(n, w) for w in omegas])
+    return strategy, lambda avg: bounds.bound_vacuum(n, avg).pg_bound, aux
 
 
 def _average_overlap(rng: np.random.Generator, weights: tuple[float, float]):
     n = int(rng.integers(2, 6))
     overlaps = [float(rng.uniform(0.05, 0.95)) for _ in range(2)]
-    branches = tuple(
-        (w, equiangular_ensemble(n, a), UniformOverlap(a=a))
-        for w, a in zip(weights, overlaps)
-    )
-    return SRStrategy(branches), lambda avg: bounds.bound_overlap(n, avg).pg_bound, None
+    strategy, aux = _witness_strategy(UniformOverlap, weights, [(n, a) for a in overlaps])
+    return strategy, lambda avg: bounds.bound_overlap(n, avg).pg_bound, aux
 
 
 def _average_almost_dim(rng: np.random.Generator, weights: tuple[float, float]):
     d, n = 2, 4
     epss = [float(rng.uniform(0.0, 0.4)) for _ in range(2)]
-    branches = []
-    for w, eps in zip(weights, epss):
-        vecs, proj = almost_dim_seed(d, n, eps)
-        branches.append(
-            (w, ensemble_from_vectors(vecs), AlmostDim(d=d, eps=eps, projector=proj))
-        )
-    return SRStrategy(tuple(branches)), lambda avg: bounds.bound_almost_dim(d, n, avg).pg_bound, None
+    strategy, aux = _witness_strategy(AlmostDim, weights, [(n, d, eps) for eps in epss])
+    return strategy, lambda avg: bounds.bound_almost_dim(d, n, avg).pg_bound, aux
 
 
 def _average_distrust(rng: np.random.Generator, weights: tuple[float, float]):
@@ -261,35 +250,55 @@ _SAMPLERS = {
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
+# A saturation measure maps (grid point, witness ensemble, its oracle result,
+# the bound there) to a number whose largest value over a grid is checked.
 
 
-def _check_dimension_saturation() -> tuple[bool, str]:
-    worst_pg, worst_info = 0.0, -1.0
-    for d in range(1, 5):
-        for n in range(1, 13):
-            res = optimize_discrimination(basis_ensemble(d, n), tol=1e-12)
-            target = min(1.0, d / n)
-            worst_pg = max(worst_pg, abs(res.value - target))
-            # d = 1 values can sit one ulp below 1/n; the clamp is expected
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                info = accessible_information(n, res.value)
-            worst_info = max(worst_info, info - math.log2(d))
-    ok = worst_pg <= 1e-8 and worst_info <= 1e-9
-    return ok, f"max |pg - d/n| = {worst_pg:.2e}, max info excess = {worst_info:.2e}"
+def _oracle_gap(point, e, res, bound) -> float:
+    return abs(res.value - bound.pg_bound)
 
 
-def _check_ea_dimension_saturation() -> tuple[bool, str]:
-    worst_pg, worst_info = 0.0, -1.0
-    for d in (2, 3):
-        for n in (d * d, 2 * d * d, 30):
-            res = optimize_discrimination(dense_coding_ensemble(d, n), tol=1e-12)
-            target = min(1.0, d * d / n)
-            worst_pg = max(worst_pg, abs(res.value - target))
-            info = accessible_information(n, res.value)
-            worst_info = max(worst_info, info - 2.0 * math.log2(d))
-    ok = worst_pg <= 1e-6 and worst_info <= 1e-6
-    return ok, f"max |pg - d^2/n| = {worst_pg:.2e}, max info excess = {worst_info:.2e}"
+def _info_excess(point, e, res, bound) -> float:
+    # d = 1 values can sit one ulp below 1/n; the clamp is expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return accessible_information(e.n, res.value) - bound.info_bits
+
+
+def _pgm_gap(point, e, res, bound) -> float:
+    return abs(guess_value(e, pgm(e)) - bound.pg_bound)
+
+
+def _bordered_gram_eig(point, e, res, bound) -> float:
+    # zero when min_overlap_vacuum is the least overlap keeping it PSD
+    n, omega = point
+    a = bounds.min_overlap_vacuum(n, omega)
+    gram = np.empty((n + 1, n + 1))
+    gram[:n, :n] = (1.0 - a) * np.eye(n) + a * np.ones((n, n))
+    gram[:n, n] = gram[n, :n] = math.sqrt(1.0 - omega)
+    gram[n, n] = 1.0
+    return abs(linalg.min_eigenvalue(gram))
+
+
+def _saturation(cls, grid, bound, *measures) -> Callable[[], tuple[bool, str]]:
+    """The check that the witness of ``cls`` in bounds.WITNESSES attains its
+    bound at each point (n, *params) of ``grid``: the witness is a member of
+    its assumption, and each measure (label, function, limit) stays within
+    its limit.  ``bound`` maps the witness's assumption and n to the bound."""
+
+    def check() -> tuple[bool, str]:
+        worst = [-math.inf] * len(measures)
+        for point in grid:
+            e, assumption, aux = bounds.WITNESSES[cls](*point)
+            report = check_assumption(e, assumption, **aux)
+            if not report.satisfied:
+                return False, f"{cls.kind}: witness at {point} not a member (slack {report.worst_slack:.2e})"
+            res, at = optimize_discrimination(e, tol=1e-12), bound(assumption, point[0])
+            worst = [max(w, f(point, e, res, at)) for w, (_, f, _) in zip(worst, measures)]
+        ok = all(w <= limit for w, (_, _, limit) in zip(worst, measures))
+        return ok, f"{cls.kind}: " + ", ".join(f"max {m[0]} = {w:.2e}" for w, m in zip(worst, measures))
+
+    return check
 
 
 def _check_ea_counterexample() -> tuple[bool, str]:
@@ -304,19 +313,6 @@ def _check_ea_counterexample() -> tuple[bool, str]:
     return ok, f"peak = {peak:.6f}, average = {average:.6f}, bound at avg dim = {cap:.6f}"
 
 
-def _check_overlap_closed_form() -> tuple[bool, str]:
-    worst_pgm, worst_oracle = 0.0, -1.0
-    for n in range(2, 7):
-        for a in np.linspace(0.0, 1.0, 21):
-            e = equiangular_ensemble(n, float(a))
-            cap = bounds.bound_overlap(n, float(a)).pg_bound
-            worst_pgm = max(worst_pgm, abs(guess_value(e, pgm(e)) - cap))
-            res = optimize_discrimination(e, tol=1e-12)
-            worst_oracle = max(worst_oracle, res.value - cap)
-    ok = worst_pgm <= 1e-10 and worst_oracle <= 1e-8
-    return ok, f"max |pgm - bound| = {worst_pgm:.2e}, max oracle excess = {worst_oracle:.2e}"
-
-
 def _check_helstrom_pairs() -> tuple[bool, str]:
     rng = np.random.default_rng(20240501)
     worst = 0.0
@@ -328,25 +324,6 @@ def _check_helstrom_pairs() -> tuple[bool, str]:
         res = optimize_discrimination(ensemble_from_vectors(np.stack([v1, v2])), tol=1e-12)
         worst = max(worst, abs(res.value - expected))
     return worst <= 1e-8, f"max |oracle - helstrom| = {worst:.2e}"
-
-
-def _check_vacuum_saturation() -> tuple[bool, str]:
-    worst_val, worst_eig = 0.0, 0.0
-    for n in range(2, 7):
-        for omega in np.linspace(0.0, (n - 1) / n, 11):
-            omega = float(omega)
-            e, _ = vacuum_cone_ensemble(n, omega)
-            cap = bounds.bound_vacuum(n, omega).pg_bound
-            res = optimize_discrimination(e, tol=1e-12)
-            worst_val = max(worst_val, abs(res.value - cap))
-            a = bounds.min_overlap_vacuum(n, omega)
-            gram = np.empty((n + 1, n + 1))
-            gram[:n, :n] = (1.0 - a) * np.eye(n) + a * np.ones((n, n))
-            gram[:n, n] = gram[n, :n] = math.sqrt(1.0 - omega)
-            gram[n, n] = 1.0
-            worst_eig = max(worst_eig, abs(linalg.min_eigenvalue(gram)))
-    ok = worst_val <= 1e-6 and worst_eig <= 1e-9
-    return ok, f"max |oracle - bound| = {worst_val:.2e}, max |min eig| = {worst_eig:.2e}"
 
 
 def _random_lemma_triple(rng: np.random.Generator):
@@ -382,11 +359,16 @@ def _check_deviation_vacuum_identity() -> tuple[bool, str]:
 
 
 def _check_almost_dim_search() -> tuple[bool, str]:
-    worst = 0.0
-    for eps in (0.01, 0.05, 0.1):
-        rep = tightness_search(AlmostDim(d=2, eps=eps), n=4, restarts=16, seed=0, tol=1e-10)
-        worst = max(worst, rep.gap)
-    return worst <= 1e-3, f"max bound - best = {worst:.2e} over eps in {{0.01, 0.05, 0.1}}"
+    gaps = [
+        tightness_search(AlmostDim(d=2, eps=eps), n=4, restarts=16, seed=0, tol=1e-10).gap
+        for eps in (0.01, 0.05, 0.1)
+    ]
+    # a negative gap is a search value above the bound: an unsound bound
+    ok = max(gaps) <= 1e-3 and min(gaps) >= -1e-9
+    return ok, (
+        f"almost_dim: max bound - best = {max(gaps):.2e}, min bound - best = {min(gaps):.2e}"
+        " over eps in {0.01, 0.05, 0.1}"
+    )
 
 
 def _check_soundness_sweep(samples_per_assumption: int = 1000) -> tuple[bool, str]:
@@ -489,13 +471,35 @@ def _check_cli_determinism() -> tuple[bool, str]:
     return all(same.values()), f"search byte-identical: {same['search']}, sweep byte-identical: {same['sweep']}"
 
 
+# the almost-dim and distrust witnesses attain their bounds where d divides n
+_SECTOR_GRID = [(n, d, eps) for d, n in ((2, 4), (2, 6), (3, 6), (2, 8), (3, 9))
+                for eps in (0.0, 0.01, 0.05, 0.1, 0.2, 0.3)]
+_GAP = "|oracle - bound|", _oracle_gap
+
 _CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
-    "dimension_saturation": _check_dimension_saturation,
-    "ea_dimension_saturation": _check_ea_dimension_saturation,
+    "dimension_saturation": _saturation(
+        Dimension, [(n, d) for d in range(1, 5) for n in range(1, 13)],
+        lambda a, n: bounds.bound_dimension(a.d, n),
+        ("|pg - d/n|", _oracle_gap, 1e-8), ("info excess", _info_excess, 1e-9)),
+    "ea_dimension_saturation": _saturation(
+        EADimension, [(n, d) for d in (2, 3) for n in (d * d, 2 * d * d, 30)],
+        lambda a, n: bounds.bound_ea_dimension(a.d, n),
+        ("|pg - d^2/n|", _oracle_gap, 1e-6), ("info excess", _info_excess, 1e-6)),
     "ea_average_counterexample": _check_ea_counterexample,
-    "overlap_pgm_closed_form": _check_overlap_closed_form,
+    "overlap_pgm_closed_form": _saturation(
+        UniformOverlap, [(n, float(a)) for n in range(2, 7) for a in np.linspace(0.0, 1.0, 21)],
+        lambda a, n: bounds.bound_overlap(n, a.a),
+        ("|pgm - bound|", _pgm_gap, 1e-10), (*_GAP, 1e-8)),
     "helstrom_reduction": _check_helstrom_pairs,
-    "vacuum_saturation": _check_vacuum_saturation,
+    "vacuum_saturation": _saturation(
+        Vacuum, [(n, float(w)) for n in range(2, 7) for w in np.linspace(0.0, (n - 1) / n, 11)],
+        lambda a, n: bounds.bound_vacuum(n, a.omega),
+        (*_GAP, 1e-6), ("|min eig|", _bordered_gram_eig, 1e-9)),
+    "almost_dim_saturation": _saturation(
+        AlmostDim, _SECTOR_GRID, lambda a, n: bounds.bound_almost_dim(a.d, n, a.eps), (*_GAP, 1e-9)),
+    "distrust_saturation": _saturation(
+        Distrust, _SECTOR_GRID,
+        lambda a, n: bounds.bound_distrust(ensemble_from_vectors(a.targets), a.eps), (*_GAP, 1e-9)),
     "operator_lemma_regression": _check_lemma,
     "deviation_vacuum_identity": _check_deviation_vacuum_identity,
     "almost_dim_tightness_search": _check_almost_dim_search,

@@ -37,12 +37,10 @@ from .ensembles import (
     assumption_to_json,
     ensemble_from_json,
     ensemble_from_vectors,
-    equiangular_ensemble,
-    vacuum_cone_ensemble,
 )
 from .errors import FileFaultError, InfocapError, NonFiniteError, ParamOutOfRangeError
 from .randomness import ea_average_counterexample
-from .search import almost_dim_seed, check_state_stack, tightness_search
+from .search import check_state_stack, tightness_search
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -124,8 +122,8 @@ class _Kind:
     the column holds the targets' certified guessing value instead of n.
     ``assumption`` builds the recorded assumption from the columns (and
     ``targets``) as keywords.
-    ``sweep_axis`` names the column `sweep` varies and ``construction`` maps
-    (n, *params) to a saturating ensemble (or None) for --with-oracle.
+    ``sweep_axis`` names the column `sweep` varies; --with-oracle takes its
+    ensembles from the row of ``assumption`` in ``bounds.WITNESSES``.
     ``search`` says whether `search` supports the kind, and ``targets``
     whether it takes a targets file.
     """
@@ -134,7 +132,6 @@ class _Kind:
     formula: Callable[..., list[tuple[float, bounds.Validity]]]
     assumption: Callable[..., Assumption]
     sweep_axis: str | None = None
-    construction: Callable | None = None
     search: bool = False
     targets: bool = False
 
@@ -149,30 +146,9 @@ class _Kind:
 _KINDS = {
     "dimension": _Kind(("d",), bounds.dimension_pg, Dimension),
     "ea-dimension": _Kind(("d",), bounds.ea_dimension_pg, EADimension),
-    "vacuum": _Kind(
-        ("omega",),
-        bounds.vacuum_pg,
-        Vacuum,
-        sweep_axis="omega",
-        construction=lambda n, w: vacuum_cone_ensemble(n, w)[0] if w <= (n - 1) / n else None,
-        search=True,
-    ),
-    "overlap": _Kind(
-        ("a",),
-        bounds.overlap_pg,
-        UniformOverlap,
-        sweep_axis="a",
-        construction=equiangular_ensemble,
-        search=True,
-    ),
-    "almost-dim": _Kind(
-        ("d", "eps"),
-        bounds.almost_dim_pg,
-        AlmostDim,
-        sweep_axis="eps",
-        construction=lambda n, d, e: ensemble_from_vectors(almost_dim_seed(d, n, e)[0]),
-        search=True,
-    ),
+    "vacuum": _Kind(("omega",), bounds.vacuum_pg, Vacuum, sweep_axis="omega", search=True),
+    "overlap": _Kind(("a",), bounds.overlap_pg, UniformOverlap, sweep_axis="a", search=True),
+    "almost-dim": _Kind(("d", "eps"), bounds.almost_dim_pg, AlmostDim, sweep_axis="eps", search=True),
     "coherent": _Kind(("nbar",), bounds.coherent_pg, bounds.coherent_assumption, sweep_axis="nbar"),
     "distrust": _Kind(("eps",), bounds.deviation_pg, Distrust, search=True, targets=True),
 }
@@ -371,7 +347,8 @@ def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
         raise ParamOutOfRangeError("need at least one grid point")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ParamOutOfRangeError(f"need a finite --start and --stop, got {start} and {stop}")
-    if with_oracle and spec.construction is None:
+    witness = bounds.WITNESSES.get(spec.assumption)
+    if with_oracle and witness is None:
         raise ParamOutOfRangeError(f"kind {kind} has no saturating construction for --with-oracle")
     axis = np.linspace(start, stop, points)
     header = [spec.sweep_axis, "pg_bound", "info_bits"]
@@ -387,13 +364,13 @@ def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
         if with_oracle:
             # the row's bound has checked n and the parameters
             check_state_stack(spec.assumption(**dict(zip(spec.columns, params))), n)
-            ens = spec.construction(n, *params)
-            if ens is None:
+            found = witness(n, *params)
+            if found is None:
                 raise ParamOutOfRangeError(
                     f"no saturating {kind} construction at {spec.sweep_axis}={_fmt9(x)}"
                     " for --with-oracle"
                 )
-            row.append(_fmt9(optimize_discrimination(ens, tol=tol).value))
+            row.append(_fmt9(optimize_discrimination(found[0], tol=tol).value))
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", output)
 
@@ -434,12 +411,14 @@ def sr_demo(tol, strategy_file):
     mixture value, its classical-register embedding and the log-averaged
     information of the given strategy."""
     if strategy_file:
-        from .randomness import averaged_log_pg, embed_cq, mixture_guess_value, strategy_from_json
+        from .randomness import averaged_log_pg, branch_values, embed_cq, mixture_guess_value, strategy_from_json
 
         s = _load(strategy_file, strategy_from_json, "strategy")
-        mixture = mixture_guess_value(s, tol=tol)
+        # each branch is solved once, for both accountings
+        values = branch_values(s, tol=tol)
+        mixture = mixture_guess_value(s, values=values)
         embedded = optimize_discrimination(embed_cq(s), tol=tol).value
-        averaged = averaged_log_pg(s, tol=tol)
+        averaged = averaged_log_pg(s, values=values)
         click.echo(f"branches: {len(s.branches)}, n = {s.n}, kind = {s.kind}")
         click.echo(f"mixture guessing value:            {mixture:.9f}")
         click.echo(f"embedded-ensemble guessing value:  {embedded:.9f}")

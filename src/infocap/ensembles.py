@@ -4,8 +4,8 @@ An ensemble is ``n`` density matrices of a common dimension with a uniform
 prior 1/n hard-coded; all capacity results here assume uniform inputs.
 Constructors build the standard extremal families: computational bases,
 dense-coding orbits of a maximally entangled state, equiangular sets,
-vacuum-centred cones and almost-qudit states with small out-of-subspace
-tails.
+vacuum-centred cones and the orthogonal sector cones of almost-qudit
+states.
 """
 
 from __future__ import annotations
@@ -512,25 +512,31 @@ def vacuum_cone_ensemble(n: int, omega: float) -> tuple[StateEnsemble, np.ndarra
     return ensemble_from_vectors(vectors[:n]), vacuum
 
 
-def almost_qudit_ensemble(d: int, n: int, eps: float) -> tuple[StateEnsemble, np.ndarray]:
-    """n pure states with weight exactly 1-eps inside a fixed d-dim subspace.
-
-    States are sqrt(1-eps) |e_{x mod d}> plus sqrt(eps) times mutually
-    orthogonal tail vectors.  Returns (ensemble, projector onto the
-    d-dimensional subspace).
-    """
-    if d < 1 or n < 1 or d > n:
-        raise ParamOutOfRangeError("need 1 <= d <= n")
-    if not 0.0 <= eps <= 1.0:
-        raise ParamOutOfRangeError("eps must lie in [0, 1]")
-    dim = d + n
-    vecs = np.zeros((n, dim), dtype=complex)
-    for x in range(n):
-        vecs[x, x % d] = math.sqrt(1.0 - eps)
-        vecs[x, d + x] = math.sqrt(eps)
-    projector = np.zeros((dim, dim), dtype=complex)
-    projector[:d, :d] = np.eye(d)
-    return ensemble_from_vectors(vecs), projector
+def almost_dim_seed(d: int, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sector-cone seed: d orthogonal blocks, each a vacuum-style cone of
+    deviation eps over its share of the n inputs.  Returns (vectors,
+    projector onto the d anchor directions).  Its value, the weighted sector
+    value, meets the almost-dimension bound exactly when d divides n."""
+    sizes = [n // d + (1 if i < n % d else 0) for i in range(d)]
+    blocks: list[np.ndarray] = []  # per block: (m_i + 1, dim_i), anchor last
+    for m in sizes:
+        if m == 1:
+            blocks.append(np.ones((2, 1), dtype=complex))  # state equals the anchor
+        elif m > 1:
+            ens, anchor = vacuum_cone_ensemble(m, min(eps, (m - 1) / m))
+            blocks.append(np.vstack([ens.state_vectors(), anchor[None, :]]))
+    total = sum(b.shape[1] for b in blocks)
+    vectors = np.zeros((n, total), dtype=complex)
+    projector = np.zeros((total, total), dtype=complex)
+    x = offset = 0
+    for b in blocks:
+        m, dim_b = b.shape[0] - 1, b.shape[1]
+        vectors[x : x + m, offset : offset + dim_b] = b[:m]
+        anchor = np.zeros(total, dtype=complex)
+        anchor[offset : offset + dim_b] = b[-1]
+        projector += np.outer(anchor, anchor.conj())
+        x, offset = x + m, offset + dim_b
+    return vectors, projector
 
 
 def coherent_state(alpha_mag: float, phase: float, cutoff: int) -> np.ndarray:

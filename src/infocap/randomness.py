@@ -28,7 +28,6 @@ from .ensembles import (
     assumption_from_json,
     assumption_to_json,
     check_assumption,
-    dense_coding_ensemble,
     ensemble_from_json,
     ensemble_to_json,
     slack_report,
@@ -70,12 +69,17 @@ class SRStrategy:
         return self.branches[0][2].kind
 
 
-def mixture_guess_value(s: SRStrategy, tol: float = 1e-10) -> float:
+def branch_values(s: SRStrategy, tol: float = 1e-10) -> list[float]:
+    """The optimal guessing value Pg(branch_l) of each branch, in order."""
+    return [optimize_discrimination(e, tol=tol).value for _, e, _ in s.branches]
+
+
+def mixture_guess_value(s: SRStrategy, tol: float = 1e-10, values: list[float] | None = None) -> float:
     """Weighted branch-wise optimal guessing value: the receiver knows the
-    branch, so the strategy value is sum_l q_l Pg(branch_l)."""
-    return float(
-        sum(q * optimize_discrimination(e, tol=tol).value for q, e, _ in s.branches)
-    )
+    branch, so the strategy value is sum_l q_l Pg(branch_l).  ``values``
+    are the branch values if already solved, else branch_values(s, tol)."""
+    values = branch_values(s, tol) if values is None else values
+    return float(sum(q * v for (q, _, _), v in zip(s.branches, values)))
 
 
 def embed_cq(s: SRStrategy) -> StateEnsemble:
@@ -151,14 +155,13 @@ def check_average(s: SRStrategy, gamma_target: float, aux=None) -> MembershipRep
     return slack_report(slacks, note=f"branch average {avg:.12g} vs target {gamma_target:.12g}")
 
 
-def averaged_log_pg(s: SRStrategy, tol: float = 1e-10) -> float:
+def averaged_log_pg(s: SRStrategy, tol: float = 1e-10, values: list[float] | None = None) -> float:
     """Alternative accounting that averages the log of the branch guessing
-    values: log2(n) + sum_l q_l log2 Pg(branch_l).  Read-only; it carries
-    no membership semantics here."""
+    values: log2(n) + sum_l q_l log2 Pg(branch_l), with ``values`` as in
+    mixture_guess_value.  Read-only; it carries no membership semantics."""
     total = 0.0
-    for q, e, _ in s.branches:
-        pg = max(optimize_discrimination(e, tol=tol).value, 1.0 / e.n)
-        total += q * np.log2(pg)
+    for (q, e, _), value in zip(s.branches, branch_values(s, tol) if values is None else values):
+        total += q * np.log2(max(value, 1.0 / e.n))
     return float(np.log2(s.n) + total)
 
 
@@ -170,15 +173,10 @@ def ea_average_counterexample(tol: float = 1e-9) -> tuple[float, float]:
     (weight 1/3) keeps the average message dimension at 3 but reaches
     11/30.  Returns (peak_value, average_value).
     """
-    n = 30
-    peak = optimize_discrimination(dense_coding_ensemble(3, n), tol=tol).value
-    strategy = SRStrategy(
-        branches=(
-            (2.0 / 3.0, dense_coding_ensemble(2, n), EADimension(d=2)),
-            (1.0 / 3.0, dense_coding_ensemble(5, n), EADimension(d=5)),
-        )
-    )
-    average = mixture_guess_value(strategy, tol=tol)
+    n, witness = 30, bounds.WITNESSES[EADimension]
+    peak = optimize_discrimination(witness(n, 3)[0], tol=tol).value
+    branches = tuple((q, *witness(n, d)[:2]) for q, d in ((2.0 / 3.0, 2), (1.0 / 3.0, 5)))
+    average = mixture_guess_value(SRStrategy(branches), tol=tol)
     return float(peak), float(average)
 
 

@@ -7,13 +7,11 @@ the defining inequality holds with equality), and every candidate is
 refined by the discrimination oracle.  The report compares the best value
 found against the closed-form bound.
 
-Saturating seeds: the vacuum and overlap assumptions use their cone and
-equiangular constructions directly.  For the almost-dimension assumption
-the seed splits the n inputs into d sectors and builds an independent
-vacuum-style cone with deviation eps inside each sector; the sectors are
-mutually orthogonal, so the ensemble value is the weighted sector value,
-which meets the deviation bound exactly when d divides n.  The distrust
-seed attaches orthogonal tails of weight eps to the targets; it is a
+Saturating seeds: the vacuum, overlap and almost-dimension seeds are the
+kinds' witnesses in ``bounds.WITNESSES``.  The almost-dimension seed
+(``ensembles.almost_dim_seed``) is perturbed through its own vectors, of
+which the witness ensemble holds only the states.  The distrust seed
+attaches orthogonal tails of weight eps to the user's targets; it is a
 feasible point but generally not optimal.
 """
 
@@ -24,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import (
+    WITNESSES,
     BoundResult,
     bound_almost_dim,
     bound_distrust,
@@ -36,10 +35,11 @@ from .ensembles import (
     Assumption,
     Distrust,
     StateEnsemble,
+    UniformOverlap,
+    Vacuum,
+    almost_dim_seed,
     check_assumption,
     ensemble_from_vectors,
-    equiangular_ensemble,
-    vacuum_cone_ensemble,
 )
 from .errors import ParamOutOfRangeError
 from .linalg import vectors_from_gram
@@ -111,39 +111,6 @@ def _split_and_rescale(
     return np.sqrt(weight) * inside + np.sqrt(1.0 - weight) * outside
 
 
-def almost_dim_seed(d: int, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sector-cone seed: d orthogonal blocks, each a vacuum-style cone of
-    deviation eps over its share of the n inputs.  Returns (vectors,
-    projector onto the d anchor directions)."""
-    sizes = [n // d + (1 if i < n % d else 0) for i in range(d)]
-    blocks: list[np.ndarray] = []  # per block: (m_i + 1, dim_i), anchor last
-    for m in sizes:
-        if m == 0:
-            continue
-        if m == 1:
-            blocks.append(np.ones((2, 1), dtype=complex))  # state equals the anchor
-            continue
-        omega = min(eps, (m - 1) / m)
-        ens, anchor = vacuum_cone_ensemble(m, omega)
-        vecs = ens.state_vectors()
-        blocks.append(np.vstack([vecs, anchor[None, :]]))
-    total = sum(b.shape[1] for b in blocks)
-    vectors = np.zeros((n, total), dtype=complex)
-    projector = np.zeros((total, total), dtype=complex)
-    offset = 0
-    x = 0
-    for b in blocks:
-        m, dim_b = b.shape[0] - 1, b.shape[1]
-        for j in range(m):
-            vectors[x, offset : offset + dim_b] = b[j]
-            x += 1
-        anchor = np.zeros(total, dtype=complex)
-        anchor[offset : offset + dim_b] = b[-1]
-        projector += np.outer(anchor, anchor.conj())
-        offset += dim_b
-    return vectors, projector
-
-
 def distrust_seed(targets: np.ndarray, eps: float) -> np.ndarray:
     n, dim_t = targets.shape
     vectors = np.zeros((n, dim_t + n), dtype=complex)
@@ -188,22 +155,26 @@ class _Plan:
 
 def _vacuum_plan(a, n, tol) -> _Plan:
     bound = bound_vacuum(n, a.omega)
-    ens, vac = vacuum_cone_ensemble(n, min(a.omega, (n - 1) / n))
+    # past omega = (n-1)/n the seed is the cone at (n-1)/n
+    ens, _, aux = WITNESSES[Vacuum](n, min(a.omega, (n - 1) / n))
     seed_vectors = ens.state_vectors()
     dim = seed_vectors.shape[1]
     vacuum_projector = np.zeros((dim, dim), dtype=complex)  # the cone's vacuum is e_0
     vacuum_projector[0, 0] = 1.0
     anchors = np.broadcast_to(vacuum_projector, (n, dim, dim))
-    return _Plan(a, n, bound, seed_vectors, anchors, 1.0 - a.omega, {"vacuum_vector": vac})
+    return _Plan(a, n, bound, seed_vectors, anchors, 1.0 - a.omega, aux)
 
 
 def _overlap_plan(a, n, tol) -> _Plan:
     bound = bound_overlap(n, a.a)
-    return _Plan(a, n, bound, equiangular_ensemble(n, a.a).state_vectors(), None, a.a, {})
+    ens, _, aux = WITNESSES[UniformOverlap](n, a.a)
+    return _Plan(a, n, bound, ens.state_vectors(), None, a.a, aux)
 
 
 def _almost_dim_plan(a, n, tol) -> _Plan:
     bound = bound_almost_dim(a.d, n, a.eps)
+    # restart 0 is the kind's witness, ensemble_from_vectors of these vectors;
+    # the top eigenvectors of its states differ from them in the last bits
     seed_vectors, projector = almost_dim_seed(a.d, n, a.eps)
     witnessed = AlmostDim(d=a.d, eps=a.eps, projector=projector)
     anchors = np.broadcast_to(projector, (n, *projector.shape))

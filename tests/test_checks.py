@@ -1,0 +1,59 @@
+"""Negative controls: a bound made unsound must fail a registered check that
+names its kind.  Each control patches the library from here, for one test."""
+
+import dataclasses
+
+import pytest
+
+from infocap import bounds
+from infocap.checks import run_check
+
+# each witness-table row: its saturation check, the bound function the
+# check evaluates, and the kind its detail names
+_ROWS = [
+    ("dimension_saturation", "bound_dimension", "dimension"),
+    ("ea_dimension_saturation", "bound_ea_dimension", "ea_dimension"),
+    ("overlap_pgm_closed_form", "bound_overlap", "uniform_overlap"),
+    ("vacuum_saturation", "bound_vacuum", "vacuum"),
+    ("almost_dim_saturation", "bound_almost_dim", "almost_dim"),
+    ("distrust_saturation", "bound_distrust", "distrust"),
+]
+
+
+def test_every_witness_has_a_saturation_check():
+    assert {kind for _, _, kind in _ROWS} == {cls.kind for cls in bounds.WITNESSES}
+
+
+@pytest.mark.parametrize(("check", "bound", "kind"), _ROWS, ids=[r[0] for r in _ROWS])
+def test_bound_lowered_by_1e4_fails_its_row(monkeypatch, check, bound, kind):
+    original = getattr(bounds, bound)
+
+    def lowered(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return dataclasses.replace(result, pg_bound=result.pg_bound * (1.0 - 1e-4))
+
+    monkeypatch.setattr(bounds, bound, lowered)
+    result = run_check(check)
+    assert not result.passed, result.detail
+    assert result.detail.startswith(f"{kind}: ")
+
+
+@pytest.mark.parametrize("check", ["almost_dim_saturation", "almost_dim_tightness_search"])
+def test_almost_dim_half_percent_low_fails(monkeypatch, check):
+    original = bounds.almost_dim_pg
+
+    def low(ns, d, eps):
+        return [(pg * 0.995 if d >= 2 else pg, v) for pg, v in original(ns, d, eps)]
+
+    monkeypatch.setattr(bounds, "almost_dim_pg", low)
+    result = run_check(check)
+    assert not result.passed, result.detail
+    assert result.detail.startswith("almost_dim: ")
+
+
+def test_targets_value_two_permille_low_fails(monkeypatch):
+    original = bounds.targets_value
+    monkeypatch.setattr(bounds, "targets_value", lambda targets, tol=1e-10: 0.998 * original(targets, tol))
+    result = run_check("distrust_saturation")
+    assert not result.passed, result.detail
+    assert result.detail.startswith("distrust: ")

@@ -909,3 +909,25 @@ class TestSRDemo:
         assert result.exit_code == 0
         assert "mixture guessing value" in result.output
         assert "1.000000000" in result.output
+
+    def test_strategy_solves_each_branch_once(self, runner, tmp_path, monkeypatch):
+        from infocap import Dimension, SRStrategy, randomness, strategy_to_json
+
+        s = SRStrategy(
+            branches=(
+                (0.3, basis_ensemble(2, 4), Dimension(d=2)),
+                (0.7, basis_ensemble(3, 4), Dimension(d=3)),
+            )
+        )
+        path = write_json(tmp_path / "s.json", strategy_to_json(s))
+        solved = []
+        for module in (cli, randomness):
+            def counted(e, *args, _solve=module.optimize_discrimination, **kwargs):
+                solved.append(e.dim)
+                return _solve(e, *args, **kwargs)
+
+            monkeypatch.setattr(module, "optimize_discrimination", counted)
+        result = runner.invoke(main, ["sr-demo", "--strategy", path])
+        assert result.exit_code == 0
+        # one solve per branch, and one of the embedded 5-dimensional ensemble
+        assert sorted(solved) == [2, 3, 5]

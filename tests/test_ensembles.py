@@ -16,7 +16,6 @@ from infocap import (
     UniformOverlap,
     Vacuum,
     almost_qubit_epsilon,
-    almost_qudit_ensemble,
     basis_ensemble,
     check_assumption,
     coherent_state,
@@ -28,6 +27,7 @@ from infocap import (
     linalg,
     vacuum_cone_ensemble,
 )
+from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
 from infocap.ensembles import assumption_from_json, assumption_to_json
 
@@ -198,31 +198,6 @@ class TestVacuumCone:
             vacuum_cone_ensemble(4, 0.8)
 
 
-class TestAlmostQudit:
-    def test_zero_eps_reduces_to_padded_basis(self):
-        e, proj = almost_qudit_ensemble(2, 4, 0.0)
-        for x, rho in enumerate(e.states):
-            expected = np.zeros((6, 6), dtype=complex)
-            expected[x % 2, x % 2] = 1.0
-            np.testing.assert_allclose(rho, expected, atol=1e-12)
-
-    def test_d_one_is_vacuum_like_with_orthogonal_tails(self):
-        omega = 0.3
-        e, proj = almost_qudit_ensemble(1, 3, omega)
-        vecs = e.state_vectors()
-        amps = np.abs(vecs[:, 0])
-        np.testing.assert_allclose(amps, math.sqrt(1 - omega), atol=1e-10)
-        tails = vecs[:, 1:]
-        np.testing.assert_allclose(
-            tails.conj() @ tails.T, omega * np.eye(3), atol=1e-10
-        )
-
-    def test_subspace_weight_equality(self):
-        e, proj = almost_qudit_ensemble(2, 4, 0.1)
-        weights = np.einsum("ij,xji->x", proj, e.states).real
-        np.testing.assert_allclose(weights, 0.9, atol=1e-10)
-
-
 class TestCoherent:
     def test_vacuum_limit(self):
         v = coherent_state(0.0, 0.0, 4)
@@ -300,15 +275,16 @@ class TestMembership:
         assert not rep.satisfied
 
     def test_almost_dim_heuristic_witness(self):
-        e, proj = almost_qudit_ensemble(2, 4, 0.1)
+        e, _, _ = WITNESSES[AlmostDim](4, 2, 0.1)
         rep = check_assumption(e, AlmostDim(d=2, eps=0.1))
         assert rep.satisfied
         assert "average state" in rep.note
 
     def test_almost_dim_supplied_projector(self):
-        e, proj = almost_qudit_ensemble(2, 4, 0.1)
-        rep = check_assumption(e, AlmostDim(d=2, eps=0.1, projector=proj))
+        e, witnessed, _ = WITNESSES[AlmostDim](4, 2, 0.1)
+        rep = check_assumption(e, AlmostDim(d=2, eps=0.1, projector=witnessed.projector))
         assert rep.satisfied
+        assert rep.note == "supplied projector"
         assert abs(rep.worst_slack) <= 1e-8
 
     def test_distrust_membership(self, rng):
@@ -334,10 +310,8 @@ class TestMembership:
         assert check_assumption(e, UniformOverlap(a=0.4)).worst_slack >= -1e-8
         e, vac = vacuum_cone_ensemble(4, 0.3)
         assert check_assumption(e, Vacuum(omega=0.3), vacuum_vector=vac).worst_slack >= -1e-8
-        e, proj = almost_qudit_ensemble(2, 5, 0.2)
-        assert (
-            check_assumption(e, AlmostDim(d=2, eps=0.2, projector=proj)).worst_slack >= -1e-8
-        )
+        e, witnessed, _ = WITNESSES[AlmostDim](5, 2, 0.2)
+        assert check_assumption(e, witnessed).worst_slack >= -1e-8
 
 
 class TestJson:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from infocap import AlmostDim, Distrust, UniformOverlap, Vacuum, search, tightness_search
+from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
-from infocap.cli import _KINDS
+from infocap.ensembles import almost_dim_seed
 from infocap.errors import ParamOutOfRangeError
-from infocap.search import almost_dim_seed
 
 
 class TestSeeds:
@@ -21,6 +21,20 @@ class TestSeeds:
         # minimal cone overlap 1 - m*eps/(m-1)
         assert abs(np.vdot(vecs[0], vecs[2])) <= 1e-10
         assert abs(np.vdot(vecs[0], vecs[1])) == pytest.approx(0.8, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        ("assumption", "point"),
+        [(Vacuum(omega=0.3), (4, 0.3)), (Vacuum(omega=0.9), (3, 2 / 3)),
+         (UniformOverlap(a=0.4), (3, 0.4)), (AlmostDim(d=2, eps=0.05), (4, 2, 0.05)),
+         (AlmostDim(d=3, eps=0.1), (5, 3, 0.1))],
+        ids=["vacuum", "vacuum_past_bound", "overlap", "almost_dim", "almost_dim_uneven"],
+    )
+    def test_restart_zero_is_the_witness(self, assumption, point):
+        plan = search._PLANS[assumption.kind](assumption, point[0], 1e-10)
+        first = search._candidate(plan, 0, np.random.default_rng(0))
+        witness, _, aux = WITNESSES[type(assumption)](*point)
+        np.testing.assert_allclose(first.states, witness.states, rtol=0, atol=1e-12)
+        assert plan.membership_aux.keys() == aux.keys()
 
 
 class TestVacuumSearch:
@@ -110,35 +124,35 @@ class TestStateStack:
         assert peak < 2**20
 
 
-# two parameter points per kind: the assumption on n inputs, and the CLI
-# kind and parameters of its `sweep --with-oracle` construction (if any)
+# two parameter points per kind: the assumption on n inputs, and the
+# parameters of its witness, which `sweep --with-oracle` builds (if any)
 _STACK_CASES = [
-    (lambda n: Vacuum(omega=0.1), "vacuum", (0.1,)),
-    (lambda n: Vacuum(omega=0.4), "vacuum", (0.4,)),
-    (lambda n: UniformOverlap(a=0.2), "overlap", (0.2,)),
-    (lambda n: UniformOverlap(a=0.8), "overlap", (0.8,)),
-    (lambda n: AlmostDim(d=2, eps=0.1), "almost-dim", (2, 0.1)),
-    (lambda n: AlmostDim(d=5, eps=0.3), "almost-dim", (5, 0.3)),
-    (lambda n: Distrust(targets=_qubit_targets(n), eps=0.1), None, ()),
-    (lambda n: Distrust(targets=np.eye(3, dtype=complex)[np.arange(n) % 3], eps=0.3), None, ()),
+    (lambda n: Vacuum(omega=0.1), (0.1,)),
+    (lambda n: Vacuum(omega=0.4), (0.4,)),
+    (lambda n: UniformOverlap(a=0.2), (0.2,)),
+    (lambda n: UniformOverlap(a=0.8), (0.8,)),
+    (lambda n: AlmostDim(d=2, eps=0.1), (2, 0.1)),
+    (lambda n: AlmostDim(d=5, eps=0.3), (5, 0.3)),
+    (lambda n: Distrust(targets=_qubit_targets(n), eps=0.1), None),
+    (lambda n: Distrust(targets=np.eye(3, dtype=complex)[np.arange(n) % 3], eps=0.3), None),
 ]
 
 
 class TestStateDims:
     def test_every_search_kind_covered(self):
-        assert {case(2).kind for case, _, _ in _STACK_CASES} == set(search._PLANS)
+        assert {case(2).kind for case, _ in _STACK_CASES} == set(search._PLANS)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("case", range(len(_STACK_CASES)))
     def test_declared_dim_covers_what_is_built(self, case, n):
-        build, cli_kind, params = _STACK_CASES[case]
+        build, params = _STACK_CASES[case]
         a = build(n)
         declared = search._STATE_DIMS[a.kind](a, n)
         assert declared >= search._PLANS[a.kind](a, n, 1e-10).seed_vectors.shape[1]
-        if cli_kind is not None:
-            ens = _KINDS[cli_kind].construction(n, *params)
-            assert ens is not None
-            assert declared >= ens.dim
+        if params is not None:
+            found = WITNESSES[type(a)](n, *params)
+            assert found is not None
+            assert declared >= found[0].dim
 
 
 class TestDeterminism:
