@@ -5,7 +5,7 @@ Runs the seeded search over a grid of (n, eps) at d = 2 and tabulates the
 gap between the closed-form bound and the best ensemble found.  The gap
 vanishes whenever d divides n (the orthogonal-sector cone construction is
 exactly optimal there).  For other n the table reports the search's gap,
-not the bound's: a see-saw prototype (ROADMAP item 3) reached the bound
+not the bound's: a see-saw prototype (ROADMAP item 4) reached the bound
 numerically there, to within 3e-15.
 
 Usage: python scripts/almost_dim_tightness.py [restarts] [seed]

@@ -26,10 +26,8 @@ from .discrimination import (
     accessible_information,
     dual_certificate,
     guess_value,
-    helstrom_two,
     optimize_discrimination,
     pgm,
-    uniform_povm,
 )
 from .ensembles import (
     AlmostDim,
@@ -63,7 +61,6 @@ from .randomness import (
     SRStrategy,
     averaged_log_pg,
     check_average,
-    check_peak,
     concavity_probe,
     ea_average_counterexample,
     embed_cq,

@@ -390,6 +390,8 @@ def _vacuum_witness(n: int, omega: float):
 
 
 def _almost_dim_witness(n: int, d: int, eps: float):
+    if n % d:  # the sector seed falls short of the bound there
+        return None
     vectors, projector = almost_dim_seed(d, n, eps)
     return ensemble_from_vectors(vectors), AlmostDim(d=d, eps=eps, projector=projector), {}
 
@@ -397,6 +399,8 @@ def _almost_dim_witness(n: int, d: int, eps: float):
 def _distrust_witness(n: int, d: int, eps: float):
     # the sector seed, each state's target the normalized projection of the
     # state onto its sector anchor: fidelity 1-eps, and targets worth d/n
+    if n % d:
+        return None
     vectors, projector = almost_dim_seed(d, n, eps)
     anchored = vectors @ projector.T
     targets = anchored / np.linalg.norm(anchored, axis=1, keepdims=True)
@@ -407,7 +411,7 @@ def _distrust_witness(n: int, d: int, eps: float):
 # (ensemble, the assumption carrying the witness data, membership context
 # for check_assumption), or None where there is none.  The params are the
 # kind's CLI columns, but (d, eps) for distrust, whose witness defines its
-# targets; almost-dim and distrust witnesses are tight where d divides n.
+# targets; almost-dim and distrust have a witness only where d divides n.
 WITNESSES = {
     Dimension: lambda n, d: (basis_ensemble(d, n), Dimension(d=d), {}),
     EADimension: lambda n, d: (dense_coding_ensemble(d, n), EADimension(d=d), {"subsystem_dims": (d, d)}),

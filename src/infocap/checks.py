@@ -36,6 +36,7 @@ from .ensembles import (
     Vacuum,
     check_assumption,
     ensemble_from_vectors,
+    equal_overlap_gram,
 )
 from .randomness import (
     SRStrategy,
@@ -272,11 +273,7 @@ def _pgm_gap(point, e, res, bound) -> float:
 def _bordered_gram_eig(point, e, res, bound) -> float:
     # zero when min_overlap_vacuum is the least overlap keeping it PSD
     n, omega = point
-    a = bounds.min_overlap_vacuum(n, omega)
-    gram = np.empty((n + 1, n + 1))
-    gram[:n, :n] = (1.0 - a) * np.eye(n) + a * np.ones((n, n))
-    gram[:n, n] = gram[n, :n] = math.sqrt(1.0 - omega)
-    gram[n, n] = 1.0
+    gram = equal_overlap_gram(n, bounds.min_overlap_vacuum(n, omega), border=math.sqrt(1.0 - omega))
     return abs(linalg.min_eigenvalue(gram))
 
 
@@ -388,15 +385,27 @@ def _check_soundness_sweep(samples_per_assumption: int = 1000) -> tuple[bool, st
     return worst <= 1e-6, f"max oracle - bound = {worst:.2e} ({worst_kind})"
 
 
+def _uniform(rng: np.random.Generator) -> float:
+    return rng.uniform(0.0, 1.0)
+
+
+# the concavity probes, (label, seed, bound as a function of the averaged
+# parameter, sampler of that parameter): vacuum and overlap at n = 4, the
+# deviation bound at pg0 = 1/2, and almost_dim at n = 5, jointly in a
+# fractional d and eps
+_CONCAVITY_PROBES = (
+    ("vacuum", 11, lambda w: bounds.bound_vacuum(4, w).pg_bound, _uniform),
+    ("overlap", 12, lambda a: bounds.bound_overlap(4, a).pg_bound, _uniform),
+    ("eps", 13, lambda eps: bounds.bound_eps(0.5, eps), _uniform),
+    ("almost_dim", 14, lambda g: bounds.bound_eps(min(1.0, g[0] / 5), g[1]),
+     lambda rng: np.array([rng.uniform(1.0, 5), rng.uniform(0.0, 1.0)])),
+)
+
+
 def _check_concavity_and_average(strategies_per_kind: int = 100) -> tuple[bool, str]:
-    probes = [
-        concavity_probe("vacuum", 1000, seed=11, n=4),
-        concavity_probe("overlap", 1000, seed=12, n=4),
-        concavity_probe("eps", 1000, seed=13, pg0=0.5),
-        concavity_probe("almost_dim", 1000, seed=14, n=5),
-    ]
-    if any(not p.passed for p in probes):
-        bad = [p.bound_id for p in probes if not p.passed]
+    probes = {label: concavity_probe(f, draw, 1000, seed) for label, seed, f, draw in _CONCAVITY_PROBES}
+    bad = [label for label, p in probes.items() if not p.passed]
+    if bad:
         return False, f"concavity probe failed for {bad}"
     rng = np.random.default_rng(20240504)
     worst = -1.0
@@ -414,7 +423,7 @@ def _check_concavity_and_average(strategies_per_kind: int = 100) -> tuple[bool, 
             excess = mixture_guess_value(strategy, tol=1e-9) - cap(avg)
             if excess > worst:
                 worst, worst_kind = excess, cls.kind
-    min_margin = min(p.min_margin for p in probes)
+    min_margin = min(p.min_margin for p in probes.values())
     return (
         worst <= 1e-6,
         f"probes pass (min margin {min_margin:.2e}); max mixture - bound = {worst:.2e} ({worst_kind})",

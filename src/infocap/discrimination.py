@@ -1,9 +1,8 @@
 """Guessing probabilities for state ensembles.
 
-Contains the pretty good measurement, the Helstrom two-state value, an
-iterative fixed-point optimizer that serves as the numeric oracle for the
-optimal guessing probability, and dual certificates that turn any POVM
-into a certified upper bound.
+Contains the pretty good measurement, an iterative fixed-point optimizer
+that serves as the numeric oracle for the optimal guessing probability,
+and dual certificates that turn any POVM into a certified upper bound.
 """
 
 from __future__ import annotations
@@ -51,11 +50,6 @@ class POVM:
         return self.elements.shape[1]
 
 
-def uniform_povm(n: int, dim: int) -> POVM:
-    """The trivial measurement {1/n, ..., 1/n}."""
-    return POVM(np.stack([np.eye(dim, dtype=complex) / n] * n))
-
-
 @dataclass(frozen=True, eq=False)
 class DualCertificate:
     """Hermitian K with K >= rho_x / n for all x certifies tr(K) >= P_g.
@@ -85,7 +79,7 @@ class GuessingResult:
     povm: POVM
     iterations: int
     converged: bool
-    certificate: DualCertificate = field(repr=False, default=None)
+    certificate: DualCertificate = field(repr=False)
 
 
 def guess_value(e: StateEnsemble, m: POVM) -> float:
@@ -126,18 +120,6 @@ def _pgm_elements(e: StateEnsemble) -> np.ndarray:
         # ill-conditioned S^(-1/2) can leave tiny negative eigenvalues
         elements = _repair_elements(elements)
     return elements
-
-
-def helstrom_two(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Optimal guessing value for two equiprobable states:
-    1/2 + ||rho1 - rho2||_tr / 4."""
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
-    if rho1.shape != rho2.shape:
-        raise DimensionMismatchError("states must share a dimension")
-    diff = linalg.hermitize(rho1 - rho2)
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return 0.5 + trace_norm / 4.0
 
 
 def _repair_elements(elements: np.ndarray) -> np.ndarray:

@@ -458,17 +458,29 @@ def dense_coding_ensemble(d: int, n: int) -> StateEnsemble:
     return ensemble_from_vectors(vecs)
 
 
+def equal_overlap_gram(n: int, a: float, border: float | None = None) -> np.ndarray:
+    """The real Gram matrix (1-a) I + a J of n unit vectors with pairwise
+    overlap ``a``.  With a ``border``, one more unit vector follows them,
+    with overlap ``border`` to each (the bordered Gram matrix)."""
+    size = n if border is None else n + 1
+    gram = np.ones((size, size))
+    gram[:n, :n] = (1.0 - a) * np.eye(n) + a * np.ones((n, n))
+    if border is not None:
+        gram[:n, n] = gram[n, :n] = border
+    return gram
+
+
 def equiangular_ensemble(n: int, a: float) -> StateEnsemble:
     """n pure states with constant real pairwise overlap ``a``.
 
-    The Gram matrix is (1-a) I + a J; its rank sets the dimension.
+    The Gram matrix is ``equal_overlap_gram(n, a)``; its rank sets the
+    dimension.
     """
     if n < 2:
         raise ParamOutOfRangeError("need n >= 2 states")
     if a < -1.0 / (n - 1) - 1e-12 or a > 1.0 + 1e-12:
         raise GramNotPSDError(f"overlap {a} outside [-1/(n-1), 1] for n={n}")
-    gram = (1.0 - a) * np.eye(n) + a * np.ones((n, n))
-    return ensemble_from_vectors(linalg.vectors_from_gram(gram))
+    return ensemble_from_vectors(linalg.vectors_from_gram(equal_overlap_gram(n, a)))
 
 
 def _rotate_last_to_first_axis(vectors: np.ndarray) -> np.ndarray:
@@ -500,12 +512,7 @@ def vacuum_cone_ensemble(n: int, omega: float) -> tuple[StateEnsemble, np.ndarra
             f"omega={omega} outside [0, (n-1)/n]; beyond that bound the "
             "guessing probability is trivially 1 and the cone is undefined"
         )
-    a = 1.0 - n * omega / (n - 1)
-    gram = np.empty((n + 1, n + 1))
-    gram[:n, :n] = (1.0 - a) * np.eye(n) + a * np.ones((n, n))
-    gram[:n, n] = math.sqrt(1.0 - omega)
-    gram[n, :n] = math.sqrt(1.0 - omega)
-    gram[n, n] = 1.0
+    gram = equal_overlap_gram(n, 1.0 - n * omega / (n - 1), border=math.sqrt(1.0 - omega))
     vectors = linalg.vectors_from_gram(gram)
     vectors = _rotate_last_to_first_axis(vectors)
     vacuum = vectors[-1].copy()

@@ -2,19 +2,20 @@
 
 A strategy is a weighted family of ensembles, one per value of the shared
 random variable; the receiver conditions on that value.  The assumption on
-the source can be required per branch (peak) or only on the branch average
-(average).  Embedding the branch label into a classical register turns any
-strategy into a single ensemble with the same guessing probability, which
-is why information-style restrictions are insensitive to shared
-randomness.  The entanglement-assisted dimension is the one assumption
-whose bound fails under averaging; ``ea_average_counterexample`` builds
-the explicit witness.
+the source can be required per branch (peak: every branch is a member) or
+only on the branch average (average, ``check_average``).  Embedding the
+branch label into a classical register turns any strategy into a single
+ensemble with the same guessing probability, which is why
+information-style restrictions are insensitive to shared randomness.  The
+entanglement-assisted dimension is the one assumption whose bound fails
+under averaging; ``ea_average_counterexample`` builds the explicit
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .ensembles import (
     ensemble_to_json,
     slack_report,
 )
-from .errors import InfocapError, NonScalarParameterError, ParamOutOfRangeError
+from .errors import InfocapError, NonScalarParameterError
 
 WEIGHT_TOL = 1e-12
 AVERAGE_SLACK = 1e-10
@@ -100,27 +101,6 @@ def embed_cq(s: SRStrategy) -> StateEnsemble:
     return StateEnsemble(states)
 
 
-def _branch_aux(aux, index: int) -> dict:
-    if aux is None:
-        return {}
-    if isinstance(aux, dict):
-        return aux
-    return aux[index]
-
-
-def check_peak(s: SRStrategy, gamma: Assumption, aux=None) -> MembershipReport:
-    """Peak semantics: every branch must satisfy the single assumption.
-
-    ``aux`` is an optional context dict (or per-branch list of dicts)
-    passed through to the membership check.
-    """
-    if gamma.kind != s.kind:
-        raise InfocapError(f"assumption kind {gamma.kind} does not match strategy kind {s.kind}")
-    slacks = [check_assumption(e, gamma, **_branch_aux(aux, i)).worst_slack
-              for i, (_, e, _) in enumerate(s.branches)]
-    return slack_report(slacks, note="per-branch worst slacks")
-
-
 def scalar_param(a: Assumption) -> float:
     """The scalar knob of an assumption, used for branch averaging."""
     return float(getattr(a, a.param))
@@ -132,7 +112,7 @@ def _same_value(a, b) -> bool:
     return a == b
 
 
-def check_average(s: SRStrategy, gamma_target: float, aux=None) -> MembershipReport:
+def check_average(s: SRStrategy, gamma_target: float, aux: list[dict] | None = None) -> MembershipReport:
     """Average semantics: each branch satisfies its own parameter and the
     weighted parameters respect the target.
 
@@ -141,13 +121,14 @@ def check_average(s: SRStrategy, gamma_target: float, aux=None) -> MembershipRep
     overlap works the other way (a larger required overlap is stronger)
     and the average must not fall below it.  The kind's shared fields
     (distrust targets, almost-dimension d) must agree across branches.
+    ``aux`` holds one membership context per branch, if any is needed.
     """
     first = s.branches[0][2]
     for key in first.shared_fields:
         ref = getattr(first, key)
         if any(not _same_value(getattr(g, key), ref) for _, _, g in s.branches[1:]):
             raise NonScalarParameterError(f"averaging {first.kind} branches requires a fixed {key}")
-    slacks = [check_assumption(e, g, **_branch_aux(aux, i)).worst_slack
+    slacks = [check_assumption(e, g, **({} if aux is None else aux[i])).worst_slack
               for i, (_, e, g) in enumerate(s.branches)]
     avg = sum(q * scalar_param(g) for q, _, g in s.branches)
     avg_slack = gamma_target - avg if first.larger_is_weaker else avg - gamma_target
@@ -182,8 +163,6 @@ def ea_average_counterexample(tol: float = 1e-9) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ConcavityReport:
-    bound_id: str
-    samples: int
     failures: int
     min_margin: float
 
@@ -196,58 +175,26 @@ _CONCAVITY_SLACK = 1e-10
 
 
 def concavity_probe(
-    bound_id: str,
-    samples: int,
-    seed: int,
-    *,
-    n: int | None = None,
-    pg0: float | None = None,
-    fn: Callable[..., float] | None = None,
+    f: Callable[[Any], float], draw: Callable[[np.random.Generator], Any], samples: int, seed: int
 ) -> ConcavityReport:
-    """Sample random parameter pairs and weights and test midpoint concavity
+    """Sample parameter pairs g1, g2 = draw(rng), draw(rng) and a weight q,
+    and test midpoint concavity
     f(q g1 + (1-q) g2) >= q f(g1) + (1-q) f(g2) - 1e-10.
 
-    ``bound_id`` selects vacuum or overlap (n fixed), eps (pg0 fixed) or
-    almost_dim (n fixed, joint in fractional d and eps).  ``fn`` overrides
-    the probed function, which is how negative controls are wired in.
+    A parameter is a float or, for a joint probe over several parameters,
+    an array; both mix by the same arithmetic.
     """
     rng = np.random.default_rng(seed)
-    if bound_id == "vacuum":
-        if n is None:
-            raise ParamOutOfRangeError("vacuum probe needs n")
-        f = fn or (lambda w: bounds.bound_vacuum(n, w).pg_bound)
-        draw = lambda: rng.uniform(0.0, 1.0)
-    elif bound_id == "overlap":
-        if n is None:
-            raise ParamOutOfRangeError("overlap probe needs n")
-        f = fn or (lambda a: bounds.bound_overlap(n, a).pg_bound)
-        draw = lambda: rng.uniform(0.0, 1.0)
-    elif bound_id == "eps":
-        if pg0 is None:
-            raise ParamOutOfRangeError("eps probe needs pg0")
-        f = fn or (lambda e: bounds.bound_eps(pg0, e))
-        draw = lambda: rng.uniform(0.0, 1.0)
-    elif bound_id == "almost_dim":
-        if n is None:
-            raise ParamOutOfRangeError("almost_dim probe needs n")
-        f = fn or (lambda g: bounds.bound_eps(min(1.0, g[0] / n), g[1]))
-        draw = lambda: np.array([rng.uniform(1.0, n), rng.uniform(0.0, 1.0)])
-    else:
-        raise ParamOutOfRangeError(f"unknown bound_id {bound_id!r}")
     failures = 0
     min_margin = np.inf
     for _ in range(samples):
-        g1, g2 = draw(), draw()
+        g1, g2 = draw(rng), draw(rng)
         q = rng.uniform(0.0, 1.0)
-        mixed = q * np.asarray(g1) + (1.0 - q) * np.asarray(g2)
-        arg = mixed if bound_id == "almost_dim" else float(mixed)
-        margin = f(arg) - (q * f(g1) + (1.0 - q) * f(g2))
+        margin = f(q * g1 + (1.0 - q) * g2) - (q * f(g1) + (1.0 - q) * f(g2))
         min_margin = min(min_margin, margin)
         if margin < -_CONCAVITY_SLACK:
             failures += 1
-    return ConcavityReport(
-        bound_id=bound_id, samples=samples, failures=failures, min_margin=float(min_margin)
-    )
+    return ConcavityReport(failures=failures, min_margin=float(min_margin))
 
 
 def strategy_to_json(s: SRStrategy) -> dict:

@@ -1,18 +1,19 @@
 """Seeded tightness searches over restricted ensembles.
 
 For one assumption the search runs a fixed number of restarts: restart 0
-evaluates a constructed saturating seed, later restarts perturb the seed
-and project back onto the constraint surface (components renormalized so
-the defining inequality holds with equality), and every candidate is
-refined by the discrimination oracle.  The report compares the best value
-found against the closed-form bound.
+evaluates a constructed seed, later restarts perturb the seed and project
+back onto the constraint surface (components renormalized so the defining
+inequality holds with equality), and every candidate is refined by the
+discrimination oracle.  The report compares the best value found against
+the closed-form bound.
 
-Saturating seeds: the vacuum, overlap and almost-dimension seeds are the
-kinds' witnesses in ``bounds.WITNESSES``.  The almost-dimension seed
-(``ensembles.almost_dim_seed``) is perturbed through its own vectors, of
-which the witness ensemble holds only the states.  The distrust seed
-attaches orthogonal tails of weight eps to the user's targets; it is a
-feasible point but generally not optimal.
+Seeds: the vacuum and overlap seeds are the kinds' witnesses in
+``bounds.WITNESSES``, which saturate the bound.  The almost-dimension seed
+is the sector seed (``ensembles.almost_dim_seed``), perturbed through its
+own vectors; where d divides n it is the kind's witness, elsewhere the
+table has no row and the seed is only a feasible point.  The distrust seed
+attaches orthogonal tails of weight eps to the user's targets; it too is
+feasible but generally not optimal.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .ensembles import (
     almost_dim_seed,
     check_assumption,
     ensemble_from_vectors,
+    equal_overlap_gram,
 )
 from .errors import ParamOutOfRangeError
 from .linalg import vectors_from_gram
@@ -123,7 +125,7 @@ def distrust_seed(targets: np.ndarray, eps: float) -> np.ndarray:
 def _project_overlap(gram: np.ndarray, a: float, n: int) -> np.ndarray | None:
     """Blend a perturbed Gram toward the equiangular one until every
     pairwise overlap magnitude is at least ``a``; None if infeasible."""
-    eq = (1.0 - a) * np.eye(n) + a * np.ones((n, n))
+    eq = equal_overlap_gram(n, a)
     off = ~np.eye(n, dtype=bool)
     for t in np.linspace(0.0, 1.0, 21):
         g = (1.0 - t) * gram + t * eq
@@ -173,8 +175,9 @@ def _overlap_plan(a, n, tol) -> _Plan:
 
 def _almost_dim_plan(a, n, tol) -> _Plan:
     bound = bound_almost_dim(a.d, n, a.eps)
-    # restart 0 is the kind's witness, ensemble_from_vectors of these vectors;
-    # the top eigenvectors of its states differ from them in the last bits
+    # restart 0 is ensemble_from_vectors of these vectors, the kind's witness
+    # where d divides n; the top eigenvectors of its states differ from the
+    # vectors in the last bits
     seed_vectors, projector = almost_dim_seed(a.d, n, a.eps)
     witnessed = AlmostDim(d=a.d, eps=a.eps, projector=projector)
     anchors = np.broadcast_to(projector, (n, *projector.shape))

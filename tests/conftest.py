@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infocap import ensemble_from_vectors
+from infocap import POVM, ensemble_from_vectors
 from infocap.checks import random_unit
 
 
@@ -17,3 +17,8 @@ def random_psd(rng, dim):
 
 def random_pure_ensemble(rng, n, dim):
     return ensemble_from_vectors(np.stack([random_unit(rng, dim) for _ in range(n)]))
+
+
+def uniform_povm(n, dim):
+    """The trivial measurement {1/n, ..., 1/n}."""
+    return POVM(np.stack([np.eye(dim) / n] * n))

@@ -15,11 +15,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infocap import basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json, pgm, search, uniform_povm
+from infocap import basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json, pgm, search
 from infocap.bounds import Validity
 from infocap.cli import main
 from infocap.discrimination import povm_to_json
 from infocap.errors import FileFaultError, NonFiniteError, ParamOutOfRangeError
+
+from conftest import uniform_povm
 
 
 @pytest.fixture
@@ -783,6 +785,17 @@ class TestSweep:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "no saturating vacuum construction at omega=0.7" in result.stderr
+
+    def test_oracle_where_d_does_not_divide_n_exits_2(self, runner):
+        # the sector seed falls short of the almost-dim bound where d does not divide n
+        result = runner.invoke(
+            main,
+            ["sweep", "almost-dim", "--n", "5", "--d", "3", "--start", "0", "--stop", "0.5",
+             "--points", "6", "--with-oracle"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: no saturating almost-dim construction at eps=0 for --with-oracle\n"
 
     @pytest.mark.parametrize("start", ["inf", "-inf", "nan"])
     def test_non_finite_axis_exits_2(self, runner, start):

@@ -14,10 +14,8 @@ from infocap import (
     ensemble_from_vectors,
     equiangular_ensemble,
     guess_value,
-    helstrom_two,
     optimize_discrimination,
     pgm,
-    uniform_povm,
     vacuum_cone_ensemble,
 )
 from infocap import discrimination
@@ -25,7 +23,7 @@ from infocap.discrimination import povm_from_json, povm_to_json
 from infocap.linalg import KERNEL_CUTOFF
 from infocap.errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
 
-from conftest import random_pure_ensemble
+from conftest import random_pure_ensemble, uniform_povm
 
 
 def rank2_ensemble(rng, n, dim):
@@ -137,24 +135,23 @@ class TestPGM:
 
 
 class TestHelstrom:
+    # the oracle meets the two-state optimum 1/2 + ||rho1 - rho2||_tr / 4
+
     def test_orthogonal_pair(self):
-        e = basis_ensemble(2, 2)
-        assert helstrom_two(e.states[0], e.states[1]) == pytest.approx(1.0)
+        assert optimize_discrimination(basis_ensemble(2, 2), tol=1e-12).value == pytest.approx(1.0)
 
     def test_identical_states(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        assert helstrom_two(rho, rho) == pytest.approx(0.5)
+        e = StateEnsemble(np.stack([rho, rho]))
+        assert optimize_discrimination(e, tol=1e-12).value == pytest.approx(0.5)
 
     def test_pure_pair_formula_and_oracle_agreement(self):
         e = equiangular_ensemble(2, 0.6)
-        value = helstrom_two(e.states[0], e.states[1])
+        # a pure pair with overlap a: (1 + sqrt(1 - a^2)) / 2
+        value = (1.0 + math.sqrt(1.0 - 0.6**2)) / 2.0
         assert value == pytest.approx(0.9, abs=1e-12)
         res = optimize_discrimination(e, tol=1e-12)
         assert abs(res.value - value) <= 1e-8
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            helstrom_two(np.eye(2) / 2, np.eye(3) / 3)
 
 
 class TestOptimizer:

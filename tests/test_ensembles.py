@@ -29,7 +29,7 @@ from infocap import (
 )
 from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
-from infocap.ensembles import assumption_from_json, assumption_to_json
+from infocap.ensembles import almost_dim_seed, assumption_from_json, assumption_to_json
 
 from conftest import random_pure_ensemble
 from infocap.errors import (
@@ -310,7 +310,9 @@ class TestMembership:
         assert check_assumption(e, UniformOverlap(a=0.4)).worst_slack >= -1e-8
         e, vac = vacuum_cone_ensemble(4, 0.3)
         assert check_assumption(e, Vacuum(omega=0.3), vacuum_vector=vac).worst_slack >= -1e-8
-        e, witnessed, _ = WITNESSES[AlmostDim](5, 2, 0.2)
+        vectors, projector = almost_dim_seed(2, 5, 0.2)
+        e = ensemble_from_vectors(vectors)
+        witnessed = AlmostDim(d=2, eps=0.2, projector=projector)
         assert check_assumption(e, witnessed).worst_slack >= -1e-8
 
 

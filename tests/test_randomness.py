@@ -11,8 +11,10 @@ from infocap import (
     averaged_log_pg,
     basis_ensemble,
     bound_ea_dimension,
+    bound_eps,
+    bound_overlap,
+    bound_vacuum,
     check_average,
-    check_peak,
     concavity_probe,
     ea_average_counterexample,
     embed_cq,
@@ -24,6 +26,7 @@ from infocap import (
     strategy_to_json,
     vacuum_cone_ensemble,
 )
+from infocap import checks
 from infocap.errors import InfocapError, NonScalarParameterError
 
 from conftest import random_pure_ensemble
@@ -115,36 +118,6 @@ class TestEmbedding:
 
 
 class TestPeakAndAverage:
-    def test_peak_vacuum(self):
-        built = [vacuum_cone_ensemble(3, w) for w in (0.1, 0.1)]
-        s = SRStrategy(
-            branches=tuple(
-                (0.5, e, Vacuum(omega=0.1)) for e, _ in built
-            )
-        )
-        aux = [{"vacuum_vector": v} for _, v in built]
-        assert check_peak(s, Vacuum(omega=0.1), aux=aux).satisfied
-
-    def test_peak_vacuum_violated(self):
-        built = [vacuum_cone_ensemble(3, w) for w in (0.1, 0.2)]
-        s = SRStrategy(
-            branches=(
-                (0.5, built[0][0], Vacuum(omega=0.1)),
-                (0.5, built[1][0], Vacuum(omega=0.2)),
-            )
-        )
-        aux = [{"vacuum_vector": v} for _, v in built]
-        assert not check_peak(s, Vacuum(omega=0.1), aux=aux).satisfied
-
-    def test_peak_mixed_dimensions_violated(self):
-        s = SRStrategy(
-            branches=(
-                (2.0 / 3.0, basis_ensemble(2, 6), Dimension(d=2)),
-                (1.0 / 3.0, basis_ensemble(5, 6), Dimension(d=5)),
-            )
-        )
-        assert not check_peak(s, Dimension(d=3)).satisfied
-
     def test_average_vacuum(self):
         built = [vacuum_cone_ensemble(3, w) for w in (0.05, 0.15)]
         s = SRStrategy(
@@ -190,6 +163,23 @@ class TestCounterexample:
         assert average - peak >= 2.0 / 30.0 - 1e-6
 
 
+def _uniform(rng):
+    return rng.uniform(0.0, 1.0)
+
+
+# each probed bound as a function of its averaged parameter, and a sampler
+# of that parameter, at the fixed parameters ``kwargs``
+_PROBED = {
+    "vacuum": lambda n: (lambda w: bound_vacuum(n, w).pg_bound, _uniform),
+    "overlap": lambda n: (lambda a: bound_overlap(n, a).pg_bound, _uniform),
+    "eps": lambda pg0: (lambda eps: bound_eps(pg0, eps), _uniform),
+    "almost_dim": lambda n: (
+        lambda g: bound_eps(min(1.0, g[0] / n), g[1]),
+        lambda rng: np.array([rng.uniform(1.0, n), rng.uniform(0.0, 1.0)]),
+    ),
+}
+
+
 class TestConcavityProbe:
     @pytest.mark.parametrize(
         "bound_id,kwargs",
@@ -201,14 +191,31 @@ class TestConcavityProbe:
         ],
     )
     def test_bound_functions_pass(self, bound_id, kwargs):
-        report = concavity_probe(bound_id, samples=200, seed=5, **kwargs)
+        f, draw = _PROBED[bound_id](**kwargs)
+        report = concavity_probe(f, draw, samples=200, seed=5)
         assert report.passed
         assert report.min_margin >= -1e-10
 
     def test_negative_control_reports_failures(self):
-        report = concavity_probe("eps", samples=200, seed=5, pg0=0.5, fn=lambda x: x**2)
+        report = concavity_probe(lambda x: x**2, _uniform, samples=200, seed=5)
         assert not report.passed
         assert report.failures > 0
+
+    def test_reference_probes_pinned(self):
+        # repr of min_margin and the failure count of the four probes that
+        # concavity_and_average_sr runs, as the probe computed them when it
+        # still dispatched on a kind string
+        pinned = {
+            "vacuum": ("0.0", 0),
+            "overlap": ("2.0461565775065083e-09", 0),
+            "eps": ("0.0", 0),
+            "almost_dim": ("0.0", 0),
+        }
+        found = {}
+        for label, seed, f, draw in checks._CONCAVITY_PROBES:
+            report = concavity_probe(f, draw, 1000, seed)
+            found[label] = (repr(report.min_margin), report.failures)
+        assert found == pinned
 
 
 class TestAveragedLogPg:
