@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .discrimination import optimize_discrimination
+from .discrimination import DEFAULT_TOL, optimize_discrimination
 from .ensembles import (
     AlmostDim,
     Assumption,
@@ -38,6 +38,7 @@ from .ensembles import (
     almost_qubit_epsilon,
     assumption_to_json,
     basis_ensemble,
+    check_unit_interval,
     dense_coding_ensemble,
     ensemble_from_vectors,
     equiangular_ensemble,
@@ -193,8 +194,7 @@ def overlap_pg(ns: Sequence[int], a: float) -> list[tuple[float, Validity]]:
     largest = max(ns)
     if largest * largest > _FLOAT_MAX:
         raise ParamOutOfRangeError("need n**2 within the float range")
-    if not 0.0 <= a <= 1.0:
-        raise ParamOutOfRangeError("overlap must lie in [0, 1]")
+    check_unit_interval(a, "overlap")
     root, valid = math.sqrt(1.0 - a), Validity.VALID
     return [(((n - 1) * root + math.sqrt((n - 1) * a + 1.0)) ** 2 / n**2, valid) for n in ns]
 
@@ -232,8 +232,7 @@ def vacuum_pg(ns: Sequence[int], omega: float) -> list[tuple[float, Validity]]:
         raise ParamOutOfRangeError("need n >= 2")
     if max(ns) > _FLOAT_MAX:
         raise ParamOutOfRangeError("need n within the float range")
-    if not 0.0 <= omega <= 1.0:
-        raise ParamOutOfRangeError("omega must lie in [0, 1]")
+    check_unit_interval(omega, "omega")
     amplitude, valid, one = math.sqrt(1.0 - omega), Validity.VALID, Validity.TRIVIALLY_ONE
     return [
         (1.0, one) if omega > (n - 1) / n else ((math.sqrt(omega * (n - 1)) + amplitude) ** 2 / n, valid)
@@ -256,8 +255,7 @@ def h_func(eps: float, mu: float) -> float:
     """Residue weight h(eps, mu) = (sqrt(mu^2 + 4 eps (1+mu)) - mu) / 2."""
     if mu < -1.0:
         raise ParamOutOfRangeError("mu must be >= -1")
-    if not 0.0 <= eps <= 1.0:
-        raise ParamOutOfRangeError("eps must lie in [0, 1]")
+    check_unit_interval(eps, "eps")
     return (math.sqrt(mu * mu + 4.0 * eps * (1.0 + mu)) - mu) / 2.0
 
 
@@ -304,8 +302,7 @@ def deviation_pg(pg0s: Sequence[float], eps: float) -> list[tuple[float, Validit
     validity: trivially one past eps = 1 - pg0."""
     if not all(0.0 <= pg0 <= 1.0 for pg0 in pg0s):
         raise ParamOutOfRangeError("pg0 must lie in [0, 1]")
-    if not 0.0 <= eps <= 1.0:
-        raise ParamOutOfRangeError("eps must lie in [0, 1]")
+    check_unit_interval(eps, "eps")
     keep, valid, one = 1.0 - eps, Validity.VALID, Validity.TRIVIALLY_ONE
     # min(1.0, max(pg0, value)) of each row short of trivially one
     return [
@@ -330,7 +327,7 @@ def bound_almost_dim(d: int, n: int, eps: float) -> BoundResult:
     return _result(pg, AlmostDim(d=d, eps=eps), n, validity)
 
 
-def targets_value(targets: StateEnsemble, tol: float = 1e-10) -> float:
+def targets_value(targets: StateEnsemble, tol: float = DEFAULT_TOL) -> float:
     """Certified upper bound on the guessing value of pure distrust targets:
     the ``pg0`` that the distrust bound feeds to ``deviation_pg``."""
     if not all(targets.pure_flags):
@@ -339,7 +336,7 @@ def targets_value(targets: StateEnsemble, tol: float = 1e-10) -> float:
     return float(min(1.0, max(result.value, result.certificate.certified_upper())))
 
 
-def bound_distrust(targets: StateEnsemble, eps: float, tol: float = 1e-10) -> BoundResult:
+def bound_distrust(targets: StateEnsemble, eps: float, tol: float = DEFAULT_TOL) -> BoundResult:
     """Distrust restriction: lab states have fidelity >= 1-eps with pure
     targets.  The deviation bound is applied to a certified upper bound on
     the targets' own guessing value, so the emitted number stays sound

@@ -231,7 +231,7 @@ def _average_distrust(rng: np.random.Generator, weights: tuple[float, float]):
         (w, ensemble_from_vectors(distrust_seed(targets, eps)), Distrust(targets=targets, eps=eps))
         for w, eps in zip(weights, epss)
     )
-    bound = lambda avg: bounds.bound_distrust(ensemble_from_vectors(targets), avg, tol=1e-10).pg_bound
+    bound = lambda avg: bounds.bound_distrust(ensemble_from_vectors(targets), avg).pg_bound
     return SRStrategy(branches), bound, None
 
 
@@ -357,7 +357,7 @@ def _check_deviation_vacuum_identity() -> tuple[bool, str]:
 
 def _check_almost_dim_search() -> tuple[bool, str]:
     gaps = [
-        tightness_search(AlmostDim(d=2, eps=eps), n=4, restarts=16, seed=0, tol=1e-10).gap
+        tightness_search(AlmostDim(d=2, eps=eps), n=4, restarts=16, seed=0).gap
         for eps in (0.01, 0.05, 0.1)
     ]
     # a negative gap is a search value above the bound: an unsound bound

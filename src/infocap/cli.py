@@ -25,7 +25,9 @@ import click
 import numpy as np
 
 from . import bounds
-from .discrimination import dual_certificate, guess_value, optimize_discrimination, povm_from_json
+from .discrimination import (
+    DEFAULT_MAX_ITER, DEFAULT_TOL, dual_certificate, guess_value, optimize_discrimination, povm_from_json,
+)
 from .ensembles import (
     AlmostDim,
     Assumption,
@@ -40,7 +42,7 @@ from .ensembles import (
 )
 from .errors import FileFaultError, InfocapError, NonFiniteError, ParamOutOfRangeError
 from .randomness import ea_average_counterexample
-from .search import check_state_stack, tightness_search
+from .search import SEARCHES, check_state_stack, tightness_search
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -123,16 +125,16 @@ class _Kind:
     ``assumption`` builds the recorded assumption from the columns (and
     ``targets``) as keywords.
     ``sweep_axis`` names the column `sweep` varies; --with-oracle takes its
-    ensembles from the row of ``assumption`` in ``bounds.WITNESSES``.
-    ``search`` says whether `search` supports the kind, and ``targets``
-    whether it takes a targets file.
+    ensembles from the row of ``assumption`` in ``bounds.WITNESSES``, and
+    `search` supports the kinds whose ``assumption`` has a row in
+    ``search.SEARCHES``.  ``targets`` says whether the kind takes a targets
+    file.
     """
 
     columns: tuple[str, ...]
     formula: Callable[..., list[tuple[float, bounds.Validity]]]
     assumption: Callable[..., Assumption]
     sweep_axis: str | None = None
-    search: bool = False
     targets: bool = False
 
     @property
@@ -146,11 +148,11 @@ class _Kind:
 _KINDS = {
     "dimension": _Kind(("d",), bounds.dimension_pg, Dimension),
     "ea-dimension": _Kind(("d",), bounds.ea_dimension_pg, EADimension),
-    "vacuum": _Kind(("omega",), bounds.vacuum_pg, Vacuum, sweep_axis="omega", search=True),
-    "overlap": _Kind(("a",), bounds.overlap_pg, UniformOverlap, sweep_axis="a", search=True),
-    "almost-dim": _Kind(("d", "eps"), bounds.almost_dim_pg, AlmostDim, sweep_axis="eps", search=True),
+    "vacuum": _Kind(("omega",), bounds.vacuum_pg, Vacuum, sweep_axis="omega"),
+    "overlap": _Kind(("a",), bounds.overlap_pg, UniformOverlap, sweep_axis="a"),
+    "almost-dim": _Kind(("d", "eps"), bounds.almost_dim_pg, AlmostDim, sweep_axis="eps"),
     "coherent": _Kind(("nbar",), bounds.coherent_pg, bounds.coherent_assumption, sweep_axis="nbar"),
-    "distrust": _Kind(("eps",), bounds.deviation_pg, Distrust, search=True, targets=True),
+    "distrust": _Kind(("eps",), bounds.deviation_pg, Distrust, targets=True),
 }
 
 
@@ -186,7 +188,7 @@ _PARAM_OPTIONS = {
     "nbar": (float, "Mean photon number"),
     "targets": (str, "Target ensemble JSON (distrust)"),
 }
-_SEARCH_KINDS = [k for k, spec in _KINDS.items() if spec.search]
+_SEARCH_KINDS = [k for k, spec in _KINDS.items() if spec.assumption in SEARCHES]
 
 
 def _param_options(kinds, repeatable: bool):
@@ -263,8 +265,8 @@ def bound(kind, n_values, output, fmt, **_):
 
 @main.command()
 @click.argument("ensemble_file", type=str)
-@click.option("--tol", type=float, default=1e-10)
-@click.option("--max-iter", type=int, default=10_000)
+@click.option("--tol", type=float, default=DEFAULT_TOL)
+@click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 @click.option("--output", "-o", type=str, default=None)
 def oracle(ensemble_file, tol, max_iter, output):
     """Run the discrimination oracle on an ensemble file; exit 0 iff the
@@ -316,7 +318,7 @@ def certify(ensemble_file, povm_file, output):
 @_param_options(_SEARCH_KINDS, repeatable=False)
 @click.option("--restarts", type=int, default=16)
 @click.option("--seed", type=int, default=0)
-@click.option("--tol", type=float, default=1e-10)
+@click.option("--tol", type=float, default=DEFAULT_TOL)
 @click.option("--output", "-o", type=str, default=None)
 def search(kind, n, restarts, seed, tol, output, **_):
     """Seeded tightness search: best achievable value vs the bound."""
@@ -337,7 +339,7 @@ def search(kind, n, restarts, seed, tol, output, **_):
 @click.option("--stop", type=float, required=True)
 @click.option("--points", type=int, required=True)
 @click.option("--with-oracle", is_flag=True, default=False)
-@click.option("--tol", type=float, default=1e-10)
+@click.option("--tol", type=float, default=DEFAULT_TOL)
 @click.option("--output", "-o", type=str, default=None)
 def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
     """Sweep the assumption's scalar parameter and emit plot-ready CSV."""

@@ -115,10 +115,14 @@ def _completed(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
 
 def _pgm_elements(e: StateEnsemble) -> np.ndarray:
     # the elements of pgm(e), exactly Hermitian and not yet validated
-    elements = _completed(e.states, np.eye(e.dim, dtype=complex))
+    return _psd_elements(_completed(e.states, np.eye(e.dim, dtype=complex)))
+
+
+def _psd_elements(elements: np.ndarray) -> np.ndarray:
+    """``elements``, repaired by ``_repair_elements`` if one has an
+    eigenvalue below -1e-12, as an ill-conditioned S^(-1/2) can leave."""
     if linalg.lowest_eigenvalues(elements).min() < -1e-12:
-        # ill-conditioned S^(-1/2) can leave tiny negative eigenvalues
-        elements = _repair_elements(elements)
+        return _repair_elements(elements)
     return elements
 
 
@@ -194,9 +198,7 @@ def optimize_discrimination(
         value = max(value, new_value)
         if increment < tol:
             break
-    if linalg.lowest_eigenvalues(elements).min() < -1e-12:
-        elements = _repair_elements(elements)
-    povm = POVM(elements)
+    povm = POVM(_psd_elements(elements))
     value = guess_value(e, povm)
     cert = dual_certificate(e, povm)
     gap = cert.trace_value - value

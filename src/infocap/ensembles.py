@@ -107,6 +107,12 @@ def _as_is(value):
     return value
 
 
+def check_unit_interval(x: float, label: str) -> None:
+    """Raise ParamOutOfRangeError unless 0 <= x <= 1; NaN fails."""
+    if not 0.0 <= x <= 1.0:
+        raise ParamOutOfRangeError(f"{label} must lie in [0, 1]")
+
+
 def _integer_d(d, what: str) -> int:
     # a fractional or non-finite d would be recorded as some integer
     # dimension whose bound is not d/n; an integral d is stored as an int
@@ -229,8 +235,7 @@ class Vacuum(Assumption):
     param = "omega"
 
     def __post_init__(self):
-        if not 0.0 <= self.omega <= 1.0:
-            raise ParamOutOfRangeError("omega must lie in [0, 1]")
+        check_unit_interval(self.omega, "omega")
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg):
         if vacuum_vector is None:
@@ -253,8 +258,7 @@ class UniformOverlap(Assumption):
     larger_is_weaker = False
 
     def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ParamOutOfRangeError("overlap must lie in [0, 1]")
+        check_unit_interval(self.a, "overlap")
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg):
         if not all(e.pure_flags):
@@ -284,8 +288,7 @@ class AlmostDim(Assumption):
 
     def __post_init__(self):
         object.__setattr__(self, "d", _integer_d(self.d, "dimension"))
-        if not 0.0 <= self.eps <= 1.0:
-            raise ParamOutOfRangeError("eps must lie in [0, 1]")
+        check_unit_interval(self.eps, "eps")
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg):
         if self.projector is not None:
@@ -323,8 +326,7 @@ class Distrust(Assumption):
         norms = np.linalg.norm(t, axis=1)
         if not np.max(np.abs(norms - 1.0)) <= 1e-10:
             raise ParamOutOfRangeError("target vectors must be normalized within 1e-10")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ParamOutOfRangeError("eps must lie in [0, 1]")
+        check_unit_interval(self.eps, "eps")
         object.__setattr__(self, "targets", t.copy())
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg):

@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import bounds
-from .discrimination import optimize_discrimination
+from .discrimination import DEFAULT_TOL, optimize_discrimination
 from .ensembles import (
     Assumption,
     EADimension,
@@ -70,12 +70,12 @@ class SRStrategy:
         return self.branches[0][2].kind
 
 
-def branch_values(s: SRStrategy, tol: float = 1e-10) -> list[float]:
+def branch_values(s: SRStrategy, tol: float = DEFAULT_TOL) -> list[float]:
     """The optimal guessing value Pg(branch_l) of each branch, in order."""
     return [optimize_discrimination(e, tol=tol).value for _, e, _ in s.branches]
 
 
-def mixture_guess_value(s: SRStrategy, tol: float = 1e-10, values: list[float] | None = None) -> float:
+def mixture_guess_value(s: SRStrategy, tol: float = DEFAULT_TOL, values: list[float] | None = None) -> float:
     """Weighted branch-wise optimal guessing value: the receiver knows the
     branch, so the strategy value is sum_l q_l Pg(branch_l).  ``values``
     are the branch values if already solved, else branch_values(s, tol)."""
@@ -136,7 +136,7 @@ def check_average(s: SRStrategy, gamma_target: float, aux: list[dict] | None = N
     return slack_report(slacks, note=f"branch average {avg:.12g} vs target {gamma_target:.12g}")
 
 
-def averaged_log_pg(s: SRStrategy, tol: float = 1e-10, values: list[float] | None = None) -> float:
+def averaged_log_pg(s: SRStrategy, tol: float = DEFAULT_TOL, values: list[float] | None = None) -> float:
     """Alternative accounting that averages the log of the branch guessing
     values: log2(n) + sum_l q_l log2 Pg(branch_l), with ``values`` as in
     mixture_guess_value.  Read-only; it carries no membership semantics."""

@@ -30,7 +30,7 @@ from .bounds import (
     bound_overlap,
     bound_vacuum,
 )
-from .discrimination import optimize_discrimination
+from .discrimination import DEFAULT_TOL, optimize_discrimination
 from .ensembles import (
     AlmostDim,
     Assumption,
@@ -122,16 +122,17 @@ def distrust_seed(targets: np.ndarray, eps: float) -> np.ndarray:
     return vectors
 
 
-def _project_overlap(gram: np.ndarray, a: float, n: int) -> np.ndarray | None:
+def _project_overlap(gram: np.ndarray, a: float, n: int) -> np.ndarray:
     """Blend a perturbed Gram toward the equiangular one until every
-    pairwise overlap magnitude is at least ``a``; None if infeasible."""
+    pairwise overlap magnitude is at least ``a``: by t = 1 at the latest,
+    where the blend is the equiangular Gram, whose overlaps are ``a``."""
     eq = equal_overlap_gram(n, a)
     off = ~np.eye(n, dtype=bool)
     for t in np.linspace(0.0, 1.0, 21):
         g = (1.0 - t) * gram + t * eq
         if np.min(np.abs(g[off])) >= a - 1e-12:
-            return g
-    return None
+            break
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,20 +195,14 @@ def _distrust_plan(a, n, tol) -> _Plan:
     return _Plan(a, n, bound, seed_vectors, anchors, 1.0 - a.eps, {})
 
 
-_PLANS = {
-    "vacuum": _vacuum_plan,
-    "uniform_overlap": _overlap_plan,
-    "almost_dim": _almost_dim_plan,
-    "distrust": _distrust_plan,
-}
-
-# each kind's largest state dimension on n inputs, in its seed or in its
-# saturating construction
-_STATE_DIMS = {
-    "vacuum": lambda a, n: n + 1,
-    "uniform_overlap": lambda a, n: n,
-    "almost_dim": lambda a, n: n + min(a.d, n),
-    "distrust": lambda a, n: a.targets.shape[1] + n,
+# The searchable kinds, keyed by assumption class: the plan builder
+# (assumption, n, tol) -> _Plan, and the largest state dimension on n
+# inputs, in the kind's seed or in its saturating construction.
+SEARCHES = {
+    Vacuum: (_vacuum_plan, lambda a, n: n + 1),
+    UniformOverlap: (_overlap_plan, lambda a, n: n),
+    AlmostDim: (_almost_dim_plan, lambda a, n: n + min(a.d, n)),
+    Distrust: (_distrust_plan, lambda a, n: a.targets.shape[1] + n),
 }
 # n states of dimension dim are a stack of dim x dim complex128 matrices,
 # 16 n dim**2 bytes, on which the oracle then works; a larger stack than
@@ -219,7 +214,8 @@ def check_state_stack(assumption: Assumption, n: int) -> None:
     """Raise ParamOutOfRangeError if the n states that a search, or a
     saturating construction, under ``assumption`` builds would take more
     than MAX_STATE_STACK_BYTES."""
-    dim = _STATE_DIMS[assumption.kind](assumption, n)
+    _, state_dim = SEARCHES[type(assumption)]
+    dim = state_dim(assumption, n)
     size = 16 * n * dim * dim
     if size > MAX_STATE_STACK_BYTES:
         raise ParamOutOfRangeError(
@@ -228,9 +224,9 @@ def check_state_stack(assumption: Assumption, n: int) -> None:
         )
 
 
-def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnsemble | None:
+def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnsemble:
     """Restart 0 is the seed; a later restart perturbs it and projects it
-    back onto the plan's constraint surface (None when that fails)."""
+    back onto the plan's constraint surface."""
     if restart == 0:
         return ensemble_from_vectors(plan.seed_vectors)
     sigma = _SIGMAS[(restart - 1) % len(_SIGMAS)]
@@ -240,8 +236,6 @@ def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnse
     if plan.anchors is None:
         vecs = np.stack([v / np.linalg.norm(v) for v in perturbed])
         g = _project_overlap(vecs.conj() @ vecs.T, plan.weight, plan.n)
-        if g is None:
-            return None
         return ensemble_from_vectors(vectors_from_gram((g + g.conj().T) / 2.0))
     vecs = np.empty_like(perturbed)
     for x in range(plan.n):
@@ -255,7 +249,7 @@ def tightness_search(
     *,
     restarts: int = 16,
     seed: int = 0,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> SearchReport:
     """Search for the best guessing value inside one assumption set.
 
@@ -267,8 +261,7 @@ def tightness_search(
     Deterministic for a fixed ``seed``: restart k draws from a generator
     seeded with seed + k.
     """
-    make_plan = _PLANS.get(assumption.kind)
-    if make_plan is None:
+    if type(assumption) not in SEARCHES:
         raise ParamOutOfRangeError(f"search does not support assumption {assumption!r}")
     # a distrust search has one input per target
     count = assumption.targets.shape[0] if isinstance(assumption, Distrust) else n
@@ -281,13 +274,14 @@ def tightness_search(
     n = count
     if restarts < 1:
         raise ParamOutOfRangeError(f"restarts must be >= 1, got {restarts}")
+    make_plan, _ = SEARCHES[type(assumption)]
     plan = make_plan(assumption, n, tol)
     outcomes: list[RestartOutcome] = []
     best = 0.0
     for k in range(restarts):
         rng = np.random.default_rng(seed + k)
         cand = _candidate(plan, k, rng)
-        if cand is None or not check_assumption(cand, plan.assumption, **plan.membership_aux).satisfied:
+        if not check_assumption(cand, plan.assumption, **plan.membership_aux).satisfied:
             outcomes.append(RestartOutcome(index=k, value=0.0, converged=False, feasible=False))
             continue
         res = optimize_discrimination(cand, tol=tol, max_iter=MAX_ITER)

@@ -382,7 +382,19 @@ def _stack_faults(key):
         "empty": stack([], n=0),
         "n_not_a_number": stack(_BASIS_STATES, n="x"),
         "pairs_nested_too_deep": stack([[[[p] for p in row] for row in m] for m in _BASIS_STATES]),
+        "non_hermitian": stack([[[[1, 0], [1, 0]], [[0, 0], [0, 0]]], _BASIS_STATES[1]]),
+        "declared_n": stack(_BASIS_STATES, n=3),
+        "declared_dim": stack(_BASIS_STATES, dim=3),
     }
+
+
+# the fault a file error names, for the faults the README lists by name
+_FAULT_TEXTS = {
+    "non_hermitian": "deviates from Hermiticity",
+    "declared_n": "declared n/dim do not match",
+    "declared_dim": "declared n/dim do not match",
+    "mixed_targets": "targets must be pure states",
+}
 
 
 def _strategy(gamma, q=1.0):
@@ -409,16 +421,18 @@ def _malformed_cases():
         yield f"bound_targets-{fault}", ["bound", "distrust", "--n", "2", "--eps", "0.1", "--targets", _Doc(obj)]
     for fault, obj in _stack_faults("elements").items():
         yield f"certify_povm-{fault}", ["certify", good_ensemble, _Doc(obj)]
+    mixed = _Doc({"n": 2, "dim": 2, "states": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]] * 2})
+    yield "bound_targets-mixed_targets", ["bound", "distrust", "--n", "2", "--eps", "0.1", "--targets", mixed]
     for fault, obj in _STRATEGY_FAULTS.items():
         yield f"sr_demo-{fault}", ["sr-demo", "--strategy", _Doc(obj)]
 
 
-@pytest.mark.parametrize("args", [args for _, args in _malformed_cases()],
-                         ids=[case for case, _ in _malformed_cases()])
-def test_malformed_file_exits_3(runner, tmp_path, args):
+@pytest.mark.parametrize("case, args", list(_malformed_cases()), ids=[case for case, _ in _malformed_cases()])
+def test_malformed_file_exits_3(runner, tmp_path, case, args):
     result = runner.invoke(main, _write_args(tmp_path, args))
     assert result.exit_code == 3, result.exception
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert _FAULT_TEXTS.get(case.split("-", 1)[1], "") in result.stderr
     assert result.stdout == ""
 
 
@@ -827,6 +841,42 @@ def test_sweep_output_pinned(runner, kind):
     options, digest = _SWEEP_DIGESTS[kind]
     result = runner.invoke(main, ["sweep", kind, *options])
     assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+# sha256 of the stdout of a search of each kind and of the README's
+# --with-oracle sweeps, captured before the search plans and state
+# dimensions moved into one table keyed by assumption class.  The search JSON
+# carries oracle values at full double precision, so these digests hold
+# for one numpy/BLAS build (x86-64, numpy's bundled OpenBLAS).
+_ORACLE_DIGESTS = {
+    "search-vacuum": (["search", "vacuum", "--n", "4", "--omega", "0.1", "--restarts", "16", "--seed", "0"],
+                      "d6c51ae65981d048489f66c4b593ded0de1b869c681e05b26232bab4b444e6e8"),
+    "search-overlap": (["search", "overlap", "--n", "4", "--a", "0.3", "--restarts", "16", "--seed", "0"],
+                       "aabed8bcb7332a83e3572d0b7fb5c54a3854e0cb351c9a389f1c01b222abba0f"),
+    "search-almost-dim": (["search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05", "--restarts", "16",
+                           "--seed", "0"],
+                          "7ad4ce147fba716b8b2c046fda912238b39b7181e606cd7dfbf1de6251df98c1"),
+    "search-distrust": (["search", "distrust", "--eps", "0.1", "--targets", _QUBIT_TARGETS, "--restarts", "16",
+                         "--seed", "0"],
+                        "a9a95e7a83877746134069a5c3805e48d89f554e28079aa9de39826264407bb0"),
+    "sweep-vacuum": (["sweep", "vacuum", "--n", "4", "--start", "0", "--stop", "0.75", "--points", "41",
+                      "--with-oracle"],
+                     "546f160e0130a32f6b543bf4a4ed99fce71a52f29cb508b1643bdcd6dce078c4"),
+    "sweep-overlap": (["sweep", "overlap", "--n", "4", "--start", "0", "--stop", "1", "--points", "41",
+                       "--with-oracle"],
+                      "6875b301aebb2b5b1001e4ea7b619d06353ffb26f8ea0372cbe6bc9f8e823a08"),
+    "sweep-almost-dim": (["sweep", "almost-dim", "--n", "4", "--d", "2", "--start", "0", "--stop", "0.5",
+                          "--points", "41", "--with-oracle"],
+                         "02892e415b132eb03a8c12653d9ff3dae12a4897dcaf78f40c5758988a01db4a"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_DIGESTS))
+def test_oracle_output_pinned(runner, tmp_path, case):
+    argv, digest = _ORACLE_DIGESTS[case]
+    result = runner.invoke(main, _write_args(tmp_path, argv))
+    assert result.exit_code == 0, result.stderr
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 

@@ -34,6 +34,7 @@ from infocap.ensembles import almost_dim_seed, assumption_from_json, assumption_
 from conftest import random_pure_ensemble
 from infocap.errors import (
     CutoffTooSmallError,
+    DimensionMismatchError,
     GramNotPSDError,
     InfocapError,
     MissingContextError,
@@ -273,6 +274,33 @@ class TestMembership:
         e = dense_coding_ensemble(3, 9)
         rep = check_assumption(e, EADimension(d=2), subsystem_dims=(3, 3))
         assert not rep.satisfied
+
+    @pytest.mark.parametrize(("d", "satisfied", "slack"), [(2, True, 0.0), (1, False, -0.5)])
+    def test_dimension_above_d_checks_the_average_state(self, d, satisfied, slack):
+        # two basis states of C^3 span 2 dimensions: the (d+1)-th eigenvalue
+        # of their average is 0 for d = 2 and 1/2 for d = 1
+        rep = check_assumption(basis_ensemble(3, 2), Dimension(d=d))
+        assert rep.satisfied is satisfied
+        assert rep.worst_slack == slack
+        assert rep.note == "slack is minus the (d+1)-th eigenvalue of the average state"
+
+    def test_ea_infers_message_first_split(self):
+        # |0>|0> and |1>|0> in C^2 x C^3: dim 6 is not d^2 = 4, so the split
+        # is inferred as (d, dim/d) = (2, 3), under which the receiver
+        # marginal is constant; under (3, 2) it is not
+        e = ensemble_from_vectors(np.stack([np.kron(np.eye(2)[x], np.eye(3)[0]) for x in range(2)]))
+        rep = check_assumption(e, EADimension(d=2))
+        assert rep.satisfied
+        assert rep == check_assumption(e, EADimension(d=2), subsystem_dims=(2, 3))
+        assert not check_assumption(e, EADimension(d=2), subsystem_dims=(3, 2)).satisfied
+
+    def test_ea_split_not_inferable_needs_context(self):
+        with pytest.raises(MissingContextError, match="cannot infer a message x receiver split of dimension 3"):
+            check_assumption(basis_ensemble(3, 2), EADimension(d=2))
+
+    def test_ea_subsystem_dims_must_match(self):
+        with pytest.raises(DimensionMismatchError, match=r"subsystem dims \(3, 2\) do not match dim 4"):
+            check_assumption(basis_ensemble(4, 2), EADimension(d=2), subsystem_dims=(3, 2))
 
     def test_almost_dim_heuristic_witness(self):
         e, _, _ = WITNESSES[AlmostDim](4, 2, 0.1)

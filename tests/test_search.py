@@ -30,7 +30,8 @@ class TestSeeds:
         ids=["vacuum", "vacuum_past_bound", "overlap", "almost_dim", "almost_dim_uneven"],
     )
     def test_restart_zero_is_the_witness(self, assumption, point):
-        plan = search._PLANS[assumption.kind](assumption, point[0], 1e-10)
+        make_plan, _ = search.SEARCHES[type(assumption)]
+        plan = make_plan(assumption, point[0], 1e-10)
         first = search._candidate(plan, 0, np.random.default_rng(0))
         found = WITNESSES[type(assumption)](*point)
         if found is None:
@@ -146,15 +147,16 @@ _STACK_CASES = [
 
 class TestStateDims:
     def test_every_search_kind_covered(self):
-        assert {case(2).kind for case, _ in _STACK_CASES} == set(search._PLANS)
+        assert {type(case(2)) for case, _ in _STACK_CASES} == set(search.SEARCHES)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("case", range(len(_STACK_CASES)))
     def test_declared_dim_covers_what_is_built(self, case, n):
         build, params = _STACK_CASES[case]
         a = build(n)
-        declared = search._STATE_DIMS[a.kind](a, n)
-        assert declared >= search._PLANS[a.kind](a, n, 1e-10).seed_vectors.shape[1]
+        make_plan, state_dim = search.SEARCHES[type(a)]
+        declared = state_dim(a, n)
+        assert declared >= make_plan(a, n, 1e-10).seed_vectors.shape[1]
         if params is not None:
             found = WITNESSES[type(a)](n, *params)
             # the table has no almost-dim row where d does not divide n
