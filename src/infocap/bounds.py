@@ -417,3 +417,15 @@ WITNESSES = {
     AlmostDim: _almost_dim_witness,
     Distrust: _distrust_witness,
 }
+
+# Each kind's bound, keyed like WITNESSES: (assumption, n, tol) -> BoundResult.
+# tol is the distrust targets' oracle tolerance; that row ignores n (one input
+# per target).  Rows call bound_<kind> by name, so a wrapper sees every call.
+BOUNDS = {
+    Dimension: lambda a, n, tol: bound_dimension(a.d, n),
+    EADimension: lambda a, n, tol: bound_ea_dimension(a.d, n),
+    Vacuum: lambda a, n, tol: bound_vacuum(n, a.omega),
+    UniformOverlap: lambda a, n, tol: bound_overlap(n, a.a),
+    AlmostDim: lambda a, n, tol: bound_almost_dim(a.d, n, a.eps),
+    Distrust: lambda a, n, tol: bound_distrust(ensemble_from_vectors(a.targets), a.eps, tol),
+}

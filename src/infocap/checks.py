@@ -20,6 +20,7 @@ import numpy as np
 
 from . import bounds, linalg
 from .discrimination import (
+    DEFAULT_TOL,
     accessible_information,
     guess_value,
     optimize_discrimination,
@@ -59,7 +60,7 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# random members of each assumption set
+# random members of each assumption set, shaped like bounds.WITNESSES rows
 # ---------------------------------------------------------------------------
 
 
@@ -91,7 +92,7 @@ def _member_dimension(rng: np.random.Generator):
     n = int(rng.integers(2, 7))
     vecs = np.stack([random_unit(rng, d) for _ in range(n)])
     e = _maybe_mix(rng, vecs)
-    return e, Dimension(d=d), bounds.bound_dimension(d, n), {}
+    return e, Dimension(d=d), {}
 
 
 def _member_ea_dimension(rng: np.random.Generator):
@@ -101,7 +102,7 @@ def _member_ea_dimension(rng: np.random.Generator):
     phi[:: d + 1] = 1.0 / math.sqrt(d)
     vecs = np.stack([np.kron(_random_unitary(rng, d), np.eye(d)) @ phi for _ in range(n)])
     e = ensemble_from_vectors(vecs)
-    return e, EADimension(d=d), bounds.bound_ea_dimension(d, n), {"subsystem_dims": (d, d)}
+    return e, EADimension(d=d), {"subsystem_dims": (d, d)}
 
 
 def _member_vacuum(rng: np.random.Generator):
@@ -117,7 +118,7 @@ def _member_vacuum(rng: np.random.Generator):
         tail[1:] = random_unit(rng, dim - 1)
         vecs[x] = math.sqrt(1.0 - w) * vac + math.sqrt(w) * tail
     e = _maybe_mix(rng, vecs)
-    return e, Vacuum(omega=omega), bounds.bound_vacuum(n, omega), {"vacuum_vector": vac}
+    return e, Vacuum(omega=omega), {"vacuum_vector": vac}
 
 
 def _member_overlap(rng: np.random.Generator):
@@ -130,7 +131,7 @@ def _member_overlap(rng: np.random.Generator):
     gram = a * np.ones((n, n)) + (1.0 - a) * w
     np.fill_diagonal(gram, 1.0)
     e = ensemble_from_vectors(linalg.vectors_from_gram(gram))
-    return e, UniformOverlap(a=a), bounds.bound_overlap(n, a), {}
+    return e, UniformOverlap(a=a), {}
 
 
 def _member_almost_dim(rng: np.random.Generator):
@@ -149,8 +150,7 @@ def _member_almost_dim(rng: np.random.Generator):
         tail[d:] = random_unit(rng, n)
         vecs[x] = math.sqrt(beta) * head + math.sqrt(1.0 - beta) * tail
     e = _maybe_mix(rng, vecs)
-    assumption = AlmostDim(d=d, eps=eps, projector=proj)
-    return e, assumption, bounds.bound_almost_dim(d, n, eps), {}
+    return e, AlmostDim(d=d, eps=eps, projector=proj), {}
 
 
 def _member_distrust(rng: np.random.Generator):
@@ -176,10 +176,7 @@ def _member_distrust(rng: np.random.Generator):
             states.append(lam * lab(x) + (1.0 - lam) * lab(x))
         else:
             states.append(lab(x))
-    e = StateEnsemble(np.stack(states))
-    target_ensemble = ensemble_from_vectors(targets)
-    bound = bounds.bound_distrust(target_ensemble, eps, tol=1e-9)
-    return e, Distrust(targets=targets, eps=eps), bound, {}
+    return StateEnsemble(np.stack(states)), Distrust(targets=targets, eps=eps), {}
 
 
 # two-branch average-parameter strategies built from saturating members:
@@ -277,11 +274,11 @@ def _bordered_gram_eig(point, e, res, bound) -> float:
     return abs(linalg.min_eigenvalue(gram))
 
 
-def _saturation(cls, grid, bound, *measures) -> Callable[[], tuple[bool, str]]:
+def _saturation(cls, grid, *measures) -> Callable[[], tuple[bool, str]]:
     """The check that the witness of ``cls`` in bounds.WITNESSES attains its
-    bound at each point (n, *params) of ``grid``: the witness is a member of
-    its assumption, and each measure (label, function, limit) stays within
-    its limit.  ``bound`` maps the witness's assumption and n to the bound."""
+    bound in bounds.BOUNDS at each point (n, *params) of ``grid``: the
+    witness is a member of its assumption, and each measure (label,
+    function, limit) stays within its limit."""
 
     def check() -> tuple[bool, str]:
         worst = [-math.inf] * len(measures)
@@ -290,7 +287,8 @@ def _saturation(cls, grid, bound, *measures) -> Callable[[], tuple[bool, str]]:
             report = check_assumption(e, assumption, **aux)
             if not report.satisfied:
                 return False, f"{cls.kind}: witness at {point} not a member (slack {report.worst_slack:.2e})"
-            res, at = optimize_discrimination(e, tol=1e-12), bound(assumption, point[0])
+            res = optimize_discrimination(e, tol=1e-12)
+            at = bounds.BOUNDS[cls](assumption, point[0], DEFAULT_TOL)
             worst = [max(w, f(point, e, res, at)) for w, (_, f, _) in zip(worst, measures)]
         ok = all(w <= limit for w, (_, _, limit) in zip(worst, measures))
         return ok, f"{cls.kind}: " + ", ".join(f"max {m[0]} = {w:.2e}" for w, m in zip(worst, measures))
@@ -368,18 +366,18 @@ def _check_almost_dim_search() -> tuple[bool, str]:
     )
 
 
-def _check_soundness_sweep(samples_per_assumption: int = 1000) -> tuple[bool, str]:
+def _check_soundness_sweep() -> tuple[bool, str]:
     rng = np.random.default_rng(20240503)
     worst = -1.0
     worst_kind = ""
     for cls, (sampler, _) in _SAMPLERS.items():
-        for _ in range(samples_per_assumption):
-            e, assumption, bound, aux = sampler(rng)
+        for _ in range(1000):
+            e, assumption, aux = sampler(rng)
             report = check_assumption(e, assumption, **aux)
             if not report.satisfied:
                 return False, f"{cls.kind} sampler produced a non-member (slack {report.worst_slack:.2e})"
             res = optimize_discrimination(e, tol=1e-7, max_iter=150)
-            excess = res.value - bound.pg_bound
+            excess = res.value - bounds.BOUNDS[cls](assumption, e.n, 1e-9).pg_bound
             if excess > worst:
                 worst, worst_kind = excess, cls.kind
     return worst <= 1e-6, f"max oracle - bound = {worst:.2e} ({worst_kind})"
@@ -402,7 +400,7 @@ _CONCAVITY_PROBES = (
 )
 
 
-def _check_concavity_and_average(strategies_per_kind: int = 100) -> tuple[bool, str]:
+def _check_concavity_and_average() -> tuple[bool, str]:
     probes = {label: concavity_probe(f, draw, 1000, seed) for label, seed, f, draw in _CONCAVITY_PROBES}
     bad = [label for label, p in probes.items() if not p.passed]
     if bad:
@@ -413,7 +411,7 @@ def _check_concavity_and_average(strategies_per_kind: int = 100) -> tuple[bool, 
     for cls, (_, builder) in _SAMPLERS.items():
         if builder is None:
             continue
-        for _ in range(strategies_per_kind):
+        for _ in range(100):
             q = float(rng.uniform(0.2, 0.8))
             strategy, cap, aux = builder(rng, (q, 1.0 - q))
             avg = sum(w * scalar_param(g) for w, _, g in strategy.branches)
@@ -430,10 +428,10 @@ def _check_concavity_and_average(strategies_per_kind: int = 100) -> tuple[bool, 
     )
 
 
-def _check_cq_embedding(strategies: int = 100) -> tuple[bool, str]:
+def _check_cq_embedding() -> tuple[bool, str]:
     rng = np.random.default_rng(20240505)
     worst = 0.0
-    for _ in range(strategies):
+    for _ in range(100):
         n = 3
         n_branches = int(rng.integers(2, 4))
         raw = rng.uniform(0.2, 1.0, size=n_branches)
@@ -488,27 +486,20 @@ _GAP = "|oracle - bound|", _oracle_gap
 _CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "dimension_saturation": _saturation(
         Dimension, [(n, d) for d in range(1, 5) for n in range(1, 13)],
-        lambda a, n: bounds.bound_dimension(a.d, n),
         ("|pg - d/n|", _oracle_gap, 1e-8), ("info excess", _info_excess, 1e-9)),
     "ea_dimension_saturation": _saturation(
         EADimension, [(n, d) for d in (2, 3) for n in (d * d, 2 * d * d, 30)],
-        lambda a, n: bounds.bound_ea_dimension(a.d, n),
         ("|pg - d^2/n|", _oracle_gap, 1e-6), ("info excess", _info_excess, 1e-6)),
     "ea_average_counterexample": _check_ea_counterexample,
     "overlap_pgm_closed_form": _saturation(
         UniformOverlap, [(n, float(a)) for n in range(2, 7) for a in np.linspace(0.0, 1.0, 21)],
-        lambda a, n: bounds.bound_overlap(n, a.a),
         ("|pgm - bound|", _pgm_gap, 1e-10), (*_GAP, 1e-8)),
     "helstrom_reduction": _check_helstrom_pairs,
     "vacuum_saturation": _saturation(
         Vacuum, [(n, float(w)) for n in range(2, 7) for w in np.linspace(0.0, (n - 1) / n, 11)],
-        lambda a, n: bounds.bound_vacuum(n, a.omega),
         (*_GAP, 1e-6), ("|min eig|", _bordered_gram_eig, 1e-9)),
-    "almost_dim_saturation": _saturation(
-        AlmostDim, _SECTOR_GRID, lambda a, n: bounds.bound_almost_dim(a.d, n, a.eps), (*_GAP, 1e-9)),
-    "distrust_saturation": _saturation(
-        Distrust, _SECTOR_GRID,
-        lambda a, n: bounds.bound_distrust(ensemble_from_vectors(a.targets), a.eps), (*_GAP, 1e-9)),
+    "almost_dim_saturation": _saturation(AlmostDim, _SECTOR_GRID, (*_GAP, 1e-9)),
+    "distrust_saturation": _saturation(Distrust, _SECTOR_GRID, (*_GAP, 1e-9)),
     "operator_lemma_regression": _check_lemma,
     "deviation_vacuum_identity": _check_deviation_vacuum_identity,
     "almost_dim_tightness_search": _check_almost_dim_search,

@@ -5,7 +5,7 @@ evaluates a constructed seed, later restarts perturb the seed and project
 back onto the constraint surface (components renormalized so the defining
 inequality holds with equality), and every candidate is refined by the
 discrimination oracle.  The report compares the best value found against
-the closed-form bound.
+the kind's closed-form bound in ``bounds.BOUNDS``.
 
 Seeds: the vacuum and overlap seeds are the kinds' witnesses in
 ``bounds.WITNESSES``, which saturate the bound.  The almost-dimension seed
@@ -22,14 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import (
-    WITNESSES,
-    BoundResult,
-    bound_almost_dim,
-    bound_distrust,
-    bound_overlap,
-    bound_vacuum,
-)
+from .bounds import BOUNDS, WITNESSES, BoundResult
 from .discrimination import DEFAULT_TOL, optimize_discrimination
 from .ensembles import (
     AlmostDim,
@@ -138,7 +131,7 @@ def _project_overlap(gram: np.ndarray, a: float, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """One search: the assumption searched (with any witness filled in), the
-    closed-form bound, the saturating seed and the membership context.
+    saturating seed (one row per input) and the membership context.
 
     The constraint surface a perturbed seed is projected back onto is data:
     state x keeps weight ``weight`` inside its anchor projector
@@ -148,16 +141,13 @@ class _Plan:
     """
 
     assumption: Assumption
-    n: int
-    bound: BoundResult
     seed_vectors: np.ndarray
     anchors: np.ndarray | None
     weight: float
     membership_aux: dict
 
 
-def _vacuum_plan(a, n, tol) -> _Plan:
-    bound = bound_vacuum(n, a.omega)
+def _vacuum_plan(a, n) -> _Plan:
     # past omega = (n-1)/n the seed is the cone at (n-1)/n
     ens, _, aux = WITNESSES[Vacuum](n, min(a.omega, (n - 1) / n))
     seed_vectors = ens.state_vectors()
@@ -165,38 +155,35 @@ def _vacuum_plan(a, n, tol) -> _Plan:
     vacuum_projector = np.zeros((dim, dim), dtype=complex)  # the cone's vacuum is e_0
     vacuum_projector[0, 0] = 1.0
     anchors = np.broadcast_to(vacuum_projector, (n, dim, dim))
-    return _Plan(a, n, bound, seed_vectors, anchors, 1.0 - a.omega, aux)
+    return _Plan(a, seed_vectors, anchors, 1.0 - a.omega, aux)
 
 
-def _overlap_plan(a, n, tol) -> _Plan:
-    bound = bound_overlap(n, a.a)
+def _overlap_plan(a, n) -> _Plan:
     ens, _, aux = WITNESSES[UniformOverlap](n, a.a)
-    return _Plan(a, n, bound, ens.state_vectors(), None, a.a, aux)
+    return _Plan(a, ens.state_vectors(), None, a.a, aux)
 
 
-def _almost_dim_plan(a, n, tol) -> _Plan:
-    bound = bound_almost_dim(a.d, n, a.eps)
+def _almost_dim_plan(a, n) -> _Plan:
     # restart 0 is ensemble_from_vectors of these vectors, the kind's witness
     # where d divides n; the top eigenvectors of its states differ from the
     # vectors in the last bits
     seed_vectors, projector = almost_dim_seed(a.d, n, a.eps)
     witnessed = AlmostDim(d=a.d, eps=a.eps, projector=projector)
     anchors = np.broadcast_to(projector, (n, *projector.shape))
-    return _Plan(witnessed, n, bound, seed_vectors, anchors, 1.0 - a.eps, {})
+    return _Plan(witnessed, seed_vectors, anchors, 1.0 - a.eps, {})
 
 
-def _distrust_plan(a, n, tol) -> _Plan:
+def _distrust_plan(a, n) -> _Plan:
     targets = a.targets
-    bound = bound_distrust(ensemble_from_vectors(targets), a.eps, tol)
     seed_vectors = distrust_seed(targets, a.eps)
     padded = np.zeros((n, seed_vectors.shape[1]), dtype=complex)
     padded[:, : targets.shape[1]] = targets
     anchors = padded[:, :, None] * padded.conj()[:, None, :]
-    return _Plan(a, n, bound, seed_vectors, anchors, 1.0 - a.eps, {})
+    return _Plan(a, seed_vectors, anchors, 1.0 - a.eps, {})
 
 
 # The searchable kinds, keyed by assumption class: the plan builder
-# (assumption, n, tol) -> _Plan, and the largest state dimension on n
+# (assumption, n) -> _Plan, and the largest state dimension on n
 # inputs, in the kind's seed or in its saturating construction.
 SEARCHES = {
     Vacuum: (_vacuum_plan, lambda a, n: n + 1),
@@ -210,11 +197,17 @@ SEARCHES = {
 MAX_STATE_STACK_BYTES = 2**28
 
 
+def _search_row(assumption: Assumption):
+    if type(assumption) not in SEARCHES:
+        raise ParamOutOfRangeError(f"search does not support assumption {assumption!r}")
+    return SEARCHES[type(assumption)]
+
+
 def check_state_stack(assumption: Assumption, n: int) -> None:
     """Raise ParamOutOfRangeError if the n states that a search, or a
     saturating construction, under ``assumption`` builds would take more
-    than MAX_STATE_STACK_BYTES."""
-    _, state_dim = SEARCHES[type(assumption)]
+    than MAX_STATE_STACK_BYTES, or if its kind has no search."""
+    _, state_dim = _search_row(assumption)
     dim = state_dim(assumption, n)
     size = 16 * n * dim * dim
     if size > MAX_STATE_STACK_BYTES:
@@ -235,10 +228,10 @@ def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnse
     perturbed = plan.seed_vectors + sigma * noise
     if plan.anchors is None:
         vecs = np.stack([v / np.linalg.norm(v) for v in perturbed])
-        g = _project_overlap(vecs.conj() @ vecs.T, plan.weight, plan.n)
+        g = _project_overlap(vecs.conj() @ vecs.T, plan.weight, shape[0])
         return ensemble_from_vectors(vectors_from_gram((g + g.conj().T) / 2.0))
     vecs = np.empty_like(perturbed)
-    for x in range(plan.n):
+    for x in range(shape[0]):
         vecs[x] = _split_and_rescale(perturbed[x], plan.anchors[x], plan.weight, rng)
     return ensemble_from_vectors(vecs)
 
@@ -261,8 +254,7 @@ def tightness_search(
     Deterministic for a fixed ``seed``: restart k draws from a generator
     seeded with seed + k.
     """
-    if type(assumption) not in SEARCHES:
-        raise ParamOutOfRangeError(f"search does not support assumption {assumption!r}")
+    make_plan, _ = _search_row(assumption)
     # a distrust search has one input per target
     count = assumption.targets.shape[0] if isinstance(assumption, Distrust) else n
     if count is not None:
@@ -274,8 +266,9 @@ def tightness_search(
     n = count
     if restarts < 1:
         raise ParamOutOfRangeError(f"restarts must be >= 1, got {restarts}")
-    make_plan, _ = SEARCHES[type(assumption)]
-    plan = make_plan(assumption, n, tol)
+    # the bound checks its parameters before the seed does
+    bound = BOUNDS[type(assumption)](assumption, n, tol)
+    plan = make_plan(assumption, n)
     outcomes: list[RestartOutcome] = []
     best = 0.0
     for k in range(restarts):
@@ -291,9 +284,9 @@ def tightness_search(
         best = max(best, res.value)
     return SearchReport(
         assumption=plan.assumption,
-        n=plan.n,
+        n=n,
         seed=seed,
-        bound=plan.bound,
+        bound=bound,
         best_value=best,
         restarts=tuple(outcomes),
     )

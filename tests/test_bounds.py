@@ -7,6 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infocap import (
+    AlmostDim,
+    Dimension,
+    Distrust,
+    EADimension,
+    UniformOverlap,
+    Vacuum,
     Validity,
     basis_ensemble,
     bound_almost_dim,
@@ -18,13 +24,15 @@ from infocap import (
     bound_vacuum,
     coherent_capacity,
     almost_qubit_epsilon,
+    ensemble_from_vectors,
     equiangular_ensemble,
     h_func,
     lemma_check,
     min_overlap_vacuum,
 )
-from infocap import bounds, linalg
-from infocap.checks import random_unit
+from infocap import bounds, linalg, search
+from infocap.checks import _SAMPLERS, random_unit
+from infocap.discrimination import DEFAULT_TOL
 from infocap.errors import NonFiniteError, ParamOutOfRangeError
 
 
@@ -228,6 +236,51 @@ class TestDistrustBound:
     def test_notes_tightness_caveat(self):
         res = bound_distrust(basis_ensemble(2, 2), 0.1)
         assert "not tight" in res.note
+
+
+_TARGETS = np.array([[1, 0], [0, 1], [0.6, 0.8]], dtype=complex)
+
+# two points per kind: the assumption, n, the oracle tolerance, and the
+# direct bound_<kind> call the row must equal
+_ROWS = [
+    (Dimension(d=2), 4, DEFAULT_TOL, lambda: bound_dimension(2, 4)),
+    (Dimension(d=3), 2, DEFAULT_TOL, lambda: bound_dimension(3, 2)),
+    (EADimension(d=2), 5, DEFAULT_TOL, lambda: bound_ea_dimension(2, 5)),
+    (EADimension(d=3), 30, DEFAULT_TOL, lambda: bound_ea_dimension(3, 30)),
+    (Vacuum(omega=0.1), 4, DEFAULT_TOL, lambda: bound_vacuum(4, 0.1)),
+    (Vacuum(omega=0.9), 3, DEFAULT_TOL, lambda: bound_vacuum(3, 0.9)),
+    (UniformOverlap(a=0.3), 4, DEFAULT_TOL, lambda: bound_overlap(4, 0.3)),
+    (UniformOverlap(a=1.0), 2, DEFAULT_TOL, lambda: bound_overlap(2, 1.0)),
+    (AlmostDim(d=2, eps=0.05), 4, DEFAULT_TOL, lambda: bound_almost_dim(2, 4, 0.05)),
+    (AlmostDim(d=1, eps=0.2, projector=np.diag([1.0, 0.0]).astype(complex)), 5, DEFAULT_TOL,
+     lambda: bound_almost_dim(1, 5, 0.2)),
+    (Distrust(targets=_TARGETS, eps=0.1), 3, 1e-9,
+     lambda: bound_distrust(ensemble_from_vectors(_TARGETS), 0.1, tol=1e-9)),
+    (Distrust(targets=_TARGETS, eps=0.1), 3, DEFAULT_TOL,
+     lambda: bound_distrust(ensemble_from_vectors(_TARGETS), 0.1)),
+]
+
+
+class TestBoundsTable:
+    def test_keyed_like_the_other_kind_tables(self):
+        assert set(bounds.BOUNDS) == set(bounds.WITNESSES) == set(_SAMPLERS)
+        assert set(search.SEARCHES) <= set(bounds.BOUNDS)
+
+    def test_every_kind_sampled(self):
+        assert {type(a) for a, *_ in _ROWS} == set(bounds.BOUNDS)
+
+    @pytest.mark.parametrize("row", range(len(_ROWS)))
+    def test_row_is_the_direct_call(self, row):
+        assumption, n, tol, direct = _ROWS[row]
+        assert bounds.BOUNDS[type(assumption)](assumption, n, tol).to_json() == direct().to_json()
+
+    def test_row_calls_the_module_name(self, monkeypatch):
+        calls = []
+        real = bounds.bound_vacuum
+        monkeypatch.setattr(bounds, "bound_vacuum", lambda n, omega: calls.append((n, omega)) or real(n, omega))
+        result = bounds.BOUNDS[Vacuum](Vacuum(omega=0.1), 4, DEFAULT_TOL)
+        assert calls == [(4, 0.1)]
+        assert result.to_json() == real(4, 0.1).to_json()
 
 
 class TestCoherentCapacity:

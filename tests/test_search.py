@@ -3,7 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from infocap import AlmostDim, Distrust, UniformOverlap, Vacuum, ensemble_from_vectors, search, tightness_search
+from infocap import (
+    AlmostDim,
+    Dimension,
+    Distrust,
+    UniformOverlap,
+    Vacuum,
+    ensemble_from_vectors,
+    search,
+    tightness_search,
+)
 from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
 from infocap.ensembles import almost_dim_seed
@@ -31,7 +40,7 @@ class TestSeeds:
     )
     def test_restart_zero_is_the_witness(self, assumption, point):
         make_plan, _ = search.SEARCHES[type(assumption)]
-        plan = make_plan(assumption, point[0], 1e-10)
+        plan = make_plan(assumption, point[0])
         first = search._candidate(plan, 0, np.random.default_rng(0))
         found = WITNESSES[type(assumption)](*point)
         if found is None:
@@ -130,6 +139,16 @@ class TestStateStack:
         assert str(info.value) == message
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "call", [search.check_state_stack, lambda a, n: tightness_search(a, n, restarts=1)],
+        ids=["check_state_stack", "tightness_search"],
+    )
+    def test_kind_without_search_refused(self, call):
+        # dimension has a bound and a witness, but no search row
+        with pytest.raises(ParamOutOfRangeError) as info:
+            call(Dimension(d=2), 4)
+        assert str(info.value) == f"search does not support assumption {Dimension(d=2)!r}"
+
 
 # two parameter points per kind: the assumption on n inputs, and the
 # parameters of its witness, which `sweep --with-oracle` builds (if any)
@@ -156,7 +175,7 @@ class TestStateDims:
         a = build(n)
         make_plan, state_dim = search.SEARCHES[type(a)]
         declared = state_dim(a, n)
-        assert declared >= make_plan(a, n, 1e-10).seed_vectors.shape[1]
+        assert declared >= make_plan(a, n).seed_vectors.shape[1]
         if params is not None:
             found = WITNESSES[type(a)](n, *params)
             # the table has no almost-dim row where d does not divide n
