@@ -3,10 +3,9 @@
 
 Runs the seeded search over a grid of (n, eps) at d = 2 and tabulates the
 gap between the closed-form bound and the best ensemble found.  The gap
-vanishes whenever d divides n (the orthogonal-sector cone construction is
-exactly optimal there).  For other n the table reports the search's gap,
-not the bound's: a see-saw prototype (ROADMAP item 4) reached the bound
-numerically there, to within 3e-15.
+vanishes, to rounding, for every n: restart 0 is the circulant almost-dim
+witness of ``bounds.WITNESSES``, which attains the bound whether or not d
+divides n.
 
 Usage: python scripts/almost_dim_tightness.py [restarts] [seed]
 """

@@ -43,13 +43,13 @@ from .ensembles import (
     almost_qubit_epsilon,
     basis_ensemble,
     check_assumption,
+    circulant_ensemble,
     coherent_state,
     dense_coding_ensemble,
     ensemble_from_json,
     ensemble_from_vectors,
     ensemble_to_json,
     equiangular_ensemble,
-    vacuum_cone_ensemble,
 )
 from .linalg import (
     mat_inv_sqrt,

@@ -34,15 +34,14 @@ from .ensembles import (
     StateEnsemble,
     UniformOverlap,
     Vacuum,
-    almost_dim_seed,
     almost_qubit_epsilon,
     assumption_to_json,
     basis_ensemble,
     check_unit_interval,
+    circulant_ensemble,
     dense_coding_ensemble,
     ensemble_from_vectors,
     equiangular_ensemble,
-    vacuum_cone_ensemble,
 )
 from .errors import NonFiniteError, ParamOutOfRangeError, ZeroProjectionError
 
@@ -379,36 +378,46 @@ def coherent_capacity(nbar: float, n: int) -> BoundResult:
     return _result(pg, assumption, n, validity, note=note)
 
 
-def _vacuum_witness(n: int, omega: float):
-    if omega > (n - 1) / n:  # the bound is trivially 1 there, and the cone undefined
-        return None
-    ens, vacuum = vacuum_cone_ensemble(n, omega)
-    return ens, Vacuum(omega=omega), {"vacuum_vector": vacuum}
+def _almost_dim_profile(n: int, d: int, eps: float) -> list[float]:
+    # the circulant eigenvalues that spread each state's weight 1-eps evenly
+    # over the first min(d, n) frequencies and eps over the rest; past
+    # eps = 1 - d/n the profile is flat, an orthonormal basis
+    head = min(d, n)
+    tail = min(eps, 1.0 - head / n)
+    eigenvalues = [(1.0 - tail) * n / head] * head
+    if head < n:
+        eigenvalues += [tail * n / (n - head)] * (n - head)
+    return eigenvalues
 
 
 def _almost_dim_witness(n: int, d: int, eps: float):
-    if n % d:  # the sector seed falls short of the bound there
-        return None
-    vectors, projector = almost_dim_seed(d, n, eps)
-    return ensemble_from_vectors(vectors), AlmostDim(d=d, eps=eps, projector=projector), {}
+    ens = circulant_ensemble(_almost_dim_profile(n, d, eps))
+    # the first min(d, n) frequencies are all kept, as the first coordinates
+    projector = np.diag((np.arange(ens.dim) < d).astype(complex))
+    return ens, AlmostDim(d=d, eps=eps, projector=projector), {}
+
+
+def _vacuum_witness(n: int, omega: float):
+    # the d = 1 profile, with frequency 0 as the vacuum
+    ens = circulant_ensemble(_almost_dim_profile(n, 1, omega))
+    return ens, Vacuum(omega=omega), {"vacuum_vector": np.eye(ens.dim, dtype=complex)[0]}
 
 
 def _distrust_witness(n: int, d: int, eps: float):
-    # the sector seed, each state's target the normalized projection of the
-    # state onto its sector anchor: fidelity 1-eps, and targets worth d/n
-    if n % d:
-        return None
-    vectors, projector = almost_dim_seed(d, n, eps)
-    anchored = vectors @ projector.T
+    # the almost-dim witness, each state's target its normalized projection
+    # onto the first d frequencies: fidelity at least 1-eps, and targets
+    # forming a harmonic frame worth min(d, n)/n
+    ens, witnessed, _ = _almost_dim_witness(n, d, eps)
+    anchored = ens.state_vectors() @ witnessed.projector.T
     targets = anchored / np.linalg.norm(anchored, axis=1, keepdims=True)
-    return ensemble_from_vectors(vectors), Distrust(targets=targets, eps=eps), {}
+    return ens, Distrust(targets=targets, eps=eps), {}
 
 
 # Each kind's saturating witness, keyed by assumption class: (n, *params) ->
 # (ensemble, the assumption carrying the witness data, membership context
-# for check_assumption), or None where there is none.  The params are the
-# kind's CLI columns, but (d, eps) for distrust, whose witness defines its
-# targets; almost-dim and distrust have a witness only where d divides n.
+# for check_assumption), at every in-range point.  The params are the kind's
+# CLI columns, but (d, eps) for distrust, whose witness defines its targets.
+# Vacuum, almost-dim and distrust share one circulant eigenvalue profile.
 WITNESSES = {
     Dimension: lambda n, d: (basis_ensemble(d, n), Dimension(d=d), {}),
     EADimension: lambda n, d: (dense_coding_ensemble(d, n), EADimension(d=d), {"subsystem_dims": (d, d)}),

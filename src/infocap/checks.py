@@ -268,8 +268,10 @@ def _pgm_gap(point, e, res, bound) -> float:
 
 
 def _bordered_gram_eig(point, e, res, bound) -> float:
-    # zero when min_overlap_vacuum is the least overlap keeping it PSD
+    # zero when min_overlap_vacuum is the least overlap keeping it PSD; past
+    # omega = (n-1)/n the witness stays the orthonormal basis of (n-1)/n
     n, omega = point
+    omega = min(omega, (n - 1) / n)
     gram = equal_overlap_gram(n, bounds.min_overlap_vacuum(n, omega), border=math.sqrt(1.0 - omega))
     return abs(linalg.min_eigenvalue(gram))
 
@@ -478,8 +480,10 @@ def _check_cli_determinism() -> tuple[bool, str]:
     return all(same.values()), f"search byte-identical: {same['search']}, sweep byte-identical: {same['sweep']}"
 
 
-# the almost-dim and distrust witnesses attain their bounds where d divides n
-_SECTOR_GRID = [(n, d, eps) for d, n in ((2, 4), (2, 6), (3, 6), (2, 8), (3, 9))
+# the almost-dim and distrust witnesses attain their bounds whether or not
+# d divides n
+_SECTOR_GRID = [(n, d, eps)
+                for d, n in ((2, 4), (2, 6), (3, 6), (2, 8), (3, 9), (2, 3), (2, 5), (3, 4), (3, 5))
                 for eps in (0.0, 0.01, 0.05, 0.1, 0.2, 0.3)]
 _GAP = "|oracle - bound|", _oracle_gap
 
@@ -496,7 +500,7 @@ _CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
         ("|pgm - bound|", _pgm_gap, 1e-10), (*_GAP, 1e-8)),
     "helstrom_reduction": _check_helstrom_pairs,
     "vacuum_saturation": _saturation(
-        Vacuum, [(n, float(w)) for n in range(2, 7) for w in np.linspace(0.0, (n - 1) / n, 11)],
+        Vacuum, [(n, float(w)) for n in range(2, 7) for w in [*np.linspace(0.0, (n - 1) / n, 11), 0.9, 1.0]],
         (*_GAP, 1e-6), ("|min eig|", _bordered_gram_eig, 1e-9)),
     "almost_dim_saturation": _saturation(AlmostDim, _SECTOR_GRID, (*_GAP, 1e-9)),
     "distrust_saturation": _saturation(Distrust, _SECTOR_GRID, (*_GAP, 1e-9)),

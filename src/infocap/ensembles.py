@@ -3,9 +3,8 @@
 An ensemble is ``n`` density matrices of a common dimension with a uniform
 prior 1/n hard-coded; all capacity results here assume uniform inputs.
 Constructors build the standard extremal families: computational bases,
-dense-coding orbits of a maximally entangled state, equiangular sets,
-vacuum-centred cones and the orthogonal sector cones of almost-qudit
-states.
+dense-coding orbits of a maximally entangled state, equiangular sets and
+the circulant ensembles of a Gram spectrum.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import (
     InfocapError,
     MissingContextError,
     MixedStateOverlapError,
-    OmegaOutOfRangeError,
     ParamOutOfRangeError,
 )
 from .serialize import (
@@ -485,67 +483,27 @@ def equiangular_ensemble(n: int, a: float) -> StateEnsemble:
     return ensemble_from_vectors(linalg.vectors_from_gram(equal_overlap_gram(n, a)))
 
 
-def _rotate_last_to_first_axis(vectors: np.ndarray) -> np.ndarray:
-    """Apply a common unitary sending the last row to e_0 (positive phase)."""
-    u = vectors[-1]
-    dim = vectors.shape[1]
-    basis = np.eye(dim, dtype=complex)
-    basis[:, 0] = u
-    q, _ = np.linalg.qr(basis)
-    # QR may flip the first column's phase relative to u
-    phase = complex(q[:, 0].conj() @ u)
-    q[:, 0] *= phase / abs(phase)
-    return vectors @ q.conj()
+def circulant_ensemble(eigenvalues) -> StateEnsemble:
+    """The n pure states psi_x = sum_k sqrt(lam_k/n) w^(xk) e_k, w = e^(2 pi i/n),
+    whose Gram matrix is circulant with eigenvalues ``eigenvalues``.
 
-
-def vacuum_cone_ensemble(n: int, omega: float) -> tuple[StateEnsemble, np.ndarray]:
-    """n pure states on the boundary of the cone of angle arccos(sqrt(1-omega))
-    around a common vacuum direction, with minimal equal pairwise overlap.
-
-    Returns (ensemble, vacuum_vector); the vacuum is rotated onto e_0.  Each
-    state has vacuum amplitude sqrt(1-omega) and the pairwise overlaps equal
-    1 - n*omega/(n-1), the smallest value compatible with positivity of the
-    bordered Gram matrix.
+    There is one coordinate for each k with lam_k > 0, in increasing k.  The
+    states are geometrically uniform, so the pretty good measurement is
+    optimal for them and pg = (sum_k sqrt(lam_k))^2 / n^2 (Ban, Kurokawa,
+    Momose & Hirota 1997; Eldar & Forney 2001).  The eigenvalues must be
+    finite and >= 0 and sum to n within n TRACE_TOL, so that each state has
+    unit trace; otherwise ParamOutOfRangeError is raised.
     """
-    if n < 2:
-        raise ParamOutOfRangeError("need n >= 2 states")
-    if omega < 0.0 or omega > (n - 1) / n + 1e-12:
-        raise OmegaOutOfRangeError(
-            f"omega={omega} outside [0, (n-1)/n]; beyond that bound the "
-            "guessing probability is trivially 1 and the cone is undefined"
-        )
-    gram = equal_overlap_gram(n, 1.0 - n * omega / (n - 1), border=math.sqrt(1.0 - omega))
-    vectors = linalg.vectors_from_gram(gram)
-    vectors = _rotate_last_to_first_axis(vectors)
-    vacuum = vectors[-1].copy()
-    return ensemble_from_vectors(vectors[:n]), vacuum
-
-
-def almost_dim_seed(d: int, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sector-cone seed: d orthogonal blocks, each a vacuum-style cone of
-    deviation eps over its share of the n inputs.  Returns (vectors,
-    projector onto the d anchor directions).  Its value, the weighted sector
-    value, meets the almost-dimension bound exactly when d divides n."""
-    sizes = [n // d + (1 if i < n % d else 0) for i in range(d)]
-    blocks: list[np.ndarray] = []  # per block: (m_i + 1, dim_i), anchor last
-    for m in sizes:
-        if m == 1:
-            blocks.append(np.ones((2, 1), dtype=complex))  # state equals the anchor
-        elif m > 1:
-            ens, anchor = vacuum_cone_ensemble(m, min(eps, (m - 1) / m))
-            blocks.append(np.vstack([ens.state_vectors(), anchor[None, :]]))
-    total = sum(b.shape[1] for b in blocks)
-    vectors = np.zeros((n, total), dtype=complex)
-    projector = np.zeros((total, total), dtype=complex)
-    x = offset = 0
-    for b in blocks:
-        m, dim_b = b.shape[0] - 1, b.shape[1]
-        vectors[x : x + m, offset : offset + dim_b] = b[:m]
-        anchor = np.zeros(total, dtype=complex)
-        anchor[offset : offset + dim_b] = b[-1]
-        projector += np.outer(anchor, anchor.conj())
-        x, offset = x + m, offset + dim_b
-    return vectors, projector
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.ndim != 1 or not lam.size or not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
+        raise ParamOutOfRangeError("eigenvalues must be a nonempty list of finite numbers >= 0")
+    n = lam.size
+    if not abs(lam.sum() - n) <= n * TRACE_TOL:
+        raise ParamOutOfRangeError(f"eigenvalues must sum to n = {n}, got {lam.sum()}")
+    kept = np.flatnonzero(lam > 0.0)
+    # x k reduced mod n keeps the phase angles below 2 pi
+    phases = np.exp(2j * np.pi * (np.outer(np.arange(n), kept) % n) / n)
+    return ensemble_from_vectors(phases * np.sqrt(lam[kept] / n))
 
 
 def coherent_state(alpha_mag: float, phase: float, cutoff: int) -> np.ndarray:

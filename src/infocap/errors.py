@@ -29,10 +29,6 @@ class GramNotPSDError(InfocapError):
     pass
 
 
-class OmegaOutOfRangeError(InfocapError):
-    pass
-
-
 class CutoffTooSmallError(InfocapError):
     pass
 

@@ -7,13 +7,10 @@ inequality holds with equality), and every candidate is refined by the
 discrimination oracle.  The report compares the best value found against
 the kind's closed-form bound in ``bounds.BOUNDS``.
 
-Seeds: the vacuum and overlap seeds are the kinds' witnesses in
-``bounds.WITNESSES``, which saturate the bound.  The almost-dimension seed
-is the sector seed (``ensembles.almost_dim_seed``), perturbed through its
-own vectors; where d divides n it is the kind's witness, elsewhere the
-table has no row and the seed is only a feasible point.  The distrust seed
-attaches orthogonal tails of weight eps to the user's targets; it too is
-feasible but generally not optimal.
+Seeds: the vacuum, overlap and almost-dimension seeds are the kinds'
+witnesses in ``bounds.WITNESSES``, which saturate the bound at every
+parameter point.  The distrust seed attaches orthogonal tails of weight
+eps to the user's targets; it is feasible but generally not optimal.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from .ensembles import (
     StateEnsemble,
     UniformOverlap,
     Vacuum,
-    almost_dim_seed,
     check_assumption,
     ensemble_from_vectors,
     equal_overlap_gram,
@@ -148,14 +144,10 @@ class _Plan:
 
 
 def _vacuum_plan(a, n) -> _Plan:
-    # past omega = (n-1)/n the seed is the cone at (n-1)/n
-    ens, _, aux = WITNESSES[Vacuum](n, min(a.omega, (n - 1) / n))
-    seed_vectors = ens.state_vectors()
-    dim = seed_vectors.shape[1]
-    vacuum_projector = np.zeros((dim, dim), dtype=complex)  # the cone's vacuum is e_0
-    vacuum_projector[0, 0] = 1.0
-    anchors = np.broadcast_to(vacuum_projector, (n, dim, dim))
-    return _Plan(a, seed_vectors, anchors, 1.0 - a.omega, aux)
+    ens, _, aux = WITNESSES[Vacuum](n, a.omega)
+    vacuum = aux["vacuum_vector"]
+    anchors = np.broadcast_to(np.outer(vacuum, vacuum.conj()), (n, ens.dim, ens.dim))
+    return _Plan(a, ens.state_vectors(), anchors, 1.0 - a.omega, aux)
 
 
 def _overlap_plan(a, n) -> _Plan:
@@ -164,13 +156,9 @@ def _overlap_plan(a, n) -> _Plan:
 
 
 def _almost_dim_plan(a, n) -> _Plan:
-    # restart 0 is ensemble_from_vectors of these vectors, the kind's witness
-    # where d divides n; the top eigenvectors of its states differ from the
-    # vectors in the last bits
-    seed_vectors, projector = almost_dim_seed(a.d, n, a.eps)
-    witnessed = AlmostDim(d=a.d, eps=a.eps, projector=projector)
-    anchors = np.broadcast_to(projector, (n, *projector.shape))
-    return _Plan(witnessed, seed_vectors, anchors, 1.0 - a.eps, {})
+    ens, witnessed, aux = WITNESSES[AlmostDim](n, a.d, a.eps)
+    anchors = np.broadcast_to(witnessed.projector, (n, ens.dim, ens.dim))
+    return _Plan(witnessed, ens.state_vectors(), anchors, 1.0 - a.eps, aux)
 
 
 def _distrust_plan(a, n) -> _Plan:
@@ -186,9 +174,9 @@ def _distrust_plan(a, n) -> _Plan:
 # (assumption, n) -> _Plan, and the largest state dimension on n
 # inputs, in the kind's seed or in its saturating construction.
 SEARCHES = {
-    Vacuum: (_vacuum_plan, lambda a, n: n + 1),
+    Vacuum: (_vacuum_plan, lambda a, n: n),
     UniformOverlap: (_overlap_plan, lambda a, n: n),
-    AlmostDim: (_almost_dim_plan, lambda a, n: n + min(a.d, n)),
+    AlmostDim: (_almost_dim_plan, lambda a, n: n),
     Distrust: (_distrust_plan, lambda a, n: a.targets.shape[1] + n),
 }
 # n states of dimension dim are a stack of dim x dim complex128 matrices,

@@ -22,13 +22,16 @@ from infocap import (
     bound_eps,
     bound_overlap,
     bound_vacuum,
+    check_assumption,
     coherent_capacity,
     almost_qubit_epsilon,
     ensemble_from_vectors,
     equiangular_ensemble,
+    guess_value,
     h_func,
     lemma_check,
     min_overlap_vacuum,
+    pgm,
 )
 from infocap import bounds, linalg, search
 from infocap.checks import _SAMPLERS, random_unit
@@ -281,6 +284,26 @@ class TestBoundsTable:
         result = bounds.BOUNDS[Vacuum](Vacuum(omega=0.1), 4, DEFAULT_TOL)
         assert calls == [(4, 0.1)]
         assert result.to_json() == real(4, 0.1).to_json()
+
+
+class TestWitnesses:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_row_is_defined_and_meets_its_bound(self, n):
+        # d > n, d not dividing n, eps = 1 - d/n and omega past (n-1)/n all
+        # have a witness: a member, on which the PGM meets the bound
+        for d in range(1, n + 3):
+            for t in sorted({0.0, 0.05, 0.3, max(0.0, 1.0 - d / n), (n - 1) / n, 0.9, 1.0}):
+                points = {Dimension: (n, d), EADimension: (n, min(d, 3)), Vacuum: (n, t),
+                          UniformOverlap: (n, t), AlmostDim: (n, d, t), Distrust: (n, d, t)}
+                assert set(points) == set(bounds.WITNESSES)
+                for cls, point in points.items():
+                    found = bounds.WITNESSES[cls](*point)
+                    assert found is not None, (cls.kind, point)
+                    e, assumption, aux = found
+                    assert check_assumption(e, assumption, **aux).satisfied, (cls.kind, point)
+                    if cls in (Vacuum, AlmostDim, Distrust):
+                        bound = bounds.BOUNDS[cls](assumption, n, DEFAULT_TOL).pg_bound
+                        assert abs(guess_value(e, pgm(e)) - bound) <= 1e-12, (cls.kind, point)
 
 
 class TestCoherentCapacity:

@@ -38,6 +38,22 @@ def test_bound_lowered_by_1e4_fails_its_row(monkeypatch, check, bound, kind):
     assert result.detail.startswith(f"{kind}: ")
 
 
+def test_almost_dim_lowered_only_where_d_does_not_divide_n_fails(monkeypatch):
+    # the saturation grid has points where d does not divide n
+    original = bounds.bound_almost_dim
+
+    def lowered(d, n, eps):
+        result = original(d, n, eps)
+        if n % d == 0:
+            return result
+        return dataclasses.replace(result, pg_bound=result.pg_bound * (1.0 - 1e-4))
+
+    monkeypatch.setattr(bounds, "bound_almost_dim", lowered)
+    result = run_check("almost_dim_saturation")
+    assert not result.passed, result.detail
+    assert result.detail.startswith("almost_dim: ")
+
+
 @pytest.mark.parametrize("check", ["almost_dim_saturation", "almost_dim_tightness_search"])
 def test_almost_dim_half_percent_low_fails(monkeypatch, check):
     original = bounds.almost_dim_pg

@@ -789,27 +789,23 @@ class TestSweep:
         assert result.stdout == ""
         assert "kind coherent has no saturating construction" in result.stderr
 
-    def test_oracle_past_vacuum_construction_exits_2(self, runner):
-        # the vacuum cone saturates the bound only up to omega = (n-1)/n = 2/3
-        result = runner.invoke(
-            main,
-            ["sweep", "vacuum", "--n", "3", "--start", "0.5", "--stop", "0.9", "--points", "5",
-             "--with-oracle"],
-        )
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert "no saturating vacuum construction at omega=0.7" in result.stderr
-
-    def test_oracle_where_d_does_not_divide_n_exits_2(self, runner):
-        # the sector seed falls short of the almost-dim bound where d does not divide n
-        result = runner.invoke(
-            main,
-            ["sweep", "almost-dim", "--n", "5", "--d", "3", "--start", "0", "--stop", "0.5",
-             "--points", "6", "--with-oracle"],
-        )
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr == "error: no saturating almost-dim construction at eps=0 for --with-oracle\n"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # omega past (n-1)/n = 2/3, where the bound is trivially 1
+            ["vacuum", "--n", "3", "--start", "0.5", "--stop", "0.9", "--points", "5"],
+            # d = 3 does not divide n = 5
+            ["almost-dim", "--n", "5", "--d", "3", "--start", "0", "--stop", "0.5", "--points", "6"],
+        ],
+        ids=["vacuum", "almost_dim"],
+    )
+    def test_oracle_meets_the_bound_at_every_point(self, runner, argv):
+        result = runner.invoke(main, ["sweep", *argv, "--with-oracle"])
+        assert result.exit_code == 0, result.stderr
+        rows = [line.split(",") for line in result.stdout.strip().splitlines()[1:]]
+        assert len(rows) == int(argv[argv.index("--points") + 1])
+        for row in rows:
+            assert abs(float(row[1]) - float(row[3])) <= 1e-9
 
     @pytest.mark.parametrize("start", ["inf", "-inf", "nan"])
     def test_non_finite_axis_exits_2(self, runner, start):
@@ -846,17 +842,19 @@ def test_sweep_output_pinned(runner, kind):
 
 # sha256 of the stdout of a search of each kind and of the README's
 # --with-oracle sweeps, captured before the search plans and state
-# dimensions moved into one table keyed by assumption class.  The search JSON
+# dimensions moved into one table keyed by assumption class; the vacuum and
+# almost-dim searches' digests since their seeds became the circulant
+# witnesses, with n-dimensional states.  The search JSON
 # carries oracle values at full double precision, so these digests hold
 # for one numpy/BLAS build (x86-64, numpy's bundled OpenBLAS).
 _ORACLE_DIGESTS = {
     "search-vacuum": (["search", "vacuum", "--n", "4", "--omega", "0.1", "--restarts", "16", "--seed", "0"],
-                      "d6c51ae65981d048489f66c4b593ded0de1b869c681e05b26232bab4b444e6e8"),
+                      "09a14529d183a8755f80cfcf81316d2c151b447854923b5383812662d6f0947c"),
     "search-overlap": (["search", "overlap", "--n", "4", "--a", "0.3", "--restarts", "16", "--seed", "0"],
                        "aabed8bcb7332a83e3572d0b7fb5c54a3854e0cb351c9a389f1c01b222abba0f"),
     "search-almost-dim": (["search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05", "--restarts", "16",
                            "--seed", "0"],
-                          "7ad4ce147fba716b8b2c046fda912238b39b7181e606cd7dfbf1de6251df98c1"),
+                          "032588a40c10315ff8d63d84d220501ce57482e94d829154d2e27895eb1f949b"),
     "search-distrust": (["search", "distrust", "--eps", "0.1", "--targets", _QUBIT_TARGETS, "--restarts", "16",
                          "--seed", "0"],
                         "a9a95e7a83877746134069a5c3805e48d89f554e28079aa9de39826264407bb0"),
@@ -889,7 +887,7 @@ def test_oracle_output_pinned(runner, tmp_path, case):
     ids=["search", "sweep"],
 )
 def test_state_stack_over_limit_exits_2(runner, argv):
-    # 1000 states of dimension 1001 take 14.9 GiB; the refusal comes before
+    # 1000 states of dimension 1000 take 14.9 GiB; the refusal comes before
     # any of it is allocated
     tracemalloc.start()
     try:
@@ -899,7 +897,7 @@ def test_state_stack_over_limit_exits_2(runner, argv):
         tracemalloc.stop()
     assert result.exit_code == 2, result.exception
     assert result.stderr == (
-        "error: kind vacuum with n=1000 needs 1000 states of dimension 1001 (16032016000 bytes),"
+        "error: kind vacuum with n=1000 needs 1000 states of dimension 1000 (16000000000 bytes),"
         f" over the limit of {search.MAX_STATE_STACK_BYTES} bytes\n"
     )
     assert result.stdout == ""
@@ -916,7 +914,7 @@ def _many_qubit_targets(count):
     ("argv", "stderr"),
     [
         (["search", "vacuum", "--n", "1000", "--omega", "0.1", "--restarts", "0"],
-         "error: kind vacuum with n=1000 needs 1000 states of dimension 1001 (16032016000 bytes),"
+         "error: kind vacuum with n=1000 needs 1000 states of dimension 1000 (16000000000 bytes),"
          " over the limit of 268435456 bytes\n"),
         # a distrust search has n = 2 000, the number of its targets
         (["search", "distrust", "--n", "2", "--eps", "0.1", "--targets", _many_qubit_targets(2000)],

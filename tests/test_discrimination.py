@@ -6,6 +6,7 @@ import pytest
 from infocap import (
     POVM,
     StateEnsemble,
+    Vacuum,
     accessible_information,
     basis_ensemble,
     bound_overlap,
@@ -16,9 +17,9 @@ from infocap import (
     guess_value,
     optimize_discrimination,
     pgm,
-    vacuum_cone_ensemble,
 )
 from infocap import discrimination
+from infocap.bounds import WITNESSES
 from infocap.discrimination import povm_from_json, povm_to_json
 from infocap.linalg import KERNEL_CUTOFF
 from infocap.errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
@@ -171,7 +172,7 @@ class TestOptimizer:
         assert res.converged
 
     def test_vacuum_cone_saturation(self):
-        e, _ = vacuum_cone_ensemble(4, 0.1)
+        e, _, _ = WITNESSES[Vacuum](4, 0.1)
         res = optimize_discrimination(e)
         expected = (math.sqrt(0.3) + math.sqrt(0.9)) ** 2 / 4.0
         assert abs(res.value - expected) <= 1e-6

@@ -18,18 +18,20 @@ from infocap import (
     almost_qubit_epsilon,
     basis_ensemble,
     check_assumption,
+    circulant_ensemble,
     coherent_state,
     dense_coding_ensemble,
     ensemble_from_json,
     ensemble_from_vectors,
     ensemble_to_json,
     equiangular_ensemble,
+    guess_value,
     linalg,
-    vacuum_cone_ensemble,
+    pgm,
 )
 from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
-from infocap.ensembles import almost_dim_seed, assumption_from_json, assumption_to_json
+from infocap.ensembles import assumption_from_json, assumption_to_json
 
 from conftest import random_pure_ensemble
 from infocap.errors import (
@@ -39,7 +41,6 @@ from infocap.errors import (
     InfocapError,
     MissingContextError,
     MixedStateOverlapError,
-    OmegaOutOfRangeError,
     ParamOutOfRangeError,
 )
 
@@ -166,37 +167,77 @@ class TestEquiangular:
             equiangular_ensemble(3, -0.9)
 
 
+def vacuum_cone(n, omega):
+    """The vacuum witness and its vacuum vector."""
+    e, _, aux = WITNESSES[Vacuum](n, omega)
+    return e, aux["vacuum_vector"]
+
+
+class TestCirculant:
+    @pytest.mark.parametrize("lam", [[4.0, 0.0, 0.0, 0.0], [1.0] * 5, [2.5, 0.3, 0.0, 1.2], [0.6, 1.4, 1.0]])
+    def test_gram_is_circulant_with_the_eigenvalues(self, lam):
+        e = circulant_ensemble(lam)
+        n = len(lam)
+        vecs = e.state_vectors()
+        gram = vecs.conj() @ vecs.T
+        # the phase-fixed vectors keep the magnitudes of the circulant Gram
+        # matrix and its spectrum
+        for x in range(n):
+            np.testing.assert_allclose(np.abs(gram[x]), np.roll(np.abs(gram[0]), x), atol=1e-14)
+        np.testing.assert_allclose(np.linalg.eigvalsh(gram), np.sort(lam), atol=1e-13)
+
+    def test_pgm_value_is_the_closed_form(self):
+        rng = np.random.default_rng(20240601)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            lam = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)
+            lam[int(rng.integers(n))] += 0.1
+            lam *= n / lam.sum()
+            e = circulant_ensemble(lam)
+            expected = np.sum(np.sqrt(lam)) ** 2 / n**2
+            assert abs(guess_value(e, pgm(e)) - expected) <= 1e-14
+
+    def test_zero_eigenvalues_drop_their_coordinates(self):
+        e = circulant_ensemble([0.0, 2.0, 0.0, 2.0])
+        assert e.dim == 2
+        # coordinate j is frequency kept[j]: psi_x = (i^x, (-i)^x) / sqrt(2)
+        np.testing.assert_allclose(e.states[1], np.array([[1, -1], [-1, 1]]) / 2, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "lam", [[], [[1.0, 1.0]], [2.5, -0.5], [1.0, math.nan], [math.inf, 1.0], [1.0, 1.5], [0.0, 0.0]]
+    )
+    def test_rejects_bad_eigenvalues(self, lam):
+        with pytest.raises(ParamOutOfRangeError):
+            circulant_ensemble(lam)
+
+
 class TestVacuumCone:
     def test_zero_radius_collapses_to_vacuum(self):
-        e, vac = vacuum_cone_ensemble(2, 0.0)
+        e, vac = vacuum_cone(2, 0.0)
         assert e.dim == 1
         for rho in e.states:
             np.testing.assert_allclose(rho, np.outer(vac, vac.conj()), atol=1e-10)
 
     def test_pairwise_overlap_formula(self):
-        e, vac = vacuum_cone_ensemble(3, 0.2)
+        e, vac = vacuum_cone(3, 0.2)
         ov = overlaps(e)
         off = ov[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, 0.7, atol=1e-8)
 
     def test_boundary_orthogonal(self):
-        e, vac = vacuum_cone_ensemble(4, 0.75)
+        e, vac = vacuum_cone(4, 0.75)
         ov = overlaps(e)
         np.testing.assert_allclose(ov, np.eye(4), atol=1e-8)
 
     def test_vacuum_amplitude_and_constraint(self):
         for n, omega in [(2, 0.1), (3, 0.2), (5, 0.5)]:
-            e, vac = vacuum_cone_ensemble(n, omega)
+            e, vac = vacuum_cone(n, omega)
             h = np.eye(e.dim) - np.outer(vac, vac.conj())
             for rho in e.states:
                 energy = float(np.trace(h @ rho).real)
                 assert energy <= omega + 1e-8
                 amp = float(np.sqrt(np.real(vac.conj() @ rho @ vac)))
                 assert amp == pytest.approx(math.sqrt(1 - omega), abs=1e-8)
-
-    def test_rejects_omega_beyond_boundary(self):
-        with pytest.raises(OmegaOutOfRangeError):
-            vacuum_cone_ensemble(4, 0.8)
 
 
 class TestCoherent:
@@ -245,13 +286,13 @@ class TestMembership:
         assert rep.satisfied
 
     def test_vacuum_cone_saturates(self):
-        e, vac = vacuum_cone_ensemble(3, 0.2)
+        e, vac = vacuum_cone(3, 0.2)
         rep = check_assumption(e, Vacuum(omega=0.2), vacuum_vector=vac)
         assert rep.satisfied
         assert abs(rep.worst_slack) <= 1e-8
 
     def test_vacuum_needs_context(self):
-        e, _ = vacuum_cone_ensemble(3, 0.2)
+        e, _ = vacuum_cone(3, 0.2)
         with pytest.raises(MissingContextError):
             check_assumption(e, Vacuum(omega=0.2))
 
@@ -336,11 +377,9 @@ class TestMembership:
         assert check_assumption(e, EADimension(d=2)).worst_slack >= -1e-8
         e = equiangular_ensemble(4, 0.4)
         assert check_assumption(e, UniformOverlap(a=0.4)).worst_slack >= -1e-8
-        e, vac = vacuum_cone_ensemble(4, 0.3)
+        e, vac = vacuum_cone(4, 0.3)
         assert check_assumption(e, Vacuum(omega=0.3), vacuum_vector=vac).worst_slack >= -1e-8
-        vectors, projector = almost_dim_seed(2, 5, 0.2)
-        e = ensemble_from_vectors(vectors)
-        witnessed = AlmostDim(d=2, eps=0.2, projector=projector)
+        e, witnessed, _ = WITNESSES[AlmostDim](5, 2, 0.2)
         assert check_assumption(e, witnessed).worst_slack >= -1e-8
 
 

@@ -24,9 +24,9 @@ from infocap import (
     optimize_discrimination,
     strategy_from_json,
     strategy_to_json,
-    vacuum_cone_ensemble,
 )
 from infocap import checks
+from infocap.bounds import WITNESSES
 from infocap.errors import InfocapError, NonScalarParameterError
 
 from conftest import random_pure_ensemble
@@ -119,14 +119,14 @@ class TestEmbedding:
 
 class TestPeakAndAverage:
     def test_average_vacuum(self):
-        built = [vacuum_cone_ensemble(3, w) for w in (0.05, 0.15)]
+        built = [WITNESSES[Vacuum](3, w) for w in (0.05, 0.15)]
         s = SRStrategy(
             branches=(
                 (0.5, built[0][0], Vacuum(omega=0.05)),
                 (0.5, built[1][0], Vacuum(omega=0.15)),
             )
         )
-        aux = [{"vacuum_vector": v} for _, v in built]
+        aux = [aux for _, _, aux in built]
         assert check_average(s, 0.1, aux=aux).satisfied
 
     def test_average_dimension_mixed_branches(self):

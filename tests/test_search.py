@@ -9,31 +9,18 @@ from infocap import (
     Distrust,
     UniformOverlap,
     Vacuum,
-    ensemble_from_vectors,
     search,
     tightness_search,
 )
 from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
-from infocap.ensembles import almost_dim_seed
 from infocap.errors import ParamOutOfRangeError
 
 
 class TestSeeds:
-    def test_almost_dim_seed_is_orthogonal_sector_sum(self):
-        vecs, proj = almost_dim_seed(2, 4, 0.1)
-        assert abs(np.trace(proj).real - 2.0) <= 1e-10
-        weights = np.einsum("xi,ij,xj->x", vecs.conj(), proj, vecs).real
-        np.testing.assert_allclose(weights, 0.9, atol=1e-10)
-        # states are grouped block-wise: 0,1 share a sector, 2,3 the other;
-        # cross-sector pairs are orthogonal, within-sector pairs sit at the
-        # minimal cone overlap 1 - m*eps/(m-1)
-        assert abs(np.vdot(vecs[0], vecs[2])) <= 1e-10
-        assert abs(np.vdot(vecs[0], vecs[1])) == pytest.approx(0.8, abs=1e-10)
-
     @pytest.mark.parametrize(
         ("assumption", "point"),
-        [(Vacuum(omega=0.3), (4, 0.3)), (Vacuum(omega=0.9), (3, 2 / 3)),
+        [(Vacuum(omega=0.3), (4, 0.3)), (Vacuum(omega=0.9), (3, 0.9)),
          (UniformOverlap(a=0.4), (3, 0.4)), (AlmostDim(d=2, eps=0.05), (4, 2, 0.05)),
          (AlmostDim(d=3, eps=0.1), (5, 3, 0.1))],
         ids=["vacuum", "vacuum_past_bound", "overlap", "almost_dim", "almost_dim_uneven"],
@@ -42,15 +29,16 @@ class TestSeeds:
         make_plan, _ = search.SEARCHES[type(assumption)]
         plan = make_plan(assumption, point[0])
         first = search._candidate(plan, 0, np.random.default_rng(0))
-        found = WITNESSES[type(assumption)](*point)
-        if found is None:
-            # almost-dim where d does not divide n has no witness; restart 0
-            # is then the sector seed
-            n, d, eps = point
-            found = ensemble_from_vectors(almost_dim_seed(d, n, eps)[0]), None, {}
-        witness, _, aux = found
+        witness, _, aux = WITNESSES[type(assumption)](*point)
         np.testing.assert_allclose(first.states, witness.states, rtol=0, atol=1e-12)
         assert plan.membership_aux.keys() == aux.keys()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2, 0.6])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_almost_dim_restart_zero_meets_the_bound(self, n, eps):
+        # the circulant witness saturates the bound whether or not d divides n
+        report = tightness_search(AlmostDim(d=2, eps=eps), n, restarts=1)
+        assert abs(report.restarts[0].value - report.bound.pg_bound) <= 1e-12
 
 
 class TestVacuumSearch:
@@ -117,9 +105,9 @@ class TestStateStack:
     @pytest.mark.parametrize(
         ("assumption", "n", "message"),
         [
-            # 1 000 states of dimension 1 001 take 14.9 GiB
+            # 1 000 states of dimension 1 000 take 14.9 GiB
             (Vacuum(omega=0.1), 1000,
-             "kind vacuum with n=1000 needs 1000 states of dimension 1001 (16032016000 bytes),"
+             "kind vacuum with n=1000 needs 1000 states of dimension 1000 (16000000000 bytes),"
              " over the limit of 268435456 bytes"),
             # 2 000 qubit targets give 2 000 states of dimension 2 002, 119 GiB
             (Distrust(targets=_qubit_targets(2000), eps=0.1), None,
@@ -177,11 +165,7 @@ class TestStateDims:
         declared = state_dim(a, n)
         assert declared >= make_plan(a, n).seed_vectors.shape[1]
         if params is not None:
-            found = WITNESSES[type(a)](n, *params)
-            # the table has no almost-dim row where d does not divide n
-            assert (found is None) == (a.kind == "almost_dim" and n % a.d != 0)
-            if found is not None:
-                assert declared >= found[0].dim
+            assert declared >= WITNESSES[type(a)](n, *params)[0].dim
 
 
 class TestDeterminism:
