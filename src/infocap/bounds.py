@@ -279,7 +279,7 @@ def lemma_check(phi: np.ndarray, pi: np.ndarray, mu: float, tol: float, h_scale:
     h = h_scale * h_func(eps, mu)
     dim = phi.shape[0]
     m = (1.0 + mu) * sigma + h * np.eye(dim) - np.outer(phi, phi.conj())
-    return linalg.min_eigenvalue(linalg.hermitize(m)) >= -tol
+    return linalg.min_eigenvalue(m) >= -tol
 
 
 def bound_eps(pg0: float, eps: float) -> float:

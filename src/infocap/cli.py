@@ -44,6 +44,9 @@ from .errors import FileFaultError, InfocapError, NonFiniteError, ParamOutOfRang
 from .randomness import ea_average_counterexample
 from .search import SEARCHES, check_state_stack, tightness_search
 
+# a sweep holds its whole axis and CSV text in memory before it writes
+MAX_SWEEP_POINTS = 2**20
+
 
 def _emit(text: str, output: str | None) -> None:
     if output:
@@ -347,6 +350,8 @@ def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
     fixed = _kind_params(kind, tuple(c for c in spec.columns if c != spec.sweep_axis))
     if points < 1:
         raise ParamOutOfRangeError("need at least one grid point")
+    if points > MAX_SWEEP_POINTS:
+        raise ParamOutOfRangeError(f"--points must be at most {MAX_SWEEP_POINTS}, got {points}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ParamOutOfRangeError(f"need a finite --start and --stop, got {start} and {stop}")
     witness = bounds.WITNESSES.get(spec.assumption)

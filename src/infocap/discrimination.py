@@ -27,17 +27,16 @@ DEFAULT_MAX_ITER = 10_000
 
 @dataclass(frozen=True, eq=False)
 class POVM:
-    """A measurement: PSD elements summing to the identity."""
+    """A measurement: PSD elements summing to the identity; stores their Hermitian part."""
 
     elements: np.ndarray
 
     def __post_init__(self):
-        el = np.asarray(self.elements, dtype=complex)
-        linalg.hermitian_stack(el, "element", 1e-8, POVM_PSD_SLACK, InvalidPOVMError, InvalidPOVMError)
+        el = linalg.hermitian_stack(self.elements, "element", 1e-8, POVM_PSD_SLACK,
+                                    InvalidPOVMError, InvalidPOVMError)
         dev = float(np.linalg.norm(el.sum(axis=0) - np.eye(el.shape[1])))
         if dev > COMPLETENESS_TOL:
             raise InvalidPOVMError(f"completeness defect {dev:.3e} > {COMPLETENESS_TOL:.0e}")
-        el = el.copy()
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
 
@@ -89,8 +88,6 @@ def guess_value(e: StateEnsemble, m: POVM) -> float:
     if m.n != e.n:
         raise DimensionMismatchError(f"POVM has {m.n} outcomes for {e.n} states")
     raw = complex(np.einsum("xij,xji->", e.states, m.elements)) / e.n
-    if abs(raw.imag) > 1e-10:
-        raise InvalidPOVMError(f"imaginary residue {raw.imag:.3e} in the success probability")
     return float(min(1.0, max(0.0, raw.real)))
 
 
@@ -136,7 +133,7 @@ def _repair_elements(elements: np.ndarray) -> np.ndarray:
     the kernel cutoff leaves tiny negative eigenvalues in a fixed-point
     iterate.
     """
-    w, v = np.linalg.eigh(linalg.hermitize(elements))
+    w, v = np.linalg.eigh(elements)
     projected = (v * np.clip(w, 0.0, None)[:, None, :]) @ linalg.dagger(v)
     clipped = np.where((w[:, 0] >= 0.0)[:, None, None], elements, projected)
     total = linalg.hermitize(clipped.sum(axis=0))
@@ -220,6 +217,8 @@ def accessible_information(n: int, pg: float) -> float:
     """
     if n < 1:
         raise ParamOutOfRangeError("n must be >= 1")
+    if not math.isfinite(pg):
+        raise ParamOutOfRangeError(f"pg must be finite, got {pg}")
     if pg < 1.0 / n:
         warnings.warn(
             f"guessing value {pg} below the trivial 1/{n}; clamping", RuntimeWarning

@@ -176,7 +176,7 @@ class Dimension(Assumption):
         d = self.d
         if e.dim <= d:
             return slack_report([0.0] * e.n, note="ambient dimension within bound")
-        avg = linalg.hermitize(e.states.mean(axis=0))
+        avg = e.states.mean(axis=0)
         w = np.linalg.eigvalsh(avg)[::-1]
         # joint support must fit in d dimensions: the (d+1)-th eigenvalue of
         # the average state must vanish
@@ -218,7 +218,7 @@ class EADimension(Assumption):
             # Schmidt number <= d per pure state: the (d+1)-th eigenvalue of
             # the reduced state must vanish
             for m in margs:
-                w = np.linalg.eigvalsh(linalg.hermitize(m))[::-1]
+                w = np.linalg.eigvalsh(m)[::-1]
                 slacks.append(-float(w[d]) if d < len(w) else 0.0)
             note += " and Schmidt number"
         return slack_report(slacks, note=note)

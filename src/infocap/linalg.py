@@ -50,18 +50,20 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Hermitian part of a finite square matrix Hermitian within HERMITIAN_TOL."""
     a = require_square(a)
+    if not np.isfinite(a).all():
+        raise NonHermitianError("matrix must have finite entries")
     dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol:
-        raise NonHermitianError(f"matrix deviates from Hermiticity by {dev:.3e} > {tol:.0e}")
-    return a
+    if dev > HERMITIAN_TOL:
+        raise NonHermitianError(f"matrix deviates from Hermiticity by {dev:.3e} > {HERMITIAN_TOL:.0e}")
+    return hermitize(a)
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    a = require_hermitian(a)
-    return float(np.linalg.eigvalsh(hermitize(a))[0])
+    return float(np.linalg.eigvalsh(require_hermitian(a))[0])
 
 
 def hermitian_stack(
@@ -99,7 +101,7 @@ def hermitian_stack(
 def mat_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse square root on the support of a Hermitian PSD matrix ``a``,
     zero on its kernel."""
-    return _inv_sqrt_hermitized(hermitize(require_hermitian(a)))
+    return _inv_sqrt_hermitized(require_hermitian(a))
 
 
 def _inv_sqrt_hermitized(h: np.ndarray) -> np.ndarray:
@@ -132,7 +134,7 @@ def vectors_from_gram(g: np.ndarray) -> np.ndarray:
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
     if diag_dev > 1e-10:
         raise NonUnitDiagonalError(f"Gram diagonal deviates from 1 by {diag_dev:.3e}")
-    w, v = np.linalg.eigh(hermitize(g))
+    w, v = np.linalg.eigh(g)
     if w[0] < -PSD_SLACK:
         raise NotPSDError(f"Gram matrix has eigenvalue {w[0]:.3e} < -{PSD_SLACK:.0e}")
     w = np.clip(w, 0.0, None)

@@ -14,6 +14,7 @@ witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -42,7 +43,8 @@ AVERAGE_SLACK = 1e-10
 @dataclass(frozen=True, eq=False)
 class SRStrategy:
     """Branches (weight, ensemble, branch assumption) of one shared-randomness
-    strategy.  Weights sum to 1; all branches share n and assumption kind."""
+    strategy.  Weights are finite and nonnegative and sum to 1; all
+    branches share n and assumption kind."""
 
     branches: tuple[tuple[float, StateEnsemble, Assumption], ...]
 
@@ -52,8 +54,9 @@ class SRStrategy:
         total = sum(q for q, _, _ in self.branches)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InfocapError(f"branch weights sum to {total}, expected 1")
-        if any(q < 0 for q, _, _ in self.branches):
-            raise InfocapError("branch weights must be nonnegative")
+        # a NaN weight passes the sum check, so this one must catch it
+        if not all(0 <= q < math.inf for q, _, _ in self.branches):
+            raise InfocapError("branch weights must be finite and nonnegative")
         n0 = self.branches[0][1].n
         if any(e.n != n0 for _, e, _ in self.branches):
             raise InfocapError("all branches must share the number of inputs n")
@@ -179,7 +182,8 @@ def concavity_probe(
 ) -> ConcavityReport:
     """Sample parameter pairs g1, g2 = draw(rng), draw(rng) and a weight q,
     and test midpoint concavity
-    f(q g1 + (1-q) g2) >= q f(g1) + (1-q) f(g2) - 1e-10.
+    f(q g1 + (1-q) g2) >= q f(g1) + (1-q) f(g2) - 1e-10;
+    a non-finite margin counts as a failure.
 
     A parameter is a float or, for a joint probe over several parameters,
     an array; both mix by the same arithmetic.
@@ -192,7 +196,7 @@ def concavity_probe(
         q = rng.uniform(0.0, 1.0)
         margin = f(q * g1 + (1.0 - q) * g2) - (q * f(g1) + (1.0 - q) * f(g2))
         min_margin = min(min_margin, margin)
-        if margin < -_CONCAVITY_SLACK:
+        if not (math.isfinite(margin) and margin >= -_CONCAVITY_SLACK):
             failures += 1
     return ConcavityReport(failures=failures, min_margin=float(min_margin))
 

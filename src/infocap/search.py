@@ -217,7 +217,7 @@ def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnse
     if plan.anchors is None:
         vecs = np.stack([v / np.linalg.norm(v) for v in perturbed])
         g = _project_overlap(vecs.conj() @ vecs.T, plan.weight, shape[0])
-        return ensemble_from_vectors(vectors_from_gram((g + g.conj().T) / 2.0))
+        return ensemble_from_vectors(vectors_from_gram(g))
     vecs = np.empty_like(perturbed)
     for x in range(shape[0]):
         vecs[x] = _split_and_rescale(perturbed[x], plan.anchors[x], plan.weight, rng)
@@ -236,8 +236,9 @@ def tightness_search(
 
     ``n`` is required, except for Distrust, whose n is the number of its
     targets (an ``n`` given with them must equal it).  ``restarts`` must
-    be at least 1, and the states must fit ``check_state_stack``;
-    otherwise ParamOutOfRangeError is raised, before anything is built.
+    be at least 1, ``seed`` at least 0, and the states must fit
+    ``check_state_stack``; otherwise ParamOutOfRangeError is raised,
+    before anything is built.
 
     Deterministic for a fixed ``seed``: restart k draws from a generator
     seeded with seed + k.
@@ -254,6 +255,8 @@ def tightness_search(
     n = count
     if restarts < 1:
         raise ParamOutOfRangeError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise ParamOutOfRangeError(f"seed must be >= 0, got {seed}")
     # the bound checks its parameters before the seed does
     bound = BOUNDS[type(assumption)](assumption, n, tol)
     plan = make_plan(assumption, n)

@@ -394,6 +394,7 @@ _FAULT_TEXTS = {
     "declared_n": "declared n/dim do not match",
     "declared_dim": "declared n/dim do not match",
     "mixed_targets": "targets must be pure states",
+    "q_nan": "branch weights must be finite",
 }
 
 
@@ -404,6 +405,7 @@ def _strategy(gamma, q=1.0):
 
 _STRATEGY_FAULTS = {
     "q_not_a_number": _strategy({"kind": "dimension", "d": 2}, q="x"),
+    "q_nan": _strategy({"kind": "dimension", "d": 2}, q=math.nan),
     "d_not_a_number": _strategy({"kind": "dimension", "d": "two"}),
     "ragged_targets": _strategy({"kind": "distrust", "eps": 0.1, "targets": [[[1, 0], [0, 0]], [[1, 0]]]}),
     "one_element_projector_pair": _strategy(
@@ -702,6 +704,18 @@ class TestCertify:
         result = runner.invoke(main, ["certify", epath, mpath])
         assert result.exit_code == 1
 
+    def test_povm_within_hermiticity_tolerance_certifies(self, runner, tmp_path):
+        # within the POVM check's 1e-8 of Hermitian; the raw element would
+        # leave an imaginary part of 1.25e-9 in the success probability
+        e = ensemble_from_vectors(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+        obj = ensemble_to_json(e)
+        epath = write_json(tmp_path / "e.json", obj)
+        povm = {"n": 2, "dim": 2, "elements": obj["states"]}
+        povm["elements"][0][0][1][1] += 5e-9
+        result = runner.invoke(main, ["certify", epath, write_json(tmp_path / "m.json", povm)])
+        assert result.exit_code == 0, result.stderr
+        assert abs(json.loads(result.stdout)["guess_value"] - 1.0) <= 1e-12
+
 
 class TestSearch:
     def test_vacuum_search(self, runner):
@@ -726,6 +740,14 @@ class TestSearch:
         result = runner.invoke(main, ["search", "vacuum", "--n", "3", "--omega", "0.2", "--restarts", "0"])
         assert result.exit_code == 2
         assert result.stderr == "error: restarts must be >= 1, got 0\n"
+        assert result.stdout == ""
+
+    def test_negative_seed_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["search", "vacuum", "--n", "3", "--omega", "0.1", "--restarts", "2", "--seed", "-1"]
+        )
+        assert result.exit_code == 2, result.exception
+        assert result.stderr == "error: seed must be >= 0, got -1\n"
         assert result.stdout == ""
 
     def test_distrust_n_other_than_target_count_exits_2(self, runner, tmp_path):
@@ -900,6 +922,22 @@ def test_state_stack_over_limit_exits_2(runner, argv):
         "error: kind vacuum with n=1000 needs 1000 states of dimension 1000 (16000000000 bytes),"
         f" over the limit of {search.MAX_STATE_STACK_BYTES} bytes\n"
     )
+    assert result.stdout == ""
+    assert peak < 2**20
+
+
+def test_sweep_points_over_limit_exits_2(runner):
+    # a 10^12-point axis would take 8 TB; the refusal comes before it is built
+    tracemalloc.start()
+    try:
+        result = runner.invoke(
+            main, ["sweep", "coherent", "--n", "4", "--start", "0", "--stop", "1", "--points", "1000000000000"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.exception
+    assert result.stderr == f"error: --points must be at most {cli.MAX_SWEEP_POINTS}, got 1000000000000\n"
     assert result.stdout == ""
     assert peak < 2**20
 

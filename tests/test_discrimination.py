@@ -277,6 +277,17 @@ class TestDualCertificate:
         assert res.value == pytest.approx(1.0, abs=1e-9)
         assert res.converged
 
+    def test_povm_within_hermiticity_tolerance(self):
+        # the POVM accepts deviations up to 1e-8; it stores the Hermitian
+        # part, so the success probability carries no imaginary residue
+        plus_minus = ensemble_from_vectors(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+        elements = plus_minus.states.copy()
+        elements[0, 0, 1] += 5e-9j
+        m = POVM(elements)
+        np.testing.assert_array_equal(m.elements, m.elements.conj().transpose(0, 2, 1))
+        assert guess_value(plus_minus, m) == pytest.approx(1.0, abs=1e-12)
+        assert dual_certificate(plus_minus, m).is_valid
+
     def test_uniform_povm_is_not_a_certificate(self):
         e = basis_ensemble(2, 2)
         cert = dual_certificate(e, uniform_povm(2, 2))
@@ -293,6 +304,11 @@ class TestAccessibleInformation:
     def test_clamps_with_warning(self):
         with pytest.warns(RuntimeWarning):
             assert accessible_information(4, 0.2) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("pg", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_a_parameter_error(self, pg):
+        with pytest.raises(ParamOutOfRangeError, match="pg must be finite"):
+            accessible_information(4, pg)
 
     def test_no_inputs_is_a_parameter_error(self):
         # a package error, so callers that catch InfocapError see it

@@ -121,6 +121,21 @@ class TestVectorsFromGram:
         np.testing.assert_allclose(vecs.conj() @ vecs.T, g, atol=1e-8)
 
 
+class TestNonFinite:
+    # a NaN makes every comparison with the tolerance false, so the
+    # validator checks finiteness itself
+    @pytest.mark.parametrize("f", [linalg.mat_inv_sqrt, linalg.min_eigenvalue, linalg.vectors_from_gram])
+    def test_nan_entry_raises(self, f):
+        with pytest.raises(NonHermitianError, match="finite entries"):
+            f(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_returns_the_hermitian_part(self):
+        a = np.array([[1.0, 0.5 + 4e-13j], [0.5, 2.0 + 1e-13j]])
+        h = linalg.require_hermitian(a)
+        np.testing.assert_array_equal(h, linalg.hermitize(a))
+        np.testing.assert_array_equal(h, h.conj().T)
+
+
 class TestTensorOps:
     def test_partial_trace_maximally_entangled(self):
         phi = np.zeros(4, dtype=complex)

@@ -51,6 +51,11 @@ class TestStrategyValidation:
                 )
             )
 
+    def test_nan_weight_is_refused(self):
+        e = basis_ensemble(2, 2)
+        with pytest.raises(InfocapError, match="branch weights must be finite"):
+            SRStrategy(branches=((math.nan, e, Dimension(d=2)),))
+
     def test_kinds_must_match(self):
         e = basis_ensemble(2, 2)
         with pytest.raises(InfocapError):
@@ -200,6 +205,11 @@ class TestConcavityProbe:
         report = concavity_probe(lambda x: x**2, _uniform, samples=200, seed=5)
         assert not report.passed
         assert report.failures > 0
+
+    def test_non_finite_margin_is_a_failure(self):
+        report = concavity_probe(lambda g: math.nan, _uniform, samples=50, seed=0)
+        assert not report.passed
+        assert report.failures == 50
 
     def test_reference_probes_pinned(self):
         # repr of min_margin and the failure count of the four probes that

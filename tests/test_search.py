@@ -84,6 +84,10 @@ class TestOptions:
         with pytest.raises(ParamOutOfRangeError, match="restarts must be >= 1"):
             tightness_search(Vacuum(omega=0.2), n=3, restarts=restarts)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ParamOutOfRangeError, match=r"^seed must be >= 0, got -1$"):
+            tightness_search(Vacuum(omega=0.1), n=3, restarts=2, seed=-1)
+
     @pytest.mark.parametrize("assumption", [Vacuum(omega=0.2), UniformOverlap(a=0.4), AlmostDim(d=2, eps=0.1)])
     def test_requires_n(self, assumption):
         with pytest.raises(ParamOutOfRangeError, match="search needs n"):
