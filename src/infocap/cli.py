@@ -80,10 +80,10 @@ def _load(path: str, decode: Callable, what: str):
             return decode(json.load(fh))
     except OSError as exc:
         raise FileFaultError(f"cannot read {path}: {exc}") from exc
-    # malformed JSON, InfocapError, numpy's errors on ragged lists and
-    # LinAlgError are all ValueErrors; a number beyond the float range in
-    # an int() or complex() conversion is an OverflowError, and JSON nested
-    # deeper than the parser's recursion limit a RecursionError
+    # malformed JSON, InfocapError (a malformed [re, im] array among them)
+    # and LinAlgError are all ValueErrors; a number beyond the float range
+    # in an int() conversion is an OverflowError, and JSON nested deeper
+    # than the parser's recursion limit a RecursionError
     except (ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError) as exc:
         raise FileFaultError(f"invalid {what} file {path}: {exc}") from exc
 

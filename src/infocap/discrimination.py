@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .ensembles import StateEnsemble
 from .errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
-from .serialize import matrix_to_json, stack_from_json
+from .serialize import stack_from_json, to_json
 
 POVM_PSD_SLACK = 1e-9
 COMPLETENESS_TOL = 1e-8
@@ -212,24 +212,22 @@ def accessible_information(n: int, pg: float) -> float:
     """Information carried by an n-state ensemble with guessing value pg,
     in bits: log2(n) + log2(pg).
 
-    Values of pg below 1/n (possible through numerical slack) are clamped
-    to 1/n with a RuntimeWarning so the information never goes negative.
+    Values of pg outside [1/n, 1] (possible through numerical slack) are
+    clamped into it with a RuntimeWarning, so the information stays within
+    [0, log2(n)].
     """
     if n < 1:
         raise ParamOutOfRangeError("n must be >= 1")
     if not math.isfinite(pg):
         raise ParamOutOfRangeError(f"pg must be finite, got {pg}")
-    if pg < 1.0 / n:
-        warnings.warn(
-            f"guessing value {pg} below the trivial 1/{n}; clamping", RuntimeWarning
-        )
-        pg = 1.0 / n
-    pg = min(pg, 1.0)
+    if not 1.0 / n <= pg <= 1.0:
+        warnings.warn(f"guessing value {pg} outside [1/{n}, 1]; clamping", RuntimeWarning)
+        pg = min(max(pg, 1.0 / n), 1.0)
     return math.log2(n * pg)
 
 
 def povm_to_json(m: POVM) -> dict:
-    return {"n": m.n, "dim": m.dim, "elements": [matrix_to_json(x) for x in m.elements]}
+    return {"n": m.n, "dim": m.dim, "elements": to_json(m.elements)}
 
 
 def povm_from_json(obj: dict) -> POVM:

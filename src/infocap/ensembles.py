@@ -26,13 +26,7 @@ from .errors import (
     MixedStateOverlapError,
     ParamOutOfRangeError,
 )
-from .serialize import (
-    matrix_from_json,
-    matrix_to_json,
-    stack_from_json,
-    vector_from_json,
-    vector_to_json,
-)
+from .serialize import from_json, stack_from_json, to_json
 
 TRACE_TOL = 1e-10
 PURITY_TOL = 1e-8
@@ -131,12 +125,9 @@ class _Field(NamedTuple):
     optional: bool = False
 
 
-def _vectors_from_json(obj: list) -> np.ndarray:
-    return np.stack([vector_from_json(t) for t in obj])
-
-
-def _vectors_to_json(vectors: np.ndarray) -> list:
-    return [vector_to_json(t) for t in vectors]
+def matrix_from_json(obj: list) -> np.ndarray:
+    """The complex matrix a JSON field holds as rows of [re, im] pairs."""
+    return from_json(obj, 2)
 
 
 class Assumption:
@@ -279,7 +270,7 @@ class AlmostDim(Assumption):
         _Field("d"),
         _Field("eps", float),
         # a lambda, so a wrapper on this module's matrix_from_json sees the call
-        _Field("projector", lambda obj: matrix_from_json(obj), matrix_to_json, optional=True),
+        _Field("projector", lambda obj: matrix_from_json(obj), to_json, optional=True),
     )
     param = "eps"
     shared_fields = ("d",)
@@ -313,7 +304,7 @@ class Distrust(Assumption):
     eps: float
 
     kind = "distrust"
-    json_fields = (_Field("eps", float), _Field("targets", _vectors_from_json, _vectors_to_json))
+    json_fields = (_Field("eps", float), _Field("targets", matrix_from_json, to_json))
     param = "eps"
     shared_fields = ("targets",)
 
@@ -548,11 +539,7 @@ def almost_qubit_epsilon(nbar: float) -> float:
 
 
 def ensemble_to_json(e: StateEnsemble) -> dict:
-    return {
-        "n": e.n,
-        "dim": e.dim,
-        "states": [matrix_to_json(rho) for rho in e.states],
-    }
+    return {"n": e.n, "dim": e.dim, "states": to_json(e.states)}
 
 
 def ensemble_from_json(obj: dict) -> StateEnsemble:

@@ -45,8 +45,8 @@ def lowest_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 def require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.shape[0]:
+        raise NonSquareError(f"expected a nonempty square matrix, got shape {a.shape}")
     return a
 
 
@@ -55,7 +55,7 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     a = require_square(a)
     if not np.isfinite(a).all():
         raise NonHermitianError("matrix must have finite entries")
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > HERMITIAN_TOL:
         raise NonHermitianError(f"matrix deviates from Hermiticity by {dev:.3e} > {HERMITIAN_TOL:.0e}")
     return hermitize(a)
@@ -112,7 +112,7 @@ def _inv_sqrt_hermitized(h: np.ndarray) -> np.ndarray:
     -PSD_SLACK raises NotPSDError.
     """
     w, v = np.linalg.eigh(h)
-    if w.size and w[0] < -PSD_SLACK:
+    if w[0] < -PSD_SLACK:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_SLACK:.0e}")
     # np.maximum gives np.clip(w, 0.0, None) bit for bit, at less overhead
     w = np.maximum(w, 0.0)

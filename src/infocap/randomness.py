@@ -183,7 +183,8 @@ def concavity_probe(
     """Sample parameter pairs g1, g2 = draw(rng), draw(rng) and a weight q,
     and test midpoint concavity
     f(q g1 + (1-q) g2) >= q f(g1) + (1-q) f(g2) - 1e-10;
-    a non-finite margin counts as a failure.
+    a non-finite margin counts as a failure, and a NaN one makes
+    ``min_margin`` NaN.
 
     A parameter is a float or, for a joint probe over several parameters,
     an array; both mix by the same arithmetic.
@@ -195,7 +196,7 @@ def concavity_probe(
         g1, g2 = draw(rng), draw(rng)
         q = rng.uniform(0.0, 1.0)
         margin = f(q * g1 + (1.0 - q) * g2) - (q * f(g1) + (1.0 - q) * f(g2))
-        min_margin = min(min_margin, margin)
+        min_margin = np.minimum(min_margin, margin)
         if not (math.isfinite(margin) and margin >= -_CONCAVITY_SLACK):
             failures += 1
     return ConcavityReport(failures=failures, min_margin=float(min_margin))

@@ -368,6 +368,15 @@ def _write_args(tmp_path, args):
 
 
 _BASIS_STATES = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+# entries that are not [re, im] pairs of two JSON numbers, each in place of
+# the first state's [1, 0]; read by parts, the first two would pass as 1
+_BAD_PAIRS = {
+    "three_component_pair": [1, 0, 7],
+    "bool_pair": [True, False],
+    "string_pair": ["1", 0],
+    "null_pair": [None, 0],
+    "object_pair": {"re": 1, "im": 0},
+}
 
 
 def _stack_faults(key):
@@ -379,6 +388,7 @@ def _stack_faults(key):
         "ragged_matrix": stack([[[[1, 0], [0, 0]], [[0, 0]]], _BASIS_STATES[1]]),
         "two_sizes": stack([_BASIS_STATES[0], [[[1, 0]]]]),
         "re_only_pair": stack([[[[1], [0, 0]], [[0, 0], [0, 0]]], _BASIS_STATES[1]]),
+        **{fault: stack([[[p, [0, 0]], [[0, 0], [0, 0]]], _BASIS_STATES[1]]) for fault, p in _BAD_PAIRS.items()},
         "empty": stack([], n=0),
         "n_not_a_number": stack(_BASIS_STATES, n="x"),
         "pairs_nested_too_deep": stack([[[[p] for p in row] for row in m] for m in _BASIS_STATES]),

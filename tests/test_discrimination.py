@@ -305,6 +305,11 @@ class TestAccessibleInformation:
         with pytest.warns(RuntimeWarning):
             assert accessible_information(4, 0.2) == pytest.approx(0.0)
 
+    def test_clamps_above_one_with_warning(self):
+        # no guessing probability exceeds 1; rounding slack is clamped, loudly
+        with pytest.warns(RuntimeWarning, match=r"outside \[1/4, 1\]"):
+            assert accessible_information(4, 1.5) == 2.0
+
     @pytest.mark.parametrize("pg", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_a_parameter_error(self, pg):
         with pytest.raises(ParamOutOfRangeError, match="pg must be finite"):

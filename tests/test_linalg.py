@@ -136,6 +136,24 @@ class TestNonFinite:
         np.testing.assert_array_equal(h, h.conj().T)
 
 
+class TestEmptyMatrix:
+    # a matrix with no rows has no eigenvalue to report or invert, and
+    # factors trivially as 0 x d_b, so each entry point refuses it
+    @pytest.mark.parametrize(
+        "f",
+        [
+            linalg.min_eigenvalue,
+            linalg.mat_inv_sqrt,
+            linalg.vectors_from_gram,
+            lambda a: linalg.partial_trace(a, (0, 3), trace_out=0),
+        ],
+        ids=["min_eigenvalue", "mat_inv_sqrt", "vectors_from_gram", "partial_trace"],
+    )
+    def test_no_rows_is_not_square(self, f):
+        with pytest.raises(NonSquareError, match=r"nonempty square matrix, got shape \(0, 0\)"):
+            f(np.zeros((0, 0)))
+
+
 class TestTensorOps:
     def test_partial_trace_maximally_entangled(self):
         phi = np.zeros(4, dtype=complex)

@@ -211,6 +211,21 @@ class TestConcavityProbe:
         assert not report.passed
         assert report.failures == 50
 
+    @pytest.mark.parametrize("nan_samples", [{0}, {4}, {0, 1, 2, 3, 4}], ids=["first", "last", "all"])
+    def test_nan_margin_makes_min_margin_nan(self, nan_samples):
+        # min(inf, nan) is inf and min(x, nan) is x, so a plain min would
+        # hide the NaN margins behind a finite or infinite minimum
+        calls = []
+
+        def f(g):
+            calls.append(g)
+            # f is called three times per sample
+            return math.nan if (len(calls) - 1) // 3 in nan_samples else -g * g
+
+        report = concavity_probe(f, _uniform, samples=5, seed=0)
+        assert report.failures == len(nan_samples)
+        assert math.isnan(report.min_margin)
+
     def test_reference_probes_pinned(self):
         # repr of min_margin and the failure count of the four probes that
         # concavity_and_average_sr runs, as the probe computed them when it
