@@ -394,35 +394,34 @@ def _almost_dim_witness(n: int, d: int, eps: float):
     ens = circulant_ensemble(_almost_dim_profile(n, d, eps))
     # the first min(d, n) frequencies are all kept, as the first coordinates
     projector = np.diag((np.arange(ens.dim) < d).astype(complex))
-    return ens, AlmostDim(d=d, eps=eps, projector=projector), {}
+    return ens, AlmostDim(d=d, eps=eps, projector=projector)
 
 
 def _vacuum_witness(n: int, omega: float):
-    # the d = 1 profile, with frequency 0 as the vacuum
-    ens = circulant_ensemble(_almost_dim_profile(n, 1, omega))
-    return ens, Vacuum(omega=omega), {"vacuum_vector": np.eye(ens.dim, dtype=complex)[0]}
+    # the d = 1 profile, with frequency 0, basis vector 0, as the vacuum
+    return circulant_ensemble(_almost_dim_profile(n, 1, omega)), Vacuum(omega=omega)
 
 
 def _distrust_witness(n: int, d: int, eps: float):
     # the almost-dim witness, each state's target its normalized projection
     # onto the first d frequencies: fidelity at least 1-eps, and targets
     # forming a harmonic frame worth min(d, n)/n
-    ens, witnessed, _ = _almost_dim_witness(n, d, eps)
+    ens, witnessed = _almost_dim_witness(n, d, eps)
     anchored = ens.state_vectors() @ witnessed.projector.T
     targets = anchored / np.linalg.norm(anchored, axis=1, keepdims=True)
-    return ens, Distrust(targets=targets, eps=eps), {}
+    return ens, Distrust(targets=targets, eps=eps)
 
 
 # Each kind's saturating witness, keyed by assumption class: (n, *params) ->
-# (ensemble, the assumption carrying the witness data, membership context
-# for check_assumption), at every in-range point.  The params are the kind's
+# (ensemble, the assumption carrying the witness data), at every in-range
+# point; check_assumption needs nothing else.  The params are the kind's
 # CLI columns, but (d, eps) for distrust, whose witness defines its targets.
 # Vacuum, almost-dim and distrust share one circulant eigenvalue profile.
 WITNESSES = {
-    Dimension: lambda n, d: (basis_ensemble(d, n), Dimension(d=d), {}),
-    EADimension: lambda n, d: (dense_coding_ensemble(d, n), EADimension(d=d), {"subsystem_dims": (d, d)}),
+    Dimension: lambda n, d: (basis_ensemble(d, n), Dimension(d=d)),
+    EADimension: lambda n, d: (dense_coding_ensemble(d, n), EADimension(d=d)),
     Vacuum: _vacuum_witness,
-    UniformOverlap: lambda n, a: (equiangular_ensemble(n, a), UniformOverlap(a=a), {}),
+    UniformOverlap: lambda n, a: (equiangular_ensemble(n, a), UniformOverlap(a=a)),
     AlmostDim: _almost_dim_witness,
     Distrust: _distrust_witness,
 }

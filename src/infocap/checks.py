@@ -60,7 +60,8 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# random members of each assumption set, shaped like bounds.WITNESSES rows
+# random members of each assumption set, shaped like bounds.WITNESSES rows:
+# (ensemble, assumption) pairs
 # ---------------------------------------------------------------------------
 
 
@@ -92,7 +93,7 @@ def _member_dimension(rng: np.random.Generator):
     n = int(rng.integers(2, 7))
     vecs = np.stack([random_unit(rng, d) for _ in range(n)])
     e = _maybe_mix(rng, vecs)
-    return e, Dimension(d=d), {}
+    return e, Dimension(d=d)
 
 
 def _member_ea_dimension(rng: np.random.Generator):
@@ -102,23 +103,21 @@ def _member_ea_dimension(rng: np.random.Generator):
     phi[:: d + 1] = 1.0 / math.sqrt(d)
     vecs = np.stack([np.kron(_random_unitary(rng, d), np.eye(d)) @ phi for _ in range(n)])
     e = ensemble_from_vectors(vecs)
-    return e, EADimension(d=d), {"subsystem_dims": (d, d)}
+    return e, EADimension(d=d)
 
 
 def _member_vacuum(rng: np.random.Generator):
     n = int(rng.integers(2, 6))
     dim = int(rng.integers(2, 5))
     omega = rng.uniform(0.0, 0.9 * (n - 1) / n)
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    vecs = np.empty((n, dim), dtype=complex)
+    # the vacuum is basis vector 0
+    vecs = np.zeros((n, dim), dtype=complex)
     for x in range(n):
         w = rng.uniform(0.0, omega)
-        tail = np.zeros(dim, dtype=complex)
-        tail[1:] = random_unit(rng, dim - 1)
-        vecs[x] = math.sqrt(1.0 - w) * vac + math.sqrt(w) * tail
+        vecs[x, 0] = math.sqrt(1.0 - w)
+        vecs[x, 1:] = math.sqrt(w) * random_unit(rng, dim - 1)
     e = _maybe_mix(rng, vecs)
-    return e, Vacuum(omega=omega), {"vacuum_vector": vac}
+    return e, Vacuum(omega=omega)
 
 
 def _member_overlap(rng: np.random.Generator):
@@ -131,7 +130,7 @@ def _member_overlap(rng: np.random.Generator):
     gram = a * np.ones((n, n)) + (1.0 - a) * w
     np.fill_diagonal(gram, 1.0)
     e = ensemble_from_vectors(linalg.vectors_from_gram(gram))
-    return e, UniformOverlap(a=a), {}
+    return e, UniformOverlap(a=a)
 
 
 def _member_almost_dim(rng: np.random.Generator):
@@ -150,7 +149,7 @@ def _member_almost_dim(rng: np.random.Generator):
         tail[d:] = random_unit(rng, n)
         vecs[x] = math.sqrt(beta) * head + math.sqrt(1.0 - beta) * tail
     e = _maybe_mix(rng, vecs)
-    return e, AlmostDim(d=d, eps=eps, projector=proj), {}
+    return e, AlmostDim(d=d, eps=eps, projector=proj)
 
 
 def _member_distrust(rng: np.random.Generator):
@@ -176,48 +175,46 @@ def _member_distrust(rng: np.random.Generator):
             states.append(lam * lab(x) + (1.0 - lam) * lab(x))
         else:
             states.append(lab(x))
-    return StateEnsemble(np.stack(states)), Distrust(targets=targets, eps=eps), {}
+    return StateEnsemble(np.stack(states)), Distrust(targets=targets, eps=eps)
 
 
 # two-branch average-parameter strategies built from saturating members:
 # each builder maps (rng, branch weights) to (strategy, the bound as a
-# function of the average parameter, aux)
+# function of the average parameter)
 
 
 def _witness_strategy(cls, weights, points):
-    """The strategy of witnesses of ``cls`` at ``points``, and their aux."""
-    witnesses = [bounds.WITNESSES[cls](*point) for point in points]
-    branches = tuple((w, e, a) for w, (e, a, _) in zip(weights, witnesses))
-    return SRStrategy(branches), [aux for _, _, aux in witnesses]
+    """The strategy of witnesses of ``cls`` at ``points``."""
+    return SRStrategy(tuple((w, *bounds.WITNESSES[cls](*point)) for w, point in zip(weights, points)))
 
 
 def _average_dimension(rng: np.random.Generator, weights: tuple[float, float]):
     n = int(rng.integers(4, 7))
     ds = [int(rng.integers(1, 5)) for _ in range(2)]
-    strategy, aux = _witness_strategy(Dimension, weights, [(n, d) for d in ds])
+    strategy = _witness_strategy(Dimension, weights, [(n, d) for d in ds])
     # the averaged d is fractional, which only the raw formula accepts
-    return strategy, lambda avg: bounds.dimension_pg([n], avg)[0][0], aux
+    return strategy, lambda avg: bounds.dimension_pg([n], avg)[0][0]
 
 
 def _average_vacuum(rng: np.random.Generator, weights: tuple[float, float]):
     n = int(rng.integers(2, 6))
     omegas = [float(rng.uniform(0.0, (n - 1) / n)) for _ in range(2)]
-    strategy, aux = _witness_strategy(Vacuum, weights, [(n, w) for w in omegas])
-    return strategy, lambda avg: bounds.bound_vacuum(n, avg).pg_bound, aux
+    strategy = _witness_strategy(Vacuum, weights, [(n, w) for w in omegas])
+    return strategy, lambda avg: bounds.bound_vacuum(n, avg).pg_bound
 
 
 def _average_overlap(rng: np.random.Generator, weights: tuple[float, float]):
     n = int(rng.integers(2, 6))
     overlaps = [float(rng.uniform(0.05, 0.95)) for _ in range(2)]
-    strategy, aux = _witness_strategy(UniformOverlap, weights, [(n, a) for a in overlaps])
-    return strategy, lambda avg: bounds.bound_overlap(n, avg).pg_bound, aux
+    strategy = _witness_strategy(UniformOverlap, weights, [(n, a) for a in overlaps])
+    return strategy, lambda avg: bounds.bound_overlap(n, avg).pg_bound
 
 
 def _average_almost_dim(rng: np.random.Generator, weights: tuple[float, float]):
     d, n = 2, 4
     epss = [float(rng.uniform(0.0, 0.4)) for _ in range(2)]
-    strategy, aux = _witness_strategy(AlmostDim, weights, [(n, d, eps) for eps in epss])
-    return strategy, lambda avg: bounds.bound_almost_dim(d, n, avg).pg_bound, aux
+    strategy = _witness_strategy(AlmostDim, weights, [(n, d, eps) for eps in epss])
+    return strategy, lambda avg: bounds.bound_almost_dim(d, n, avg).pg_bound
 
 
 def _average_distrust(rng: np.random.Generator, weights: tuple[float, float]):
@@ -229,7 +226,7 @@ def _average_distrust(rng: np.random.Generator, weights: tuple[float, float]):
         for w, eps in zip(weights, epss)
     )
     bound = lambda avg: bounds.bound_distrust(ensemble_from_vectors(targets), avg).pg_bound
-    return SRStrategy(branches), bound, None
+    return SRStrategy(branches), bound
 
 
 # per assumption class, in the order the checks draw from their rngs: the
@@ -285,8 +282,8 @@ def _saturation(cls, grid, *measures) -> Callable[[], tuple[bool, str]]:
     def check() -> tuple[bool, str]:
         worst = [-math.inf] * len(measures)
         for point in grid:
-            e, assumption, aux = bounds.WITNESSES[cls](*point)
-            report = check_assumption(e, assumption, **aux)
+            e, assumption = bounds.WITNESSES[cls](*point)
+            report = check_assumption(e, assumption)
             if not report.satisfied:
                 return False, f"{cls.kind}: witness at {point} not a member (slack {report.worst_slack:.2e})"
             res = optimize_discrimination(e, tol=1e-12)
@@ -374,8 +371,8 @@ def _check_soundness_sweep() -> tuple[bool, str]:
     worst_kind = ""
     for cls, (sampler, _) in _SAMPLERS.items():
         for _ in range(1000):
-            e, assumption, aux = sampler(rng)
-            report = check_assumption(e, assumption, **aux)
+            e, assumption = sampler(rng)
+            report = check_assumption(e, assumption)
             if not report.satisfied:
                 return False, f"{cls.kind} sampler produced a non-member (slack {report.worst_slack:.2e})"
             res = optimize_discrimination(e, tol=1e-7, max_iter=150)
@@ -415,9 +412,9 @@ def _check_concavity_and_average() -> tuple[bool, str]:
             continue
         for _ in range(100):
             q = float(rng.uniform(0.2, 0.8))
-            strategy, cap, aux = builder(rng, (q, 1.0 - q))
+            strategy, cap = builder(rng, (q, 1.0 - q))
             avg = sum(w * scalar_param(g) for w, _, g in strategy.branches)
-            rep = check_average(strategy, avg, aux=aux)
+            rep = check_average(strategy, avg)
             if not rep.satisfied:
                 return False, f"{cls.kind} average strategy failed membership"
             excess = mixture_guess_value(strategy, tol=1e-9) - cap(avg)

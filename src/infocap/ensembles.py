@@ -26,7 +26,7 @@ from .errors import (
     MixedStateOverlapError,
     ParamOutOfRangeError,
 )
-from .serialize import from_json, stack_from_json, to_json
+from .serialize import from_json, json_float, json_number, json_object, stack_from_json, to_json
 
 TRACE_TOL = 1e-10
 PURITY_TOL = 1e-8
@@ -117,10 +117,11 @@ def _integer_d(d, what: str) -> int:
 
 class _Field(NamedTuple):
     """One JSON field of an assumption; ``key`` is also the dataclass field.
-    An optional field is left out of the JSON when its value is None."""
+    A scalar field must be a JSON number.  An optional field is left out of
+    the JSON when its value is None."""
 
     key: str
-    decode: Callable = _as_is
+    decode: Callable = json_number
     encode: Callable = _as_is
     optional: bool = False
 
@@ -220,16 +221,16 @@ class Vacuum(Assumption):
     omega: float
 
     kind = "vacuum"
-    json_fields = (_Field("omega", float),)
+    json_fields = (_Field("omega", json_float),)
     param = "omega"
 
     def __post_init__(self):
         check_unit_interval(self.omega, "omega")
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg):
-        if vacuum_vector is None:
-            raise MissingContextError("vacuum membership needs a designated vacuum vector")
-        v = np.asarray(vacuum_vector, dtype=complex).reshape(-1)
+        # the vacuum is basis vector 0 unless one is given
+        v = np.eye(e.dim, dtype=complex)[0] if vacuum_vector is None else vacuum_vector
+        v = np.asarray(v, dtype=complex).reshape(-1)
         if v.shape[0] != e.dim:
             raise DimensionMismatchError("vacuum vector dimension does not match the ensemble")
         weights = np.einsum("i,xij,j->x", v.conj(), e.states, v).real
@@ -241,7 +242,7 @@ class UniformOverlap(Assumption):
     a: float
 
     kind = "uniform_overlap"
-    json_fields = (_Field("a", float),)
+    json_fields = (_Field("a", json_float),)
     param = "a"
     # a larger required overlap is a stronger constraint
     larger_is_weaker = False
@@ -268,7 +269,7 @@ class AlmostDim(Assumption):
     kind = "almost_dim"
     json_fields = (
         _Field("d"),
-        _Field("eps", float),
+        _Field("eps", json_float),
         # a lambda, so a wrapper on this module's matrix_from_json sees the call
         _Field("projector", lambda obj: matrix_from_json(obj), to_json, optional=True),
     )
@@ -304,7 +305,7 @@ class Distrust(Assumption):
     eps: float
 
     kind = "distrust"
-    json_fields = (_Field("eps", float), _Field("targets", matrix_from_json, to_json))
+    json_fields = (_Field("eps", json_float), _Field("targets", matrix_from_json, to_json))
     param = "eps"
     shared_fields = ("targets",)
 
@@ -335,7 +336,7 @@ class Information(Assumption):
     alpha: float
 
     kind = "information"
-    json_fields = (_Field("alpha", float),)
+    json_fields = (_Field("alpha", json_float),)
     param = "alpha"
 
     def __post_init__(self):
@@ -392,10 +393,10 @@ def check_assumption(
 ) -> MembershipReport:
     """Check whether an ensemble belongs to the set an assumption allows.
 
-    Context keywords: ``vacuum_vector`` is required for Vacuum;
-    ``subsystem_dims`` optionally fixes the message x receiver split for
-    EADimension; ``pg`` supplies a precomputed guessing probability for
-    Information.
+    Context keywords: ``vacuum_vector`` names the vacuum for Vacuum
+    (basis vector 0 when left out); ``subsystem_dims`` optionally fixes
+    the message x receiver split for EADimension; ``pg`` supplies a
+    precomputed guessing probability for Information.
     """
     return a.membership(e, vacuum_vector, subsystem_dims, pg)
 
@@ -555,11 +556,11 @@ def assumption_to_json(a: Assumption) -> dict:
     return out
 
 
-def assumption_from_json(obj: dict) -> Assumption:
-    kind = obj["kind"]
-    cls = _KINDS.get(kind)
+def assumption_from_json(obj) -> Assumption:
+    """The assumption ``obj`` holds; a malformed one raises InfocapError."""
+    kind = json_object(obj, ("kind",))["kind"]
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise InfocapError(f"unknown assumption kind {kind!r}")
-    return cls(
-        **{f.key: f.decode(obj[f.key]) for f in cls.json_fields if not f.optional or f.key in obj}
-    )
+        raise InfocapError(f"unknown assumption kind {kind!r:.40}")
+    json_object(obj, tuple(f.key for f in cls.json_fields if not f.optional))
+    return cls(**{f.key: f.decode(obj[f.key]) for f in cls.json_fields if f.key in obj})

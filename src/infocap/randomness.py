@@ -35,6 +35,7 @@ from .ensembles import (
     slack_report,
 )
 from .errors import InfocapError, NonScalarParameterError
+from .serialize import json_float, json_object
 
 WEIGHT_TOL = 1e-12
 AVERAGE_SLACK = 1e-10
@@ -115,7 +116,7 @@ def _same_value(a, b) -> bool:
     return a == b
 
 
-def check_average(s: SRStrategy, gamma_target: float, aux: list[dict] | None = None) -> MembershipReport:
+def check_average(s: SRStrategy, gamma_target: float) -> MembershipReport:
     """Average semantics: each branch satisfies its own parameter and the
     weighted parameters respect the target.
 
@@ -124,15 +125,13 @@ def check_average(s: SRStrategy, gamma_target: float, aux: list[dict] | None = N
     overlap works the other way (a larger required overlap is stronger)
     and the average must not fall below it.  The kind's shared fields
     (distrust targets, almost-dimension d) must agree across branches.
-    ``aux`` holds one membership context per branch, if any is needed.
     """
     first = s.branches[0][2]
     for key in first.shared_fields:
         ref = getattr(first, key)
         if any(not _same_value(getattr(g, key), ref) for _, _, g in s.branches[1:]):
             raise NonScalarParameterError(f"averaging {first.kind} branches requires a fixed {key}")
-    slacks = [check_assumption(e, g, **({} if aux is None else aux[i])).worst_slack
-              for i, (_, e, g) in enumerate(s.branches)]
+    slacks = [check_assumption(e, g).worst_slack for _, e, g in s.branches]
     avg = sum(q * scalar_param(g) for q, _, g in s.branches)
     avg_slack = gamma_target - avg if first.larger_is_weaker else avg - gamma_target
     slacks.append(float(avg_slack + AVERAGE_SLACK))
@@ -159,7 +158,7 @@ def ea_average_counterexample(tol: float = 1e-9) -> tuple[float, float]:
     """
     n, witness = 30, bounds.WITNESSES[EADimension]
     peak = optimize_discrimination(witness(n, 3)[0], tol=tol).value
-    branches = tuple((q, *witness(n, d)[:2]) for q, d in ((2.0 / 3.0, 2), (1.0 / 3.0, 5)))
+    branches = tuple((q, *witness(n, d)) for q, d in ((2.0 / 3.0, 2), (1.0 / 3.0, 5)))
     average = mixture_guess_value(SRStrategy(branches), tol=tol)
     return float(peak), float(average)
 
@@ -211,13 +210,12 @@ def strategy_to_json(s: SRStrategy) -> dict:
     }
 
 
-def strategy_from_json(obj: dict) -> SRStrategy:
-    branches = tuple(
-        (
-            float(b["q"]),
-            ensemble_from_json(b["ensemble"]),
-            assumption_from_json(b["gamma"]),
-        )
-        for b in obj["branches"]
-    )
-    return SRStrategy(branches=branches)
+def strategy_from_json(obj) -> SRStrategy:
+    """The strategy ``obj`` holds; a malformed one raises InfocapError."""
+    branches = json_object(obj, ("branches",))["branches"]
+    if not isinstance(branches, list):
+        raise InfocapError(f"branches must be a JSON list, got {type(branches).__name__}")
+    rows = [json_object(b, ("q", "ensemble", "gamma")) for b in branches]
+    return SRStrategy(branches=tuple(
+        (json_float(b["q"]), ensemble_from_json(b["ensemble"]), assumption_from_json(b["gamma"])) for b in rows
+    ))

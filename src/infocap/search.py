@@ -1,11 +1,12 @@
 """Seeded tightness searches over restricted ensembles.
 
 For one assumption the search runs a fixed number of restarts: restart 0
-evaluates a constructed seed, later restarts perturb the seed and project
-back onto the constraint surface (components renormalized so the defining
-inequality holds with equality), and every candidate is refined by the
-discrimination oracle.  The report compares the best value found against
-the kind's closed-form bound in ``bounds.BOUNDS``.
+evaluates a constructed seed, later restarts perturb it (rescaling each
+state so a per-state constraint holds with equality; overlap candidates
+are only normalized), and a candidate that ``check_assumption`` finds a
+member is refined by the discrimination oracle; any other is reported
+infeasible.  The report compares the best value found against the kind's
+closed-form bound in ``bounds.BOUNDS``.
 
 Seeds: the vacuum, overlap and almost-dimension seeds are the kinds'
 witnesses in ``bounds.WITNESSES``, which saturate the bound at every
@@ -30,10 +31,8 @@ from .ensembles import (
     Vacuum,
     check_assumption,
     ensemble_from_vectors,
-    equal_overlap_gram,
 )
 from .errors import ParamOutOfRangeError
-from .linalg import vectors_from_gram
 
 _SIGMAS = (0.02, 0.05, 0.1, 0.2)
 # the oracle's iteration cap for each restart
@@ -111,54 +110,40 @@ def distrust_seed(targets: np.ndarray, eps: float) -> np.ndarray:
     return vectors
 
 
-def _project_overlap(gram: np.ndarray, a: float, n: int) -> np.ndarray:
-    """Blend a perturbed Gram toward the equiangular one until every
-    pairwise overlap magnitude is at least ``a``: by t = 1 at the latest,
-    where the blend is the equiangular Gram, whose overlaps are ``a``."""
-    eq = equal_overlap_gram(n, a)
-    off = ~np.eye(n, dtype=bool)
-    for t in np.linspace(0.0, 1.0, 21):
-        g = (1.0 - t) * gram + t * eq
-        if np.min(np.abs(g[off])) >= a - 1e-12:
-            break
-    return g
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """One search: the assumption searched (with any witness filled in), the
-    saturating seed (one row per input) and the membership context.
+    """One search: the assumption searched (with any witness filled in) and
+    the saturating seed (one row per input).
 
-    The constraint surface a perturbed seed is projected back onto is data:
-    state x keeps weight ``weight`` inside its anchor projector
-    ``anchors[x]``.  Overlap has no anchors, since its constraint is
-    pairwise: its perturbed Gram matrix is blended toward the equiangular
-    one until every pairwise overlap is at least ``weight``.
+    A per-state constraint is data: a perturbed state x is rescaled to keep
+    weight ``weight`` inside its anchor projector ``anchors[x]``.  Overlap
+    has no anchors, since its constraint is pairwise: its perturbed states
+    are only normalized, and ``weight`` is not read.
     """
 
     assumption: Assumption
     seed_vectors: np.ndarray
-    anchors: np.ndarray | None
-    weight: float
-    membership_aux: dict
+    anchors: np.ndarray | None = None
+    weight: float = 1.0
 
 
 def _vacuum_plan(a, n) -> _Plan:
-    ens, _, aux = WITNESSES[Vacuum](n, a.omega)
-    vacuum = aux["vacuum_vector"]
-    anchors = np.broadcast_to(np.outer(vacuum, vacuum.conj()), (n, ens.dim, ens.dim))
-    return _Plan(a, ens.state_vectors(), anchors, 1.0 - a.omega, aux)
+    ens, _ = WITNESSES[Vacuum](n, a.omega)
+    # the vacuum is basis vector 0, as check_assumption takes it
+    vacuum = np.diag((np.arange(ens.dim) == 0).astype(complex))
+    anchors = np.broadcast_to(vacuum, (n, ens.dim, ens.dim))
+    return _Plan(a, ens.state_vectors(), anchors, 1.0 - a.omega)
 
 
 def _overlap_plan(a, n) -> _Plan:
-    ens, _, aux = WITNESSES[UniformOverlap](n, a.a)
-    return _Plan(a, ens.state_vectors(), None, a.a, aux)
+    ens, _ = WITNESSES[UniformOverlap](n, a.a)
+    return _Plan(a, ens.state_vectors())
 
 
 def _almost_dim_plan(a, n) -> _Plan:
-    ens, witnessed, aux = WITNESSES[AlmostDim](n, a.d, a.eps)
+    ens, witnessed = WITNESSES[AlmostDim](n, a.d, a.eps)
     anchors = np.broadcast_to(witnessed.projector, (n, ens.dim, ens.dim))
-    return _Plan(witnessed, ens.state_vectors(), anchors, 1.0 - a.eps, aux)
+    return _Plan(witnessed, ens.state_vectors(), anchors, 1.0 - a.eps)
 
 
 def _distrust_plan(a, n) -> _Plan:
@@ -167,7 +152,7 @@ def _distrust_plan(a, n) -> _Plan:
     padded = np.zeros((n, seed_vectors.shape[1]), dtype=complex)
     padded[:, : targets.shape[1]] = targets
     anchors = padded[:, :, None] * padded.conj()[:, None, :]
-    return _Plan(a, seed_vectors, anchors, 1.0 - a.eps, {})
+    return _Plan(a, seed_vectors, anchors, 1.0 - a.eps)
 
 
 # The searchable kinds, keyed by assumption class: the plan builder
@@ -206,8 +191,8 @@ def check_state_stack(assumption: Assumption, n: int) -> None:
 
 
 def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnsemble:
-    """Restart 0 is the seed; a later restart perturbs it and projects it
-    back onto the plan's constraint surface."""
+    """Restart 0 is the seed; a later restart perturbs it and, where the
+    plan has anchors, rescales each state onto its constraint surface."""
     if restart == 0:
         return ensemble_from_vectors(plan.seed_vectors)
     sigma = _SIGMAS[(restart - 1) % len(_SIGMAS)]
@@ -215,9 +200,7 @@ def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnse
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     perturbed = plan.seed_vectors + sigma * noise
     if plan.anchors is None:
-        vecs = np.stack([v / np.linalg.norm(v) for v in perturbed])
-        g = _project_overlap(vecs.conj() @ vecs.T, plan.weight, shape[0])
-        return ensemble_from_vectors(vectors_from_gram(g))
+        return ensemble_from_vectors(perturbed / np.linalg.norm(perturbed, axis=1, keepdims=True))
     vecs = np.empty_like(perturbed)
     for x in range(shape[0]):
         vecs[x] = _split_and_rescale(perturbed[x], plan.anchors[x], plan.weight, rng)
@@ -265,7 +248,7 @@ def tightness_search(
     for k in range(restarts):
         rng = np.random.default_rng(seed + k)
         cand = _candidate(plan, k, rng)
-        if not check_assumption(cand, plan.assumption, **plan.membership_aux).satisfied:
+        if not check_assumption(cand, plan.assumption).satisfied:
             outcomes.append(RestartOutcome(index=k, value=0.0, converged=False, feasible=False))
             continue
         res = optimize_discrimination(cand, tol=tol, max_iter=MAX_ITER)

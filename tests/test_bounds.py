@@ -299,8 +299,8 @@ class TestWitnesses:
                 for cls, point in points.items():
                     found = bounds.WITNESSES[cls](*point)
                     assert found is not None, (cls.kind, point)
-                    e, assumption, aux = found
-                    assert check_assumption(e, assumption, **aux).satisfied, (cls.kind, point)
+                    e, assumption = found
+                    assert check_assumption(e, assumption).satisfied, (cls.kind, point)
                     if cls in (Vacuum, AlmostDim, Distrust):
                         bound = bounds.BOUNDS[cls](assumption, n, DEFAULT_TOL).pg_bound
                         assert abs(guess_value(e, pgm(e)) - bound) <= 1e-12, (cls.kind, point)

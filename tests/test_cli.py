@@ -448,6 +448,26 @@ def test_malformed_file_exits_3(runner, tmp_path, case, args):
     assert result.stdout == ""
 
 
+# files whose declared n or scalar field is no JSON number of the right
+# kind, or whose document is not the object a loader expects; the first
+# was read as n = 2 and solved
+_FIELD_FAULTS = {
+    "oracle-n_fraction": ["oracle", _Doc({"n": 2.5, "dim": 2, "states": _BASIS_STATES})],
+    "oracle-top_level_list": ["oracle", _Doc([_BASIS_STATES])],
+    "sr_demo-branches_int": ["sr-demo", "--strategy", _Doc({"branches": 3})],
+    "sr_demo-omega_null": ["sr-demo", "--strategy", _Doc(_strategy({"kind": "vacuum", "omega": None}))],
+    "sr_demo-kind_list": ["sr-demo", "--strategy", _Doc(_strategy({"kind": ["dimension"], "d": 2}))],
+}
+
+
+@pytest.mark.parametrize("case", _FIELD_FAULTS)
+def test_malformed_field_exits_3(runner, tmp_path, case):
+    result = runner.invoke(main, _write_args(tmp_path, _FIELD_FAULTS[case]))
+    assert result.exit_code == 3, result.exception
+    assert result.stderr.startswith("error: invalid ") and result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 _KEYS = ["n", "dim", "states", "elements", "branches", "q", "ensemble", "gamma", "kind", "d", "eps",
          "targets", "projector", "omega", "a", "alpha"]
 _JSON_DOCS = st.recursive(
@@ -883,7 +903,7 @@ _ORACLE_DIGESTS = {
     "search-vacuum": (["search", "vacuum", "--n", "4", "--omega", "0.1", "--restarts", "16", "--seed", "0"],
                       "09a14529d183a8755f80cfcf81316d2c151b447854923b5383812662d6f0947c"),
     "search-overlap": (["search", "overlap", "--n", "4", "--a", "0.3", "--restarts", "16", "--seed", "0"],
-                       "aabed8bcb7332a83e3572d0b7fb5c54a3854e0cb351c9a389f1c01b222abba0f"),
+                       "5262ff59166b27ead5eaebe1e20ac0c4c4bf7e8a5eeddef32fc8a616e30c72a1"),
     "search-almost-dim": (["search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05", "--restarts", "16",
                            "--seed", "0"],
                           "032588a40c10315ff8d63d84d220501ce57482e94d829154d2e27895eb1f949b"),

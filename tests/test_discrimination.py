@@ -172,7 +172,7 @@ class TestOptimizer:
         assert res.converged
 
     def test_vacuum_cone_saturation(self):
-        e, _, _ = WITNESSES[Vacuum](4, 0.1)
+        e, _ = WITNESSES[Vacuum](4, 0.1)
         res = optimize_discrimination(e)
         expected = (math.sqrt(0.3) + math.sqrt(0.9)) ** 2 / 4.0
         assert abs(res.value - expected) <= 1e-6

@@ -33,7 +33,7 @@ from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
 from infocap.ensembles import assumption_from_json, assumption_to_json
 
-from conftest import random_pure_ensemble
+from conftest import random_psd, random_pure_ensemble
 from infocap.errors import (
     CutoffTooSmallError,
     DimensionMismatchError,
@@ -169,8 +169,8 @@ class TestEquiangular:
 
 def vacuum_cone(n, omega):
     """The vacuum witness and its vacuum vector."""
-    e, _, aux = WITNESSES[Vacuum](n, omega)
-    return e, aux["vacuum_vector"]
+    e, _ = WITNESSES[Vacuum](n, omega)
+    return e, np.eye(e.dim, dtype=complex)[0]
 
 
 class TestCirculant:
@@ -291,10 +291,19 @@ class TestMembership:
         assert rep.satisfied
         assert abs(rep.worst_slack) <= 1e-8
 
-    def test_vacuum_needs_context(self):
+    def test_vacuum_defaults_to_basis_vector_zero(self, rng):
+        # the witness, on its bound, and random pure and mixed ensembles
+        psd = np.stack([random_psd(rng, 3) for _ in range(3)])
+        mixed = StateEnsemble(psd / np.trace(psd, axis1=1, axis2=2).real[:, None, None])
+        for e in (vacuum_cone(4, 0.3)[0], random_pure_ensemble(rng, 3, 3), mixed):
+            given = check_assumption(e, Vacuum(omega=0.3), vacuum_vector=np.eye(e.dim)[0])
+            assert check_assumption(e, Vacuum(omega=0.3)) == given
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_vacuum_vector_of_wrong_length(self, length):
         e, _ = vacuum_cone(3, 0.2)
-        with pytest.raises(MissingContextError):
-            check_assumption(e, Vacuum(omega=0.2))
+        with pytest.raises(DimensionMismatchError, match="vacuum vector dimension does not match"):
+            check_assumption(e, Vacuum(omega=0.2), vacuum_vector=np.eye(length)[0])
 
     def test_overlap_violation_slack(self):
         rep = check_assumption(equiangular_ensemble(3, 0.5), UniformOverlap(a=0.6))
@@ -344,13 +353,13 @@ class TestMembership:
             check_assumption(basis_ensemble(4, 2), EADimension(d=2), subsystem_dims=(3, 2))
 
     def test_almost_dim_heuristic_witness(self):
-        e, _, _ = WITNESSES[AlmostDim](4, 2, 0.1)
+        e, _ = WITNESSES[AlmostDim](4, 2, 0.1)
         rep = check_assumption(e, AlmostDim(d=2, eps=0.1))
         assert rep.satisfied
         assert "average state" in rep.note
 
     def test_almost_dim_supplied_projector(self):
-        e, witnessed, _ = WITNESSES[AlmostDim](4, 2, 0.1)
+        e, witnessed = WITNESSES[AlmostDim](4, 2, 0.1)
         rep = check_assumption(e, AlmostDim(d=2, eps=0.1, projector=witnessed.projector))
         assert rep.satisfied
         assert rep.note == "supplied projector"
@@ -379,7 +388,7 @@ class TestMembership:
         assert check_assumption(e, UniformOverlap(a=0.4)).worst_slack >= -1e-8
         e, vac = vacuum_cone(4, 0.3)
         assert check_assumption(e, Vacuum(omega=0.3), vacuum_vector=vac).worst_slack >= -1e-8
-        e, witnessed, _ = WITNESSES[AlmostDim](5, 2, 0.2)
+        e, witnessed = WITNESSES[AlmostDim](5, 2, 0.2)
         assert check_assumption(e, witnessed).worst_slack >= -1e-8
 
 

@@ -131,8 +131,7 @@ class TestPeakAndAverage:
                 (0.5, built[1][0], Vacuum(omega=0.15)),
             )
         )
-        aux = [aux for _, _, aux in built]
-        assert check_average(s, 0.1, aux=aux).satisfied
+        assert check_average(s, 0.1).satisfied
 
     def test_average_dimension_mixed_branches(self):
         s = SRStrategy(

@@ -14,6 +14,7 @@ from infocap import (
 )
 from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
+from infocap.ensembles import check_assumption, equal_overlap_gram
 from infocap.errors import ParamOutOfRangeError
 
 
@@ -29,9 +30,8 @@ class TestSeeds:
         make_plan, _ = search.SEARCHES[type(assumption)]
         plan = make_plan(assumption, point[0])
         first = search._candidate(plan, 0, np.random.default_rng(0))
-        witness, _, aux = WITNESSES[type(assumption)](*point)
+        witness, _ = WITNESSES[type(assumption)](*point)
         np.testing.assert_allclose(first.states, witness.states, rtol=0, atol=1e-12)
-        assert plan.membership_aux.keys() == aux.keys()
 
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2, 0.6])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -58,6 +58,28 @@ class TestOverlapSearch:
     def test_seed_saturates(self):
         report = tightness_search(UniformOverlap(a=0.4), n=3, restarts=4, seed=0)
         assert report.gap <= 1e-8
+
+    # the restarts of the 16 that are members, at n = 4 and seed 0
+    @pytest.mark.parametrize(("a", "members"), [(0.3, 2), (0.6, 3), (0.9, 1)])
+    def test_only_members_reach_the_oracle(self, monkeypatch, a, members):
+        solved = []
+        solve = search.optimize_discrimination
+
+        def spy(e, **kwargs):
+            solved.append(e)
+            return solve(e, **kwargs)
+
+        monkeypatch.setattr(search, "optimize_discrimination", spy)
+        report = tightness_search(UniformOverlap(a=a), 4, restarts=16, seed=0)
+        assert len(solved) == sum(r.feasible for r in report.restarts) == members
+        assert all(r.value == 0.0 and not r.converged for r in report.restarts if not r.feasible)
+        assert report.best_value == report.restarts[0].value
+        # a perturbed restart is solved as drawn, never as the seed again
+        seed_overlaps = equal_overlap_gram(4, a) ** 2
+        for e in solved[1:]:
+            assert check_assumption(e, UniformOverlap(a=a)).satisfied
+            overlaps = np.einsum("xij,yji->xy", e.states, e.states).real
+            assert not np.allclose(overlaps, seed_overlaps, rtol=0, atol=1e-9)
 
 
 class TestAlmostDimSearch:

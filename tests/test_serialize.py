@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from infocap import AlmostDim, Distrust, pgm
+from infocap import AlmostDim, Dimension, Distrust, pgm
 from infocap.checks import random_unit
 from infocap.discrimination import povm_from_json, povm_to_json
 from infocap.ensembles import assumption_from_json, assumption_to_json, ensemble_from_json, ensemble_to_json
 from infocap.errors import InfocapError
+from infocap.randomness import strategy_from_json
 from infocap.serialize import from_json, to_json
 
 from conftest import random_pure_ensemble
@@ -122,3 +123,64 @@ class TestMalformedPairs:
     def test_from_json_shapes(self, obj, axes):
         with pytest.raises(InfocapError):
             from_json(obj, axes)
+
+
+_STATES = [[[[1.0, 0.0]]]]
+_DIMENSION = {"kind": "dimension", "d": 1}
+
+
+def _branch(**fields):
+    return {"q": 1.0, "ensemble": {"n": 1, "dim": 1, "states": _STATES}, "gamma": _DIMENSION, **fields}
+
+
+# Documents that are malformed apart from their [re, im] pairs, each with the
+# loader it goes to: every one raises InfocapError, and no other error
+_FAULTY_DOCS = {
+    "stack_empty_object": (ensemble_from_json, {}),
+    "stack_list": (ensemble_from_json, [_STATES]),
+    "stack_no_states": (ensemble_from_json, {"n": 1, "dim": 1}),
+    "stack_n_string": (ensemble_from_json, {"n": "x", "dim": 1, "states": _STATES}),
+    "stack_n_numeric_string": (ensemble_from_json, {"n": "1", "dim": 1, "states": _STATES}),
+    "stack_n_fraction": (ensemble_from_json, {"n": 1.5, "dim": 1, "states": _STATES}),
+    "stack_n_integral_float": (ensemble_from_json, {"n": 1.0, "dim": 1, "states": _STATES}),
+    "stack_n_bool": (ensemble_from_json, {"n": True, "dim": 1, "states": _STATES}),
+    "stack_n_infinite": (ensemble_from_json, {"n": float("inf"), "dim": 1, "states": _STATES}),
+    "stack_dim_null": (ensemble_from_json, {"n": 1, "dim": None, "states": _STATES}),
+    "povm_list": (povm_from_json, [1]),
+    "assumption_list": (assumption_from_json, ["vacuum"]),
+    "assumption_no_kind": (assumption_from_json, {"omega": 0.1}),
+    "assumption_missing_field": (assumption_from_json, {"kind": "vacuum"}),
+    "assumption_null_field": (assumption_from_json, {"kind": "vacuum", "omega": None}),
+    "assumption_string_field": (assumption_from_json, {"kind": "vacuum", "omega": "0.1"}),
+    "assumption_bool_d": (assumption_from_json, {"kind": "dimension", "d": True}),
+    "assumption_beyond_float": (assumption_from_json, {"kind": "information", "alpha": 10**400}),
+    "assumption_list_kind": (assumption_from_json, {"kind": ["vacuum"], "omega": 0.1}),
+    "assumption_object_kind": (assumption_from_json, {"kind": {}, "omega": 0.1}),
+    "strategy_list": (strategy_from_json, [_branch()]),
+    "strategy_no_branches": (strategy_from_json, {}),
+    "strategy_branches_int": (strategy_from_json, {"branches": 3}),
+    "strategy_branch_int": (strategy_from_json, {"branches": [3]}),
+    "strategy_branch_no_q": (strategy_from_json, {"branches": [{"ensemble": _branch()["ensemble"], "gamma": _DIMENSION}]}),
+    "strategy_q_string": (strategy_from_json, {"branches": [_branch(q="1")]}),
+    "strategy_q_beyond_float": (strategy_from_json, {"branches": [_branch(q=10**400)]}),
+    "strategy_gamma_list": (strategy_from_json, {"branches": [_branch(gamma=[_DIMENSION])]}),
+}
+
+
+class TestLoaderFaults:
+    @pytest.mark.parametrize("fault", _FAULTY_DOCS)
+    def test_loaders_raise_infocap_error(self, fault):
+        decode, doc = _FAULTY_DOCS[fault]
+        with pytest.raises(InfocapError):
+            decode(doc)
+
+    def test_the_table_reaches_every_loader(self):
+        assert {decode for decode, _ in _FAULTY_DOCS.values()} == {
+            ensemble_from_json, povm_from_json, assumption_from_json, strategy_from_json
+        }
+
+    def test_valid_documents_load(self):
+        assert strategy_from_json({"branches": [_branch()]}).n == 1
+        # an integral float is a JSON number, which Dimension stores as an int
+        assert assumption_from_json({"kind": "dimension", "d": 2.0}) == Dimension(d=2)
+        assert ensemble_from_json({"n": 1, "dim": 1, "states": _STATES}).dim == 1
