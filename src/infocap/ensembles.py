@@ -31,6 +31,8 @@ from .serialize import from_json, json_float, json_number, json_object, stack_fr
 TRACE_TOL = 1e-10
 PURITY_TOL = 1e-8
 MEMBERSHIP_SLACK = 1e-8
+UNIT_TOL = 1e-10  # max |norm - 1| of a distrust target or a vacuum vector
+PROJECTOR_TOL = 1e-8  # entrywise tolerance of a supplied almost-dim projector
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +142,10 @@ class Assumption:
     says whether a larger ``param`` allows more ensembles, the
     ``shared_fields`` must agree across averaged branches, and
     ``membership`` checks an ensemble against the assumption.
+
+    A kind whose constraint is per-state weight defines ``anchors``
+    instead of ``membership``: state x must keep weight at least
+    1 - ``param`` inside its anchor projector.
     """
 
     kind: ClassVar[str]
@@ -148,9 +154,17 @@ class Assumption:
     larger_is_weaker: ClassVar[bool] = True
     shared_fields: ClassVar[tuple[str, ...]] = ()
 
+    def anchors(self, e, vacuum_vector) -> tuple[np.ndarray, str] | None:
+        """The (n, dim, dim) stack of ``e``'s per-state anchor projectors and
+        the membership note, or None for a kind with no anchors."""
+        return None
+
     def membership(self, e, vacuum_vector, subsystem_dims, pg) -> MembershipReport:
         """Membership of ``e``, given the context keywords of check_assumption."""
-        raise NotImplementedError
+        anchors, note = self.anchors(e, vacuum_vector)
+        weights = np.einsum("xij,xji->x", anchors, e.states).real
+        floor = 1.0 - getattr(self, self.param)
+        return slack_report([float(w - floor) for w in weights], note=note)
 
 
 @dataclass(frozen=True)
@@ -227,14 +241,15 @@ class Vacuum(Assumption):
     def __post_init__(self):
         check_unit_interval(self.omega, "omega")
 
-    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+    def anchors(self, e, vacuum_vector):
         # the vacuum is basis vector 0 unless one is given
         v = np.eye(e.dim, dtype=complex)[0] if vacuum_vector is None else vacuum_vector
         v = np.asarray(v, dtype=complex).reshape(-1)
         if v.shape[0] != e.dim:
             raise DimensionMismatchError("vacuum vector dimension does not match the ensemble")
-        weights = np.einsum("i,xij,j->x", v.conj(), e.states, v).real
-        return slack_report([float(self.omega - (1.0 - w)) for w in weights])
+        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
+            raise ParamOutOfRangeError(f"vacuum vector must be finite and normalized within {UNIT_TOL:.0e}")
+        return np.broadcast_to(np.outer(v, v.conj()), (e.n, e.dim, e.dim)), ""
 
 
 @dataclass(frozen=True)
@@ -260,6 +275,19 @@ class UniformOverlap(Assumption):
         return slack_report(slacks if slacks else [0.0])
 
 
+def _projector(p, d: int) -> np.ndarray:
+    """A copy of ``p``, which must be a finite square Hermitian idempotent
+    matrix of trace at most ``d``, each within PROJECTOR_TOL."""
+    p = np.array(p, dtype=complex)
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or not p.size or not np.isfinite(p).all():
+        raise ParamOutOfRangeError(f"projector must be a finite nonempty square matrix, got shape {p.shape}")
+    if not max(np.max(np.abs(p - p.conj().T)), np.max(np.abs(p @ p - p))) <= PROJECTOR_TOL:
+        raise ParamOutOfRangeError(f"projector must be Hermitian and idempotent within {PROJECTOR_TOL:.0e}")
+    if not np.trace(p).real <= d + PROJECTOR_TOL:
+        raise ParamOutOfRangeError(f"projector has trace {np.trace(p).real:.9g}, above d = {d}")
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class AlmostDim(Assumption):
     d: int
@@ -279,11 +307,13 @@ class AlmostDim(Assumption):
     def __post_init__(self):
         object.__setattr__(self, "d", _integer_d(self.d, "dimension"))
         check_unit_interval(self.eps, "eps")
+        if self.projector is not None:
+            object.__setattr__(self, "projector", _projector(self.projector, self.d))
 
-    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+    def anchors(self, e, vacuum_vector):
         if self.projector is not None:
             note = "supplied projector"
-            pi = np.asarray(self.projector, dtype=complex)
+            pi = self.projector
         else:
             # heuristic witness: top-d eigenspace of the average state gives
             # a sound sufficient check of the existential projector (the
@@ -293,8 +323,7 @@ class AlmostDim(Assumption):
             note = "top-d eigenspace of the average state"
         if pi.shape != (e.dim, e.dim):
             raise DimensionMismatchError("projector dimension does not match the ensemble")
-        weights = np.einsum("ij,xji->x", pi, e.states).real
-        return slack_report([float(w - (1.0 - self.eps)) for w in weights], note=note)
+        return np.broadcast_to(pi, (e.n, e.dim, e.dim)), note
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,12 +343,12 @@ class Distrust(Assumption):
         if t.ndim != 2:
             raise ParamOutOfRangeError("targets must be an (n, dim) array of unit vectors")
         norms = np.linalg.norm(t, axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= 1e-10:
-            raise ParamOutOfRangeError("target vectors must be normalized within 1e-10")
+        if not np.max(np.abs(norms - 1.0)) <= UNIT_TOL:
+            raise ParamOutOfRangeError(f"target vectors must be normalized within {UNIT_TOL:.0e}")
         check_unit_interval(self.eps, "eps")
         object.__setattr__(self, "targets", t.copy())
 
-    def membership(self, e, vacuum_vector, subsystem_dims, pg):
+    def anchors(self, e, vacuum_vector):
         t = self.targets
         if t.shape[0] != e.n:
             raise DimensionMismatchError("one target per state is required")
@@ -327,8 +356,7 @@ class Distrust(Assumption):
             raise DimensionMismatchError("targets live in a larger space than the lab states")
         if t.shape[1] < e.dim:
             t = np.pad(t, ((0, 0), (0, e.dim - t.shape[1])))
-        fid = np.einsum("xi,xij,xj->x", t.conj(), e.states, t).real
-        return slack_report([float(f - (1.0 - self.eps)) for f in fid])
+        return t[:, :, None] * t.conj()[:, None, :], ""
 
 
 @dataclass(frozen=True)
@@ -563,4 +591,8 @@ def assumption_from_json(obj) -> Assumption:
     if cls is None:
         raise InfocapError(f"unknown assumption kind {kind!r:.40}")
     json_object(obj, tuple(f.key for f in cls.json_fields if not f.optional))
+    keys = {"kind"} | {f.key for f in cls.json_fields}
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise InfocapError(f"unknown field {unknown[0]!r:.40} for kind {kind}")
     return cls(**{f.key: f.decode(obj[f.key]) for f in cls.json_fields if f.key in obj})

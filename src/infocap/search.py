@@ -2,9 +2,10 @@
 
 For one assumption the search runs a fixed number of restarts: restart 0
 evaluates a constructed seed, later restarts perturb it (rescaling each
-state so a per-state constraint holds with equality; overlap candidates
-are only normalized), and a candidate that ``check_assumption`` finds a
-member is refined by the discrimination oracle; any other is reported
+state to keep weight exactly 1 - param inside the anchor projector that
+the assumption's ``anchors`` names; overlap has no anchors, and its
+candidates are only normalized), and a candidate that ``check_assumption``
+finds a member is refined by the discrimination oracle; any other is reported
 infeasible.  The report compares the best value found against the kind's
 closed-form bound in ``bounds.BOUNDS``.
 
@@ -110,59 +111,20 @@ def distrust_seed(targets: np.ndarray, eps: float) -> np.ndarray:
     return vectors
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """One search: the assumption searched (with any witness filled in) and
-    the saturating seed (one row per input).
-
-    A per-state constraint is data: a perturbed state x is rescaled to keep
-    weight ``weight`` inside its anchor projector ``anchors[x]``.  Overlap
-    has no anchors, since its constraint is pairwise: its perturbed states
-    are only normalized, and ``weight`` is not read.
-    """
-
-    assumption: Assumption
-    seed_vectors: np.ndarray
-    anchors: np.ndarray | None = None
-    weight: float = 1.0
+def _witness_seed(witness) -> tuple[np.ndarray, Assumption]:
+    ens, searched = witness
+    return ens.state_vectors(), searched
 
 
-def _vacuum_plan(a, n) -> _Plan:
-    ens, _ = WITNESSES[Vacuum](n, a.omega)
-    # the vacuum is basis vector 0, as check_assumption takes it
-    vacuum = np.diag((np.arange(ens.dim) == 0).astype(complex))
-    anchors = np.broadcast_to(vacuum, (n, ens.dim, ens.dim))
-    return _Plan(a, ens.state_vectors(), anchors, 1.0 - a.omega)
-
-
-def _overlap_plan(a, n) -> _Plan:
-    ens, _ = WITNESSES[UniformOverlap](n, a.a)
-    return _Plan(a, ens.state_vectors())
-
-
-def _almost_dim_plan(a, n) -> _Plan:
-    ens, witnessed = WITNESSES[AlmostDim](n, a.d, a.eps)
-    anchors = np.broadcast_to(witnessed.projector, (n, ens.dim, ens.dim))
-    return _Plan(witnessed, ens.state_vectors(), anchors, 1.0 - a.eps)
-
-
-def _distrust_plan(a, n) -> _Plan:
-    targets = a.targets
-    seed_vectors = distrust_seed(targets, a.eps)
-    padded = np.zeros((n, seed_vectors.shape[1]), dtype=complex)
-    padded[:, : targets.shape[1]] = targets
-    anchors = padded[:, :, None] * padded.conj()[:, None, :]
-    return _Plan(a, seed_vectors, anchors, 1.0 - a.eps)
-
-
-# The searchable kinds, keyed by assumption class: the plan builder
-# (assumption, n) -> _Plan, and the largest state dimension on n
-# inputs, in the kind's seed or in its saturating construction.
+# The searchable kinds, keyed by assumption class: the seed builder, shaped
+# like a bounds.WITNESSES row, (assumption, n) -> (seed vectors, one row per
+# input; the assumption searched, with any witness data), and the largest
+# state dimension on n inputs, in the seed or the saturating construction.
 SEARCHES = {
-    Vacuum: (_vacuum_plan, lambda a, n: n),
-    UniformOverlap: (_overlap_plan, lambda a, n: n),
-    AlmostDim: (_almost_dim_plan, lambda a, n: n),
-    Distrust: (_distrust_plan, lambda a, n: a.targets.shape[1] + n),
+    Vacuum: (lambda a, n: _witness_seed(WITNESSES[Vacuum](n, a.omega)), lambda a, n: n),
+    UniformOverlap: (lambda a, n: _witness_seed(WITNESSES[UniformOverlap](n, a.a)), lambda a, n: n),
+    AlmostDim: (lambda a, n: _witness_seed(WITNESSES[AlmostDim](n, a.d, a.eps)), lambda a, n: n),
+    Distrust: (lambda a, n: (distrust_seed(a.targets, a.eps), a), lambda a, n: a.targets.shape[1] + n),
 }
 # n states of dimension dim are a stack of dim x dim complex128 matrices,
 # 16 n dim**2 bytes, on which the oracle then works; a larger stack than
@@ -190,20 +152,20 @@ def check_state_stack(assumption: Assumption, n: int) -> None:
         )
 
 
-def _candidate(plan: _Plan, restart: int, rng: np.random.Generator) -> StateEnsemble:
-    """Restart 0 is the seed; a later restart perturbs it and, where the
-    plan has anchors, rescales each state onto its constraint surface."""
-    if restart == 0:
-        return ensemble_from_vectors(plan.seed_vectors)
+def _perturbed(
+    seed_vectors: np.ndarray, anchors: np.ndarray | None, floor: float, restart: int, rng: np.random.Generator
+) -> StateEnsemble:
+    """The seed perturbed for ``restart`` >= 1, each state rescaled to keep
+    weight ``floor`` inside its anchor; with no anchors, only normalized."""
     sigma = _SIGMAS[(restart - 1) % len(_SIGMAS)]
-    shape = plan.seed_vectors.shape
+    shape = seed_vectors.shape
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    perturbed = plan.seed_vectors + sigma * noise
-    if plan.anchors is None:
+    perturbed = seed_vectors + sigma * noise
+    if anchors is None:
         return ensemble_from_vectors(perturbed / np.linalg.norm(perturbed, axis=1, keepdims=True))
     vecs = np.empty_like(perturbed)
     for x in range(shape[0]):
-        vecs[x] = _split_and_rescale(perturbed[x], plan.anchors[x], plan.weight, rng)
+        vecs[x] = _split_and_rescale(perturbed[x], anchors[x], floor, rng)
     return ensemble_from_vectors(vecs)
 
 
@@ -226,7 +188,7 @@ def tightness_search(
     Deterministic for a fixed ``seed``: restart k draws from a generator
     seeded with seed + k.
     """
-    make_plan, _ = _search_row(assumption)
+    make_seed, _ = _search_row(assumption)
     # a distrust search has one input per target
     count = assumption.targets.shape[0] if isinstance(assumption, Distrust) else n
     if count is not None:
@@ -242,13 +204,17 @@ def tightness_search(
         raise ParamOutOfRangeError(f"seed must be >= 0, got {seed}")
     # the bound checks its parameters before the seed does
     bound = BOUNDS[type(assumption)](assumption, n, tol)
-    plan = make_plan(assumption, n)
+    seed_vectors, searched = make_seed(assumption, n)
+    seed_ensemble = ensemble_from_vectors(seed_vectors)
+    # the anchors that membership reads are the ones the perturbed states keep
+    anchors, _ = searched.anchors(seed_ensemble, None) or (None, "")
+    floor = 1.0 - getattr(searched, searched.param)
     outcomes: list[RestartOutcome] = []
     best = 0.0
     for k in range(restarts):
         rng = np.random.default_rng(seed + k)
-        cand = _candidate(plan, k, rng)
-        if not check_assumption(cand, plan.assumption).satisfied:
+        cand = seed_ensemble if k == 0 else _perturbed(seed_vectors, anchors, floor, k, rng)
+        if not check_assumption(cand, searched).satisfied:
             outcomes.append(RestartOutcome(index=k, value=0.0, converged=False, feasible=False))
             continue
         res = optimize_discrimination(cand, tol=tol, max_iter=MAX_ITER)
@@ -257,7 +223,7 @@ def tightness_search(
         )
         best = max(best, res.value)
     return SearchReport(
-        assumption=plan.assumption,
+        assumption=searched,
         n=n,
         seed=seed,
         bound=bound,

@@ -405,6 +405,10 @@ _FAULT_TEXTS = {
     "declared_dim": "declared n/dim do not match",
     "mixed_targets": "targets must be pure states",
     "q_nan": "branch weights must be finite",
+    "misspelt_projector": "unknown field 'projecter' for kind almost_dim",
+    "field_of_another_kind": "unknown field 'd' for kind vacuum",
+    "projector_rank_above_d": "projector has trace 2, above d = 1",
+    "projector_not_idempotent": "projector must be Hermitian and idempotent",
 }
 
 
@@ -420,6 +424,20 @@ _STRATEGY_FAULTS = {
     "ragged_targets": _strategy({"kind": "distrust", "eps": 0.1, "targets": [[[1, 0], [0, 0]], [[1, 0]]]}),
     "one_element_projector_pair": _strategy(
         {"kind": "almost_dim", "d": 1, "eps": 0.1, "projector": [[[1], [0, 0]], [[0, 0], [0, 0]]]}
+    ),
+    # a misspelt field once fell back to the heuristic projector, and a
+    # field of another kind was dropped
+    "misspelt_projector": _strategy(
+        {"kind": "almost_dim", "d": 1, "eps": 0.1, "projecter": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    ),
+    "field_of_another_kind": _strategy({"kind": "vacuum", "omega": 0.1, "d": 3}),
+    # a projector of rank 2 at d = 1, and one that is not idempotent, once
+    # decided membership as given
+    "projector_rank_above_d": _strategy(
+        {"kind": "almost_dim", "d": 1, "eps": 0.1, "projector": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    ),
+    "projector_not_idempotent": _strategy(
+        {"kind": "almost_dim", "d": 2, "eps": 0.1, "projector": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}
     ),
 }
 

@@ -89,8 +89,17 @@ class TestAssumptionParameters:
             lambda: Dimension(d=math.nan),
             lambda: Distrust(targets=np.array([[1.0, 0.0], [math.nan, 0.0]]), eps=0.1),
             lambda: assumption_from_json({"kind": "dimension", "d": 2.5}),
+            # an almost-dim projector must be a projector of rank at most d
+            lambda: AlmostDim(d=1, eps=0.0, projector=np.diag([2.0, 2.0, 2.0])),
+            lambda: AlmostDim(d=1, eps=0.0, projector=np.ones((2, 3))),
+            lambda: AlmostDim(d=1, eps=0.0, projector=np.array([[1.0, 1.0], [0.0, 0.0]])),
+            lambda: AlmostDim(d=1, eps=0.0, projector=np.diag([1.0, np.nan])),
+            lambda: AlmostDim(d=1, eps=0.0, projector=np.diag([1.0, 1e-6])),
+            lambda: AlmostDim(d=1, eps=0.0, projector=np.zeros((0, 0))),
         ],
-        ids=["information_nan_alpha", "dimension_nan_d", "distrust_nan_target", "json_fractional_d"],
+        ids=["information_nan_alpha", "dimension_nan_d", "distrust_nan_target", "json_fractional_d",
+             "projector_not_idempotent", "projector_not_square", "projector_not_hermitian", "projector_nan",
+             "projector_off_by_1e-6", "projector_empty"],
     )
     def test_rejected(self, make):
         with pytest.raises(ParamOutOfRangeError):
@@ -392,6 +401,53 @@ class TestMembership:
         assert check_assumption(e, witnessed).worst_slack >= -1e-8
 
 
+class TestAnchors:
+    def test_vacuum_is_almost_dim_one_and_distrust_on_the_vacuum(self):
+        # vacuum(omega) is almost-dim(1, omega) with the vacuum as its
+        # projector, and distrust with the vacuum as every target: the same
+        # anchor and floor, so the same slacks to the last bit
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, dim = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            psd = np.stack([random_psd(rng, dim) for _ in range(n)])
+            mixed = StateEnsemble(psd / np.trace(psd, axis1=1, axis2=2).real[:, None, None])
+            vacuum = np.eye(dim, dtype=complex)[0]
+            for e in (random_pure_ensemble(rng, n, dim), mixed):
+                omega = float(rng.uniform())
+                detail = check_assumption(e, Vacuum(omega=omega)).detail
+                projector = np.outer(vacuum, vacuum)
+                assert check_assumption(e, AlmostDim(d=1, eps=omega, projector=projector)).detail == detail
+                targets = np.tile(vacuum, (n, 1))
+                assert check_assumption(e, Distrust(targets=targets, eps=omega)).detail == detail
+
+    def test_orthonormal_basis_is_not_almost_one_dimensional(self):
+        e = ensemble_from_vectors(np.eye(3))
+        assert not check_assumption(e, AlmostDim(d=1, eps=0.0)).satisfied
+        with pytest.raises(ParamOutOfRangeError, match="trace 3, above d = 1"):
+            AlmostDim(d=1, eps=0.0, projector=np.eye(3))
+
+    @pytest.mark.parametrize(
+        ("d", "projector"),
+        [(1, np.diag([1.0, 1e-9])), (3, np.diag([1.0, 1.0, 0.0, 0.0])), (1, np.zeros((2, 2))),
+         (2, np.full((2, 2), 0.5))],
+        ids=["within_tolerance", "rank_below_d", "zero", "off_diagonal"],
+    )
+    def test_almost_dim_accepts_a_projector_of_rank_at_most_d(self, d, projector):
+        a = AlmostDim(d=d, eps=0.1, projector=projector)
+        np.testing.assert_array_equal(a.projector, projector)
+
+    def test_vacuum_vector_must_be_a_unit_vector(self):
+        # two copies of sqrt(0.3)|0> + sqrt(0.7)|1>: vacuum weight 0.3
+        psi = np.array([math.sqrt(0.3), math.sqrt(0.7)])
+        e = ensemble_from_vectors(np.stack([psi, psi]))
+        assert not check_assumption(e, Vacuum(omega=0.1)).satisfied
+        for vac in ([2.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [1.0, 1e-4]):
+            with pytest.raises(ParamOutOfRangeError, match="vacuum vector must be finite and normalized"):
+                check_assumption(e, Vacuum(omega=0.1), vacuum_vector=np.array(vac))
+        rep = check_assumption(e, Vacuum(omega=0.1), vacuum_vector=np.array([1.0 + 5e-11, 0.0]))
+        assert not rep.satisfied
+
+
 class TestJson:
     def test_ensemble_roundtrip(self, rng):
         e = equiangular_ensemble(3, 0.4)
@@ -437,3 +493,14 @@ class TestJson:
         np.testing.assert_array_equal(back.projector, projector)
         back = assumption_from_json(cases[6][1])
         np.testing.assert_array_equal(back.targets, targets)
+
+    @pytest.mark.parametrize(
+        ("obj", "key"),
+        [({"kind": "almost_dim", "d": 1, "eps": 0.1, "projecter": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+          "projecter"),
+         ({"kind": "vacuum", "omega": 0.1, "d": 3}, "d")],
+        ids=["misspelt_projector", "field_of_another_kind"],
+    )
+    def test_unknown_field_refused(self, obj, key):
+        with pytest.raises(InfocapError, match=f"^unknown field '{key}' for kind {obj['kind']}$"):
+            assumption_from_json(obj)

@@ -14,7 +14,7 @@ from infocap import (
 )
 from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
-from infocap.ensembles import check_assumption, equal_overlap_gram
+from infocap.ensembles import check_assumption, ensemble_from_vectors, equal_overlap_gram
 from infocap.errors import ParamOutOfRangeError
 
 
@@ -27,9 +27,8 @@ class TestSeeds:
         ids=["vacuum", "vacuum_past_bound", "overlap", "almost_dim", "almost_dim_uneven"],
     )
     def test_restart_zero_is_the_witness(self, assumption, point):
-        make_plan, _ = search.SEARCHES[type(assumption)]
-        plan = make_plan(assumption, point[0])
-        first = search._candidate(plan, 0, np.random.default_rng(0))
+        make_seed, _ = search.SEARCHES[type(assumption)]
+        first = ensemble_from_vectors(make_seed(assumption, point[0])[0])
         witness, _ = WITNESSES[type(assumption)](*point)
         np.testing.assert_allclose(first.states, witness.states, rtol=0, atol=1e-12)
 
@@ -187,9 +186,9 @@ class TestStateDims:
     def test_declared_dim_covers_what_is_built(self, case, n):
         build, params = _STACK_CASES[case]
         a = build(n)
-        make_plan, state_dim = search.SEARCHES[type(a)]
+        make_seed, state_dim = search.SEARCHES[type(a)]
         declared = state_dim(a, n)
-        assert declared >= make_plan(a, n).seed_vectors.shape[1]
+        assert declared >= make_seed(a, n)[0].shape[1]
         if params is not None:
             assert declared >= WITNESSES[type(a)](n, *params)[0].dim
 
@@ -200,3 +199,28 @@ class TestDeterminism:
         b = tightness_search(AlmostDim(d=2, eps=0.1), n=4, restarts=5, seed=9)
         assert a.best_value == b.best_value
         assert [o.value for o in a.restarts] == [o.value for o in b.restarts]
+
+
+class TestAnchoredRestarts:
+    # the search rescales each perturbed state onto the floor of the anchor
+    # that check_assumption reads, so every one is a member on its boundary
+    @pytest.mark.parametrize(
+        ("assumption", "n"),
+        [(Vacuum(omega=0.0), 3), (Vacuum(omega=0.3), 4), (Vacuum(omega=0.9), 3),
+         (AlmostDim(d=2, eps=0.1), 4), (AlmostDim(d=3, eps=0.2), 5),
+         (Distrust(targets=_qubit_targets(3), eps=0.1), 3)],
+        ids=["vacuum_zero", "vacuum", "vacuum_past_bound", "almost_dim", "almost_dim_uneven", "distrust"],
+    )
+    def test_perturbed_restarts_sit_on_the_floor(self, monkeypatch, assumption, n):
+        reports = []
+
+        def spy(e, a, **kwargs):
+            reports.append(check_assumption(e, a, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(search, "check_assumption", spy)
+        report = tightness_search(assumption, n, restarts=9, seed=2)
+        assert len(reports) == 9
+        assert all(r.feasible for r in report.restarts)
+        for rep in reports[1:]:
+            assert rep.satisfied and abs(rep.worst_slack) <= 1e-12, rep
