@@ -279,7 +279,7 @@ def oracle(ensemble_file, tol, max_iter, output):
     payload = {
         "value": res.value,
         "certified_upper": cert.certified_upper(),
-        "gap": cert.trace_value - res.value,
+        "gap": cert.gap(res.value),
         "iterations": res.iterations,
         "converged": res.converged,
     }
@@ -293,7 +293,7 @@ def oracle(ensemble_file, tol, max_iter, output):
 @click.option("--output", "-o", type=str, default=None)
 def certify(ensemble_file, povm_file, output):
     """Evaluate a POVM on an ensemble and emit its dual certificate; exit 0
-    iff the certificate is valid."""
+    iff the certificate certifies the POVM's value to DEFAULT_TOL."""
     e = _load(ensemble_file, ensemble_from_json, "ensemble")
 
     def measured(obj):
@@ -307,11 +307,11 @@ def certify(ensemble_file, povm_file, output):
         "guess_value": value,
         "trace_value": cert.trace_value,
         "min_slack": cert.min_slack,
-        "valid": cert.is_valid,
+        "valid": cert.certifies(value, DEFAULT_TOL),
         "certified_upper": cert.certified_upper(),
     }
     _emit(_json_text(payload) + "\n", output)
-    sys.exit(0 if cert.is_valid else 1)
+    sys.exit(0 if payload["valid"] else 1)
 
 
 @main.command()
@@ -344,7 +344,9 @@ def search(kind, n, restarts, seed, tol, output, **_):
 @click.option("--tol", type=float, default=DEFAULT_TOL)
 @click.option("--output", "-o", type=str, default=None)
 def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
-    """Sweep the assumption's scalar parameter and emit plot-ready CSV."""
+    """Sweep the assumption's scalar parameter and emit plot-ready CSV;
+    with --with-oracle, exit 1 after the CSV if an oracle value is not
+    certified."""
     spec = _KINDS[kind]
     fixed = _kind_params(kind, tuple(c for c in spec.columns if c != spec.sweep_axis))
     if points < 1:
@@ -361,6 +363,7 @@ def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
     if with_oracle:
         header.append("oracle_value")
     lines = [",".join(header)]
+    certified = True
     for x in axis:
         x = float(x)
         params = [x if c == spec.sweep_axis else fixed[c] for c in spec.columns]
@@ -370,9 +373,12 @@ def sweep(kind, n, start, stop, points, with_oracle, tol, output, **_):
         if with_oracle:
             # the row's bound has checked n and the parameters
             check_state_stack(spec.assumption(**dict(zip(spec.columns, params))), n)
-            row.append(_fmt9(optimize_discrimination(witness(n, *params)[0], tol=tol).value))
+            res = optimize_discrimination(witness(n, *params)[0], tol=tol)
+            certified = certified and res.converged
+            row.append(_fmt9(res.value))
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", output)
+    sys.exit(0 if certified else 1)
 
 
 @main.command(name="paper-numbers")

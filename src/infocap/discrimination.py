@@ -20,7 +20,6 @@ from .serialize import stack_from_json, to_json
 
 POVM_PSD_SLACK = 1e-9
 COMPLETENESS_TOL = 1e-8
-CERT_SLACK = 1e-7
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
@@ -51,25 +50,26 @@ class POVM:
 
 @dataclass(frozen=True, eq=False)
 class DualCertificate:
-    """Hermitian K with K >= rho_x / n for all x certifies tr(K) >= P_g.
-
-    ``min_slack`` is the smallest eigenvalue of K - rho_x/n over x; the
-    certificate is valid when it is >= -CERT_SLACK.
+    """Dual operator K; ``min_slack`` is the smallest eigenvalue of K - rho_x/n
+    over x.  ``certified_upper()``, not tr(K), bounds P_g from above, and a
+    value is certified to ``tol`` iff that bound lies within ``tol`` above it.
     """
 
     K: np.ndarray
     trace_value: float
     min_slack: float
 
-    @property
-    def is_valid(self) -> bool:
-        return self.min_slack >= -CERT_SLACK
-
     def certified_upper(self) -> float:
         """Sound upper bound even with a slightly negative slack: shift K by
         |min_slack| times the identity."""
         dim = self.K.shape[0]
         return self.trace_value + dim * max(0.0, -self.min_slack)
+
+    def gap(self, value: float) -> float:
+        return self.certified_upper() - value
+
+    def certifies(self, value: float, tol: float) -> bool:
+        return self.gap(value) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +163,10 @@ def optimize_discrimination(
 
     Fixed-point iteration N_x <- T^(-1/2) r_x N_x r_x T^(-1/2) with
     r_x = rho_x/n and T = sum_y r_y N_y r_y, started from the pretty good
-    measurement; the value is nondecreasing along the iteration.
-    Convergence is declared when the accompanying dual certificate has
-    gap <= 10*tol.  ``tol`` must be positive and finite and ``max_iter``
-    at least 1; otherwise ParamOutOfRangeError is raised.
+    measurement; the value is nondecreasing along the iteration.  The
+    result is ``converged`` iff its certificate certifies the value to
+    ``tol``.  ``tol`` must be positive and finite and ``max_iter`` at
+    least 1; otherwise ParamOutOfRangeError is raised.
 
     The ensemble is validated at construction and the result's POVM once,
     at the end.  In between the loop trusts its own iterates: T and every
@@ -198,12 +198,11 @@ def optimize_discrimination(
     povm = POVM(_psd_elements(elements))
     value = guess_value(e, povm)
     cert = dual_certificate(e, povm)
-    gap = cert.trace_value - value
     return GuessingResult(
         value=value,
         povm=povm,
         iterations=iterations,
-        converged=bool(gap <= 10.0 * tol),
+        converged=cert.certifies(value, tol),
         certificate=cert,
     )
 

@@ -15,13 +15,15 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infocap import basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json, pgm, search
-from infocap.bounds import Validity
+from infocap import (
+    Vacuum, basis_ensemble, cli, ensemble_from_vectors, ensemble_to_json, optimize_discrimination, pgm, search,
+)
+from infocap.bounds import WITNESSES, Validity
 from infocap.cli import main
 from infocap.discrimination import povm_to_json
 from infocap.errors import FileFaultError, NonFiniteError, ParamOutOfRangeError
 
-from conftest import uniform_povm
+from conftest import random_pure_ensemble, uniform_povm
 
 
 @pytest.fixture
@@ -685,6 +687,17 @@ class TestOracle:
         assert abs(payload["value"] - 1.0) <= 1e-9
         assert payload["converged"]
 
+    def test_uncertified_value_exits_1(self, runner, tmp_path):
+        # the vacuum witness at omega = 1e-12: the iteration stops at the
+        # PGM's kernel cutoff, 1e-6 below the certified bound
+        path = write_json(tmp_path / "e.json", ensemble_to_json(WITNESSES[Vacuum](2, 1e-12)[0]))
+        result = runner.invoke(main, ["oracle", path])
+        assert result.exit_code == 1, result.stderr
+        payload = json.loads(result.stdout)
+        assert not payload["converged"]
+        assert payload["gap"] == payload["certified_upper"] - payload["value"]
+        assert abs(payload["gap"] - 1e-6) <= 1e-9
+
     def test_invalid_file_exits_3(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -751,6 +764,19 @@ class TestCertify:
         mpath = write_json(tmp_path / "m.json", povm_to_json(uniform_povm(2, 2)))
         result = runner.invoke(main, ["certify", epath, mpath])
         assert result.exit_code == 1
+
+    def test_uncertified_oracle_povm_exits_1(self, runner, tmp_path):
+        # the oracle's POVM for four pure qubits: its slack of -8.6e-10 would
+        # pass a tolerance of 1e-7, but its certified gap is 1.7e-9
+        e = random_pure_ensemble(np.random.default_rng(5), 4, 2)
+        epath = write_json(tmp_path / "e.json", ensemble_to_json(e))
+        mpath = write_json(tmp_path / "m.json", povm_to_json(optimize_discrimination(e).povm))
+        result = runner.invoke(main, ["certify", epath, mpath])
+        assert result.exit_code == 1, result.stderr
+        payload = json.loads(result.stdout)
+        assert not payload["valid"]
+        assert -1e-9 < payload["min_slack"] < 0.0
+        assert 1e-9 < payload["certified_upper"] - payload["guess_value"] < 2e-9
 
     def test_povm_within_hermiticity_tolerance_certifies(self, runner, tmp_path):
         # within the POVM check's 1e-8 of Hermitian; the raw element would
@@ -849,6 +875,17 @@ class TestSweep:
             bound_value, oracle_value = float(line.split(",")[1]), float(line.split(",")[3])
             assert abs(bound_value - oracle_value) <= 1e-6
 
+    def test_uncertified_row_exits_1_after_the_csv(self, runner):
+        # the oracle stops 1e-6 below the certified bound on this row
+        result = runner.invoke(
+            main,
+            ["sweep", "vacuum", "--n", "2", "--start", "1e-12", "--stop", "1e-12", "--points", "1",
+             "--with-oracle"],
+        )
+        assert result.exit_code == 1
+        assert result.stdout == "omega,pg_bound,info_bits,oracle_value\n1e-12,0.500001,2.8853872e-06,0.5\n"
+        assert result.stderr == ""
+
     def test_oracle_without_construction_exits_2(self, runner):
         result = runner.invoke(
             main,
@@ -914,17 +951,18 @@ def test_sweep_output_pinned(runner, kind):
 # --with-oracle sweeps, captured before the search plans and state
 # dimensions moved into one table keyed by assumption class; the vacuum and
 # almost-dim searches' digests since their seeds became the circulant
-# witnesses, with n-dimensional states.  The search JSON
+# witnesses, with n-dimensional states, and since a restart's `converged`
+# reads the certified gap.  The search JSON
 # carries oracle values at full double precision, so these digests hold
 # for one numpy/BLAS build (x86-64, numpy's bundled OpenBLAS).
 _ORACLE_DIGESTS = {
     "search-vacuum": (["search", "vacuum", "--n", "4", "--omega", "0.1", "--restarts", "16", "--seed", "0"],
-                      "09a14529d183a8755f80cfcf81316d2c151b447854923b5383812662d6f0947c"),
+                      "370fa76e0804ab00e1b53c008bf0e20b5a333e2929fa3fa23b066ee716aab685"),
     "search-overlap": (["search", "overlap", "--n", "4", "--a", "0.3", "--restarts", "16", "--seed", "0"],
                        "5262ff59166b27ead5eaebe1e20ac0c4c4bf7e8a5eeddef32fc8a616e30c72a1"),
     "search-almost-dim": (["search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05", "--restarts", "16",
                            "--seed", "0"],
-                          "032588a40c10315ff8d63d84d220501ce57482e94d829154d2e27895eb1f949b"),
+                          "eb342616c793f562aeb0ac1d2aeb1c79533d435f5426de9c365a640f765dd879"),
     "search-distrust": (["search", "distrust", "--eps", "0.1", "--targets", _QUBIT_TARGETS, "--restarts", "16",
                          "--seed", "0"],
                         "a9a95e7a83877746134069a5c3805e48d89f554e28079aa9de39826264407bb0"),

@@ -20,7 +20,8 @@ from infocap import (
 )
 from infocap import discrimination
 from infocap.bounds import WITNESSES
-from infocap.discrimination import povm_from_json, povm_to_json
+from infocap.checks import _SAMPLERS
+from infocap.discrimination import DEFAULT_TOL, povm_from_json, povm_to_json
 from infocap.linalg import KERNEL_CUTOFF
 from infocap.errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
 
@@ -245,8 +246,21 @@ class TestOptimizer:
             e = random_pure_ensemble(rng, 4, 2)
             res = optimize_discrimination(e, tol=1e-11)
             if res.converged:
-                gap = res.certificate.trace_value - res.value
-                assert gap <= 1e-10
+                assert res.certificate.certified_upper() - res.value <= 1e-10
+
+    def test_converged_iff_certified_gap_within_tol(self):
+        # soundness-sweep members of every kind, and the vacuum witness at
+        # omega = 1e-12, where the iteration stops at the PGM's kernel cutoff
+        # with a certified gap of 1e-6
+        rng = np.random.default_rng(20240503)
+        members = [sampler(rng)[0] for sampler, _ in _SAMPLERS.values() for _ in range(5)]
+        members.append(WITNESSES[Vacuum](2, 1e-12)[0])
+        converged = []
+        for e in members:
+            res = optimize_discrimination(e, tol=1e-7, max_iter=150)
+            assert res.converged == (res.certificate.certified_upper() - res.value <= 1e-7)
+            converged.append(res.converged)
+        assert any(converged) and not all(converged)
 
 
 class TestDualCertificate:
@@ -260,9 +274,8 @@ class TestDualCertificate:
     def test_pgm_optimal_on_equiangular(self):
         e = equiangular_ensemble(3, 0.5)
         cert = dual_certificate(e, pgm(e))
-        gap = cert.trace_value - guess_value(e, pgm(e))
         assert cert.min_slack >= -1e-7
-        assert abs(gap) <= 1e-7
+        assert cert.certifies(guess_value(e, pgm(e)), 1e-7)
 
     def test_states_within_hermiticity_tolerance(self):
         # the ensemble accepts deviations up to 1e-10; the stored states are
@@ -286,14 +299,17 @@ class TestDualCertificate:
         m = POVM(elements)
         np.testing.assert_array_equal(m.elements, m.elements.conj().transpose(0, 2, 1))
         assert guess_value(plus_minus, m) == pytest.approx(1.0, abs=1e-12)
-        assert dual_certificate(plus_minus, m).is_valid
+        assert dual_certificate(plus_minus, m).certifies(guess_value(plus_minus, m), DEFAULT_TOL)
 
     def test_uniform_povm_is_not_a_certificate(self):
         e = basis_ensemble(2, 2)
         cert = dual_certificate(e, uniform_povm(2, 2))
         assert cert.trace_value == pytest.approx(0.5, abs=1e-12)
         assert cert.min_slack < -1e-3
-        assert not cert.is_valid
+        # K = I/4, and K + I/4 dominates both rho_x/2: the certified bound is 1 against a value of 1/2
+        value = guess_value(e, uniform_povm(2, 2))
+        assert cert.gap(value) == pytest.approx(0.5, abs=1e-12)
+        assert not cert.certifies(value, DEFAULT_TOL)
 
 
 class TestAccessibleInformation:
