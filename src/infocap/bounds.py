@@ -60,7 +60,6 @@ class BoundResult:
     assumption: Assumption
     n: int
     validity: Validity
-    note: str = ""
 
     def to_json(self) -> dict:
         return {
@@ -94,20 +93,13 @@ def clamp(pgs: Sequence[float], ns: Sequence[int]) -> list[tuple[float, float]]:
     return rows
 
 
-def _result(pg: float, assumption: Assumption, n: int, validity: Validity, note: str = "") -> BoundResult:
+def _result(pg: float, assumption: Assumption, n: int, validity: Validity) -> BoundResult:
     # a NaN n would clamp to pg 1, and a fractional one give a bound for no
     # number of inputs; an integral n is stored as an int
     if not isinstance(n, numbers.Real) or not math.isfinite(n) or n % 1:
         raise ParamOutOfRangeError(f"n must be an integer, got {n}")
     [(pg, bits)] = clamp([pg], [n])
-    return BoundResult(
-        pg_bound=pg,
-        info_bits=bits,
-        assumption=assumption,
-        n=int(n),
-        validity=validity,
-        note=note,
-    )
+    return BoundResult(pg_bound=pg, info_bits=bits, assumption=assumption, n=int(n), validity=validity)
 
 
 # Each closed-form kind has one raw formula (ns, *params) -> [(pg, validity)]:
@@ -344,7 +336,7 @@ def bound_distrust(targets: StateEnsemble, eps: float, tol: float = DEFAULT_TOL)
     """
     [(pg, validity)] = deviation_pg([targets_value(targets, tol)], eps)
     assumption = Distrust(targets=targets.state_vectors(), eps=eps)
-    return _result(pg, assumption, targets.n, validity, note="not tight unless targets are optimal")
+    return _result(pg, assumption, targets.n, validity)
 
 
 @_column
@@ -373,9 +365,7 @@ def coherent_capacity(nbar: float, n: int) -> BoundResult:
     ``nbar``: treat them as almost-qubits with deviation
     eps = 1 - exp(-nbar)(1 + nbar) and apply the almost-dimension bound."""
     [(pg, validity)] = coherent_pg([n], nbar)
-    assumption = coherent_assumption(nbar)
-    note = f"mean photon number {nbar:.9g} mapped to eps={assumption.eps:.9g}"
-    return _result(pg, assumption, n, validity, note=note)
+    return _result(pg, coherent_assumption(nbar), n, validity)
 
 
 def _almost_dim_profile(n: int, d: int, eps: float) -> list[float]:

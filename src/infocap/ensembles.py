@@ -88,6 +88,8 @@ class StateEnsemble:
 def ensemble_from_vectors(vectors: np.ndarray) -> StateEnsemble:
     """Pure-state ensemble from unit vectors given as rows."""
     vectors = np.asarray(vectors, dtype=complex)
+    if vectors.ndim != 2:
+        raise DimensionMismatchError(f"vectors must be an (n, dim) array, got shape {vectors.shape}")
     states = np.einsum("xi,xj->xij", vectors, vectors.conj())
     return StateEnsemble(states)
 
@@ -154,17 +156,16 @@ class Assumption:
     larger_is_weaker: ClassVar[bool] = True
     shared_fields: ClassVar[tuple[str, ...]] = ()
 
-    def anchors(self, e, vacuum_vector) -> tuple[np.ndarray, str] | None:
-        """The (n, dim, dim) stack of ``e``'s per-state anchor projectors and
-        the membership note, or None for a kind with no anchors."""
+    def anchors(self, e, vacuum_vector) -> np.ndarray | None:
+        """The (n, dim, dim) stack of ``e``'s per-state anchor projectors, or
+        None for a kind with no anchors."""
         return None
 
     def membership(self, e, vacuum_vector, subsystem_dims, pg) -> MembershipReport:
         """Membership of ``e``, given the context keywords of check_assumption."""
-        anchors, note = self.anchors(e, vacuum_vector)
-        weights = np.einsum("xij,xji->x", anchors, e.states).real
+        weights = np.einsum("xij,xji->x", self.anchors(e, vacuum_vector), e.states).real
         floor = 1.0 - getattr(self, self.param)
-        return slack_report([float(w - floor) for w in weights], note=note)
+        return slack_report([float(w - floor) for w in weights])
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,13 @@ class Dimension(Assumption):
     def membership(self, e, vacuum_vector, subsystem_dims, pg):
         d = self.d
         if e.dim <= d:
-            return slack_report([0.0] * e.n, note="ambient dimension within bound")
+            return slack_report([0.0] * e.n)
         avg = e.states.mean(axis=0)
         w = np.linalg.eigvalsh(avg)[::-1]
         # joint support must fit in d dimensions: the (d+1)-th eigenvalue of
         # the average state must vanish
         slack = -float(w[d])
-        return slack_report([slack], note="slack is minus the (d+1)-th eigenvalue of the average state")
+        return slack_report([slack])
 
 
 @dataclass(frozen=True)
@@ -216,18 +217,18 @@ class EADimension(Assumption):
         da, db = subsystem_dims
         if da * db != e.dim:
             raise DimensionMismatchError(f"subsystem dims {subsystem_dims} do not match dim {e.dim}")
+        # necessary conditions only: a constant receiver marginal and, for
+        # pure states, Schmidt number at most d
         margs = [linalg.partial_trace(rho, (da, db), trace_out=0) for rho in e.states]
         mean = sum(margs) / e.n
         slacks = [-float(np.max(np.abs(m - mean))) for m in margs]
-        note = "necessary conditions only: constant receiver marginal"
         if all(e.pure_flags):
             # Schmidt number <= d per pure state: the (d+1)-th eigenvalue of
             # the reduced state must vanish
             for m in margs:
                 w = np.linalg.eigvalsh(m)[::-1]
                 slacks.append(-float(w[d]) if d < len(w) else 0.0)
-            note += " and Schmidt number"
-        return slack_report(slacks, note=note)
+        return slack_report(slacks)
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,7 @@ class Vacuum(Assumption):
             raise DimensionMismatchError("vacuum vector dimension does not match the ensemble")
         if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
             raise ParamOutOfRangeError(f"vacuum vector must be finite and normalized within {UNIT_TOL:.0e}")
-        return np.broadcast_to(np.outer(v, v.conj()), (e.n, e.dim, e.dim)), ""
+        return np.broadcast_to(np.outer(v, v.conj()), (e.n, e.dim, e.dim))
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,6 @@ class AlmostDim(Assumption):
 
     def anchors(self, e, vacuum_vector):
         if self.projector is not None:
-            note = "supplied projector"
             pi = self.projector
         else:
             # heuristic witness: top-d eigenspace of the average state gives
@@ -320,10 +320,9 @@ class AlmostDim(Assumption):
             # mean of exactly Hermitian states is exactly Hermitian)
             v = np.linalg.eigh(e.states.mean(axis=0))[1][:, ::-1][:, : self.d]
             pi = v @ v.conj().T
-            note = "top-d eigenspace of the average state"
         if pi.shape != (e.dim, e.dim):
             raise DimensionMismatchError("projector dimension does not match the ensemble")
-        return np.broadcast_to(pi, (e.n, e.dim, e.dim)), note
+        return np.broadcast_to(pi, (e.n, e.dim, e.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,8 +339,8 @@ class Distrust(Assumption):
 
     def __post_init__(self):
         t = np.asarray(self.targets, dtype=complex)
-        if t.ndim != 2:
-            raise ParamOutOfRangeError("targets must be an (n, dim) array of unit vectors")
+        if t.ndim != 2 or not t.size:
+            raise ParamOutOfRangeError("targets must be a nonempty (n, dim) array of unit vectors")
         norms = np.linalg.norm(t, axis=1)
         if not np.max(np.abs(norms - 1.0)) <= UNIT_TOL:
             raise ParamOutOfRangeError(f"target vectors must be normalized within {UNIT_TOL:.0e}")
@@ -356,7 +355,7 @@ class Distrust(Assumption):
             raise DimensionMismatchError("targets live in a larger space than the lab states")
         if t.shape[1] < e.dim:
             t = np.pad(t, ((0, 0), (0, e.dim - t.shape[1])))
-        return t[:, :, None] * t.conj()[:, None, :], ""
+        return t[:, :, None] * t.conj()[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -376,6 +375,8 @@ class Information(Assumption):
             raise MissingContextError(
                 "information membership needs a precomputed guessing probability (pg)"
             )
+        if not math.isfinite(pg):
+            raise ParamOutOfRangeError(f"pg must be finite, got {pg}")
         return slack_report([float(2.0**self.alpha / e.n - pg)])
 
 
@@ -384,25 +385,18 @@ class MembershipReport:
     """Outcome of a membership check.
 
     ``worst_slack`` is the most-violated constraint margin (negative means
-    violated); ``detail`` carries per-state (or per-pair) slacks.
+    violated).
     """
 
     satisfied: bool
     worst_slack: float
-    detail: tuple[float, ...]
-    note: str = ""
 
 
-def slack_report(slacks: list[float], note: str = "") -> MembershipReport:
+def slack_report(slacks: list[float]) -> MembershipReport:
     """The report of constraint margins ``slacks``: satisfied unless one falls
     below -MEMBERSHIP_SLACK."""
     worst = min(slacks) if slacks else 0.0
-    return MembershipReport(
-        satisfied=bool(worst >= -MEMBERSHIP_SLACK),
-        worst_slack=float(worst),
-        detail=tuple(float(s) for s in slacks),
-        note=note,
-    )
+    return MembershipReport(satisfied=bool(worst >= -MEMBERSHIP_SLACK), worst_slack=float(worst))
 
 
 _KINDS = {

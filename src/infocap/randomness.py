@@ -135,7 +135,7 @@ def check_average(s: SRStrategy, gamma_target: float) -> MembershipReport:
     avg = sum(q * scalar_param(g) for q, _, g in s.branches)
     avg_slack = gamma_target - avg if first.larger_is_weaker else avg - gamma_target
     slacks.append(float(avg_slack + AVERAGE_SLACK))
-    return slack_report(slacks, note=f"branch average {avg:.12g} vs target {gamma_target:.12g}")
+    return slack_report(slacks)
 
 
 def averaged_log_pg(s: SRStrategy, tol: float = DEFAULT_TOL, values: list[float] | None = None) -> float:

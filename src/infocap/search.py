@@ -50,7 +50,6 @@ class RestartOutcome:
 
 @dataclass(frozen=True, eq=False)
 class SearchReport:
-    assumption: Assumption
     n: int
     seed: int
     bound: BoundResult
@@ -70,36 +69,6 @@ class SearchReport:
             "gap": self.gap,
             "restarts": [asdict(r) for r in self.restarts],
         }
-
-
-def _normalize_within(
-    v: np.ndarray, proj: np.ndarray, sign: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Unit vector along the projection of v onto proj (sign=+1) or its
-    complement (sign=-1); draws a random direction in that subspace when
-    the projection vanishes."""
-    part = proj @ v if sign > 0 else v - proj @ v
-    norm = np.linalg.norm(part)
-    while norm < 1e-12:
-        r = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-        part = proj @ r if sign > 0 else r - proj @ r
-        norm = np.linalg.norm(part)
-    return part / norm
-
-
-def _split_and_rescale(
-    v: np.ndarray, proj: np.ndarray, weight: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Rescale the component of v inside a projector to norm sqrt(weight)
-    and the complement to sqrt(1-weight), so the defining constraint holds
-    with equality."""
-    inside = _normalize_within(v, proj, +1, rng)
-    rank = float(np.trace(proj).real)
-    if weight >= 1.0 - 1e-15 or rank >= v.shape[0] - 1e-9:
-        # no tail weight requested, or no complement to put it in
-        return inside
-    outside = _normalize_within(v, proj, -1, rng)
-    return np.sqrt(weight) * inside + np.sqrt(1.0 - weight) * outside
 
 
 def distrust_seed(targets: np.ndarray, eps: float) -> np.ndarray:
@@ -156,7 +125,8 @@ def _perturbed(
     seed_vectors: np.ndarray, anchors: np.ndarray | None, floor: float, restart: int, rng: np.random.Generator
 ) -> StateEnsemble:
     """The seed perturbed for ``restart`` >= 1, each state rescaled to keep
-    weight ``floor`` inside its anchor; with no anchors, only normalized."""
+    weight exactly ``floor`` inside its anchor, and the rest in the anchor's
+    complement; with no anchors, only normalized."""
     sigma = _SIGMAS[(restart - 1) % len(_SIGMAS)]
     shape = seed_vectors.shape
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -164,8 +134,17 @@ def _perturbed(
     if anchors is None:
         return ensemble_from_vectors(perturbed / np.linalg.norm(perturbed, axis=1, keepdims=True))
     vecs = np.empty_like(perturbed)
-    for x in range(shape[0]):
-        vecs[x] = _split_and_rescale(perturbed[x], anchors[x], floor, rng)
+    for x, (v, anchor) in enumerate(zip(perturbed, anchors)):
+        # Gaussian noise has a nonzero part in every nonzero subspace, so
+        # neither part below has norm 0
+        part = anchor @ v
+        vecs[x] = inside = part / np.linalg.norm(part)
+        # a floor of 1, or a full-rank anchor, leaves no weight outside
+        if floor < 1.0 - 1e-15 and np.trace(anchor).real < shape[1] - 1e-9:
+            # each part is normalized before it is scaled, the order in
+            # which the pinned search digests were written
+            rest = v - part
+            vecs[x] = np.sqrt(floor) * inside + np.sqrt(1.0 - floor) * (rest / np.linalg.norm(rest))
     return ensemble_from_vectors(vecs)
 
 
@@ -207,7 +186,7 @@ def tightness_search(
     seed_vectors, searched = make_seed(assumption, n)
     seed_ensemble = ensemble_from_vectors(seed_vectors)
     # the anchors that membership reads are the ones the perturbed states keep
-    anchors, _ = searched.anchors(seed_ensemble, None) or (None, "")
+    anchors = searched.anchors(seed_ensemble, None)
     floor = 1.0 - getattr(searched, searched.param)
     outcomes: list[RestartOutcome] = []
     best = 0.0
@@ -222,11 +201,4 @@ def tightness_search(
             RestartOutcome(index=k, value=res.value, converged=res.converged, feasible=True)
         )
         best = max(best, res.value)
-    return SearchReport(
-        assumption=searched,
-        n=n,
-        seed=seed,
-        bound=bound,
-        best_value=best,
-        restarts=tuple(outcomes),
-    )
+    return SearchReport(n=n, seed=seed, bound=bound, best_value=best, restarts=tuple(outcomes))

@@ -236,10 +236,6 @@ class TestDistrustBound:
         assert res.pg_bound == pytest.approx(bound_eps(0.9, 0.1), abs=1e-7)
         assert res.pg_bound == pytest.approx(1.0, abs=1e-7)
 
-    def test_notes_tightness_caveat(self):
-        res = bound_distrust(basis_ensemble(2, 2), 0.1)
-        assert "not tight" in res.note
-
 
 _TARGETS = np.array([[1, 0], [0, 1], [0.6, 0.8]], dtype=complex)
 

@@ -73,3 +73,18 @@ def test_targets_value_two_permille_low_fails(monkeypatch):
     result = run_check("distrust_saturation")
     assert not result.passed, result.detail
     assert result.detail.startswith("distrust: ")
+
+
+def test_dimension_lowered_by_1e4_fails_the_soundness_sweep(monkeypatch):
+    # a dimension member at its bound has a certificate above the lowered
+    # bound, so the sweep solves it and the oracle's value exceeds the limit
+    original = bounds.bound_dimension
+
+    def lowered(d, n):
+        result = original(d, n)
+        return dataclasses.replace(result, pg_bound=result.pg_bound * (1.0 - 1e-4))
+
+    monkeypatch.setattr(bounds, "bound_dimension", lowered)
+    result = run_check("soundness_sweep")
+    assert not result.passed, result.detail
+    assert result.detail.startswith("dimension: ")

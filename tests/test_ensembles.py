@@ -65,6 +65,12 @@ class TestStateEnsembleType:
         assert StateEnsemble(mixed).pure_flags == (False, False)
         assert basis_ensemble(2, 2).pure_flags == (True, True)
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2)], ids=["one_vector_flat", "three_axes"])
+    def test_vectors_must_be_rows(self, shape):
+        # a flat vector is not one row: an (n, dim) array is required
+        with pytest.raises(DimensionMismatchError, match="must be an \\(n, dim\\) array"):
+            ensemble_from_vectors(np.ones(shape) / math.sqrt(shape[-1]))
+
 
 class TestStateVectors:
     @settings(deadline=None, max_examples=40)
@@ -88,6 +94,7 @@ class TestAssumptionParameters:
             lambda: Information(alpha=math.nan),
             lambda: Dimension(d=math.nan),
             lambda: Distrust(targets=np.array([[1.0, 0.0], [math.nan, 0.0]]), eps=0.1),
+            lambda: Distrust(targets=np.zeros((0, 2)), eps=0.1),
             lambda: assumption_from_json({"kind": "dimension", "d": 2.5}),
             # an almost-dim projector must be a projector of rank at most d
             lambda: AlmostDim(d=1, eps=0.0, projector=np.diag([2.0, 2.0, 2.0])),
@@ -97,7 +104,8 @@ class TestAssumptionParameters:
             lambda: AlmostDim(d=1, eps=0.0, projector=np.diag([1.0, 1e-6])),
             lambda: AlmostDim(d=1, eps=0.0, projector=np.zeros((0, 0))),
         ],
-        ids=["information_nan_alpha", "dimension_nan_d", "distrust_nan_target", "json_fractional_d",
+        ids=["information_nan_alpha", "dimension_nan_d", "distrust_nan_target", "distrust_no_targets",
+             "json_fractional_d",
              "projector_not_idempotent", "projector_not_square", "projector_not_hermitian", "projector_nan",
              "projector_off_by_1e-6", "projector_empty"],
     )
@@ -338,10 +346,12 @@ class TestMembership:
     def test_dimension_above_d_checks_the_average_state(self, d, satisfied, slack):
         # two basis states of C^3 span 2 dimensions: the (d+1)-th eigenvalue
         # of their average is 0 for d = 2 and 1/2 for d = 1
-        rep = check_assumption(basis_ensemble(3, 2), Dimension(d=d))
+        e = basis_ensemble(3, 2)
+        rep = check_assumption(e, Dimension(d=d))
         assert rep.satisfied is satisfied
         assert rep.worst_slack == slack
-        assert rep.note == "slack is minus the (d+1)-th eigenvalue of the average state"
+        # the slack is minus the (d+1)-th eigenvalue of the average state
+        assert rep.worst_slack == -np.linalg.eigvalsh(e.states.mean(axis=0))[::-1][d]
 
     def test_ea_infers_message_first_split(self):
         # |0>|0> and |1>|0> in C^2 x C^3: dim 6 is not d^2 = 4, so the split
@@ -362,16 +372,20 @@ class TestMembership:
             check_assumption(basis_ensemble(4, 2), EADimension(d=2), subsystem_dims=(3, 2))
 
     def test_almost_dim_heuristic_witness(self):
-        e, _ = WITNESSES[AlmostDim](4, 2, 0.1)
-        rep = check_assumption(e, AlmostDim(d=2, eps=0.1))
+        # the witness's average state has the supplied projector as its
+        # top-d eigenspace, so the heuristic finds that projector
+        e, witnessed = WITNESSES[AlmostDim](4, 2, 0.1)
+        heuristic = AlmostDim(d=2, eps=0.1)
+        rep = check_assumption(e, heuristic)
         assert rep.satisfied
-        assert "average state" in rep.note
+        np.testing.assert_allclose(heuristic.anchors(e, None)[0], witnessed.projector, rtol=0, atol=1e-12)
 
     def test_almost_dim_supplied_projector(self):
         e, witnessed = WITNESSES[AlmostDim](4, 2, 0.1)
-        rep = check_assumption(e, AlmostDim(d=2, eps=0.1, projector=witnessed.projector))
+        supplied = AlmostDim(d=2, eps=0.1, projector=witnessed.projector)
+        rep = check_assumption(e, supplied)
         assert rep.satisfied
-        assert rep.note == "supplied projector"
+        assert np.array_equal(supplied.anchors(e, None), np.broadcast_to(witnessed.projector, (4, 4, 4)))
         assert abs(rep.worst_slack) <= 1e-8
 
     def test_distrust_membership(self, rng):
@@ -387,6 +401,12 @@ class TestMembership:
             check_assumption(e, Information(alpha=1.0))
         assert check_assumption(e, Information(alpha=1.0), pg=1.0).satisfied
         assert not check_assumption(e, Information(alpha=0.5), pg=1.0).satisfied
+
+    @pytest.mark.parametrize("pg", [math.nan, math.inf, -math.inf])
+    def test_information_refuses_non_finite_pg(self, pg):
+        # a non-finite pg has no finite slack to report
+        with pytest.raises(ParamOutOfRangeError, match="pg must be finite"):
+            check_assumption(basis_ensemble(2, 2), Information(alpha=1.0), pg=pg)
 
     def test_every_constructor_passes_its_own_check(self):
         e = basis_ensemble(3, 5)
@@ -405,7 +425,8 @@ class TestAnchors:
     def test_vacuum_is_almost_dim_one_and_distrust_on_the_vacuum(self):
         # vacuum(omega) is almost-dim(1, omega) with the vacuum as its
         # projector, and distrust with the vacuum as every target: the same
-        # anchor and floor, so the same slacks to the last bit
+        # anchors and floor in one membership body, so the same reports to
+        # the last bit
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n, dim = int(rng.integers(2, 6)), int(rng.integers(2, 5))
@@ -414,11 +435,12 @@ class TestAnchors:
             vacuum = np.eye(dim, dtype=complex)[0]
             for e in (random_pure_ensemble(rng, n, dim), mixed):
                 omega = float(rng.uniform())
-                detail = check_assumption(e, Vacuum(omega=omega)).detail
-                projector = np.outer(vacuum, vacuum)
-                assert check_assumption(e, AlmostDim(d=1, eps=omega, projector=projector)).detail == detail
-                targets = np.tile(vacuum, (n, 1))
-                assert check_assumption(e, Distrust(targets=targets, eps=omega)).detail == detail
+                kinds = (Vacuum(omega=omega), AlmostDim(d=1, eps=omega, projector=np.outer(vacuum, vacuum)),
+                         Distrust(targets=np.tile(vacuum, (n, 1)), eps=omega))
+                anchors = [a.anchors(e, None) for a in kinds]
+                assert all(np.array_equal(stack, anchors[0]) for stack in anchors[1:])
+                reports = [check_assumption(e, a) for a in kinds]
+                assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_orthonormal_basis_is_not_almost_one_dimensional(self):
         e = ensemble_from_vectors(np.eye(3))

@@ -212,6 +212,19 @@ class TestAnchoredRestarts:
         ids=["vacuum_zero", "vacuum", "vacuum_past_bound", "almost_dim", "almost_dim_uneven", "distrust"],
     )
     def test_perturbed_restarts_sit_on_the_floor(self, monkeypatch, assumption, n):
+        for rep in self._perturbed_reports(monkeypatch, assumption, n):
+            assert rep.satisfied and abs(rep.worst_slack) <= 1e-12, rep
+
+    def test_full_rank_anchor_keeps_all_weight_inside(self, monkeypatch):
+        # at d >= n the almost-dim anchor is the identity, with no complement
+        # to take weight: each perturbed state keeps weight 1, eps above its floor
+        for rep in self._perturbed_reports(monkeypatch, AlmostDim(d=4, eps=0.1), 3):
+            assert rep.satisfied and abs(rep.worst_slack - 0.1) <= 1e-12, rep
+
+    @staticmethod
+    def _perturbed_reports(monkeypatch, assumption, n):
+        """The membership reports of a 9-restart search's perturbed
+        restarts, all of which it must find feasible."""
         reports = []
 
         def spy(e, a, **kwargs):
@@ -222,5 +235,4 @@ class TestAnchoredRestarts:
         report = tightness_search(assumption, n, restarts=9, seed=2)
         assert len(reports) == 9
         assert all(r.feasible for r in report.restarts)
-        for rep in reports[1:]:
-            assert rep.satisfied and abs(rep.worst_slack) <= 1e-12, rep
+        return reports[1:]
