@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .discrimination import DEFAULT_TOL, optimize_discrimination
+from .discrimination import DEFAULT_TOL, DualCertificate, operator_certificate, optimize_discrimination
 from .ensembles import (
     AlmostDim,
     Assumption,
@@ -318,21 +318,98 @@ def bound_almost_dim(d: int, n: int, eps: float) -> BoundResult:
     return _result(pg, AlmostDim(d=d, eps=eps), n, validity)
 
 
+def _min_norm_point(points: np.ndarray) -> np.ndarray:
+    """The point of the convex hull of the rows of ``points`` nearest the
+    origin, by Wolfe's finite algorithm (Math. Programming 11, 128 (1976)).
+
+    The corral is a set of affinely independent rows and their convex
+    weights.  Each major cycle adds the row that most lowers <x, p>; each
+    minor cycle then takes the corral's affine minimizer, or, where one of
+    its weights is not positive, steps towards it until a weight reaches 0
+    and drops that row.  The loop stops when no row lowers <x, p> beyond
+    rounding, or when a cycle fails to shorten x.
+    """
+    corral = [int(np.argmin(np.einsum("ij,ij->i", points, points)))]
+    weights = np.ones(1)
+    x = points[corral[0]]
+    while True:
+        j = int(np.argmin(points @ x))
+        if j in corral or x @ x - points[j] @ x <= 1e-15:
+            return x
+        corral.append(j)
+        weights = np.append(weights, 0.0)
+        while True:
+            base, rest = points[corral[0]], points[corral[1:]]
+            tail = np.linalg.lstsq((rest - base).T, -base, rcond=None)[0]
+            affine = np.concatenate(([1.0 - tail.sum()], tail))
+            if affine.min() > 0.0:
+                weights = affine
+                break
+            low = affine <= 0.0
+            # the step at which the first such weight reaches 0; a zero gap,
+            # a weight of 0 whose affine weight is 0 too, is a step of 0
+            gap = weights[low] - affine[low]
+            step = np.min(np.divide(weights[low], gap, out=np.zeros_like(gap), where=gap > 0.0))
+            weights = (1.0 - step) * weights + step * affine
+            keep = weights > 0.0
+            keep[np.argmin(np.where(low, weights, np.inf))] = False
+            corral = [i for i, k in zip(corral, keep) if k]
+            weights = weights[keep]
+        shorter = weights @ points[corral]
+        if shorter @ shorter >= x @ x:
+            return x
+        x = shorter
+
+
+def _qubit_certificate(targets: StateEnsemble) -> DualCertificate:
+    """The optimal dual certificate of pure targets of dimension <= 2, from
+    Bloch-sphere geometry (Deconinck & Terhal, PRA 81, 062304 (2010); Bae,
+    New J. Phys. 15, 073037 (2013)).
+
+    K = ((1+r) I + c.sigma)/(2n) lies above every rho_x/n iff r >= |r_x - c|
+    for each Bloch vector r_x, so the least tr(K) = (1+r)/n has c the
+    centre of the smallest ball around the r_x and r its radius.  For unit
+    vectors that centre is the point of their convex hull nearest the
+    origin.  The certificate checks K against the states, so a centre off
+    by rounding only loosens its bound.
+    """
+    pad = 2 - targets.dim
+    if pad:
+        targets = StateEnsemble(np.pad(targets.states, ((0, 0), (0, pad), (0, pad))))
+    rho = targets.states
+    bloch = np.stack([2.0 * rho[:, 1, 0].real, 2.0 * rho[:, 1, 0].imag, (rho[:, 0, 0] - rho[:, 1, 1]).real], 1)
+    c = _min_norm_point(bloch)
+    radius = float(np.max(np.linalg.norm(bloch - c, axis=1)))
+    k = np.array([[1.0 + radius + c[2], c[0] - 1j * c[1]], [c[0] + 1j * c[1], 1.0 + radius - c[2]]])
+    return operator_certificate(targets, k / (2 * targets.n))
+
+
 def targets_value(targets: StateEnsemble, tol: float = DEFAULT_TOL) -> float:
     """Certified upper bound on the guessing value of pure distrust targets:
-    the ``pg0`` that the distrust bound feeds to ``deviation_pg``."""
+    the ``pg0`` that the distrust bound feeds to ``deviation_pg``.
+
+    Targets of dimension <= 2 take their exact value, certified, from
+    Bloch-sphere geometry; ``tol`` is the oracle tolerance of targets of
+    dimension >= 3.  The value is capped at dim/n, the dimension bound,
+    which holds for every ensemble.
+    """
     if not all(targets.pure_flags):
         raise ParamOutOfRangeError("distrust targets must be pure states")
-    result = optimize_discrimination(targets, tol=tol)
-    return float(min(1.0, max(result.value, result.certificate.certified_upper())))
+    if targets.dim <= 2:
+        value = _qubit_certificate(targets).certified_upper()
+    else:
+        result = optimize_discrimination(targets, tol=tol)
+        value = max(result.value, result.certificate.certified_upper())
+    return float(min(1.0, value, targets.dim / targets.n))
 
 
 def bound_distrust(targets: StateEnsemble, eps: float, tol: float = DEFAULT_TOL) -> BoundResult:
     """Distrust restriction: lab states have fidelity >= 1-eps with pure
     targets.  The deviation bound is applied to a certified upper bound on
-    the targets' own guessing value, so the emitted number stays sound
-    despite the numeric inner maximization.  Generally not tight unless the
-    targets are themselves optimal for discrimination.
+    the targets' own guessing value (``targets_value``: exact for targets of
+    dimension <= 2, the oracle's at ``tol`` above, capped at dim/n), so the
+    emitted number stays sound.  Generally not tight unless the targets are
+    themselves optimal for discrimination.
     """
     [(pg, validity)] = deviation_pg([targets_value(targets, tol)], eps)
     assumption = Distrust(targets=targets.state_vectors(), eps=eps)

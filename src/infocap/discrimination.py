@@ -147,10 +147,15 @@ def dual_certificate(e: StateEnsemble, m: POVM) -> DualCertificate:
     At an optimal measurement K majorizes every rho~_x = rho_x/n and tr(K)
     equals the guessing value; for suboptimal POVMs the slack reveals it.
     """
-    rt = e.states / e.n
-    k = linalg.hermitize(np.einsum("xij,xjk->ik", rt, m.elements))
-    # K and the stored states are exactly Hermitian, so each K - rho_x/n is too
-    slack = linalg.lowest_eigenvalues(k - rt).min()
+    return operator_certificate(e, linalg.hermitize(np.einsum("xij,xjk->ik", e.states / e.n, m.elements)))
+
+
+def operator_certificate(e: StateEnsemble, k: np.ndarray) -> DualCertificate:
+    """The dual certificate of an exactly Hermitian operator ``k`` for
+    ``e``: its trace and the smallest eigenvalue of k - rho_x/n over x.
+    Its ``certified_upper()`` bounds P_g from above for every such ``k``."""
+    # k and the stored states are exactly Hermitian, so each k - rho_x/n is too
+    slack = linalg.lowest_eigenvalues(k - e.states / e.n).min()
     return DualCertificate(K=k, trace_value=float(np.trace(k).real), min_slack=float(slack))
 
 

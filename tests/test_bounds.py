@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from infocap import (
     h_func,
     lemma_check,
     min_overlap_vacuum,
+    optimize_discrimination,
     pgm,
 )
 from infocap import bounds, linalg, search
@@ -235,6 +237,70 @@ class TestDistrustBound:
         # eps = 1 - pg0 sits exactly at the peak of the deviation bound
         assert res.pg_bound == pytest.approx(bound_eps(0.9, 0.1), abs=1e-7)
         assert res.pg_bound == pytest.approx(1.0, abs=1e-7)
+
+
+_SQRT3 = 1.0 / math.sqrt(3.0)
+# (targets, their exact guessing value): an orthogonal pair, the README
+# targets and the tetrahedron (Bloch vectors at its vertices)
+_QUBIT_TARGETS = [
+    ([[1, 0], [0, 1]], 1.0),
+    ([[1, 0], [0, 1], [0.6, 0.8]], 2.0 / 3.0),
+    ([[1, 0], *([_SQRT3, math.sqrt(2.0 / 3.0) * np.exp(2j * math.pi * k / 3)] for k in range(3))], 0.5),
+]
+
+
+def _qubit_target_sets():
+    rng = np.random.default_rng(2010)
+    sets = [np.array(vectors, dtype=complex) for vectors, _ in _QUBIT_TARGETS]
+    for _ in range(40):
+        n, dim = int(rng.integers(1, 9)), int(rng.integers(1, 3))
+        sets.append(np.stack([random_unit(rng, dim) for _ in range(n)]))
+    return sets
+
+
+class TestQubitTargetsValue:
+    @pytest.mark.parametrize("vectors, exact", _QUBIT_TARGETS)
+    def test_exact_value(self, vectors, exact):
+        value = bounds.targets_value(ensemble_from_vectors(np.array(vectors, dtype=complex)))
+        assert value == pytest.approx(exact, abs=1e-15)
+
+    @pytest.mark.parametrize("vectors", _qubit_target_sets(), ids=lambda v: f"{v.shape[0]}x{v.shape[1]}")
+    def test_between_oracle_value_and_certificate(self, vectors):
+        # certified, so at least the oracle's value, and exact, so at most
+        # the oracle's certified upper bound, each to rounding
+        targets = ensemble_from_vectors(vectors)
+        result = optimize_discrimination(targets, tol=1e-12)
+        value = bounds.targets_value(targets)
+        assert result.value - 1e-15 <= value <= result.certificate.certified_upper() + 1e-15
+
+    @pytest.mark.parametrize("dim, calls", [(1, 0), (2, 0), (3, 1)])
+    def test_oracle_only_from_dimension_three(self, monkeypatch, dim, calls):
+        seen = []
+        real = bounds.optimize_discrimination
+        monkeypatch.setattr(bounds, "optimize_discrimination", lambda e, tol: seen.append(e.dim) or real(e, tol=tol))
+        rng = np.random.default_rng(dim)
+        bounds.targets_value(ensemble_from_vectors(np.stack([random_unit(rng, dim) for _ in range(4)])))
+        assert len(seen) == calls
+
+    def test_many_targets_are_fast(self):
+        rng = np.random.default_rng(1)
+        targets = ensemble_from_vectors(np.stack([random_unit(rng, 2) for _ in range(2000)]))
+        start = time.perf_counter()
+        value = bounds.targets_value(targets)
+        assert time.perf_counter() - start < 1.0
+        assert 1.0 / 2000 <= value <= 2.0 / 2000
+
+    def test_capped_at_the_dimension_bound(self):
+        # the distrust bound never exceeds the almost-dim bound of the
+        # targets' dimension, which it refines
+        rng = np.random.default_rng(7)
+        sampler = _SAMPLERS[Distrust][0]
+        above = 0
+        for _ in range(1000):
+            e, assumption = sampler(rng)
+            distrust = bound_distrust(ensemble_from_vectors(assumption.targets), assumption.eps, 1e-9)
+            above += distrust.pg_bound > bound_almost_dim(assumption.targets.shape[1], e.n, assumption.eps).pg_bound
+        assert above == 0
 
 
 _TARGETS = np.array([[1, 0], [0, 1], [0.6, 0.8]], dtype=complex)

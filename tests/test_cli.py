@@ -952,7 +952,8 @@ def test_sweep_output_pinned(runner, kind):
 # dimensions moved into one table keyed by assumption class; the vacuum and
 # almost-dim searches' digests since their seeds became the circulant
 # witnesses, with n-dimensional states, and since a restart's `converged`
-# reads the certified gap.  The search JSON
+# reads the certified gap; the distrust search's since qubit targets take
+# their exact value from Bloch-sphere geometry.  The search JSON
 # carries oracle values at full double precision, so these digests hold
 # for one numpy/BLAS build (x86-64, numpy's bundled OpenBLAS).
 _ORACLE_DIGESTS = {
@@ -965,7 +966,7 @@ _ORACLE_DIGESTS = {
                           "eb342616c793f562aeb0ac1d2aeb1c79533d435f5426de9c365a640f765dd879"),
     "search-distrust": (["search", "distrust", "--eps", "0.1", "--targets", _QUBIT_TARGETS, "--restarts", "16",
                          "--seed", "0"],
-                        "a9a95e7a83877746134069a5c3805e48d89f554e28079aa9de39826264407bb0"),
+                        "56fe84eadd269eaf1a3c37b029996a0ac6d48ee0cf529302b4e2cf2a6232a4de"),
     "sweep-vacuum": (["sweep", "vacuum", "--n", "4", "--start", "0", "--stop", "0.75", "--points", "41",
                       "--with-oracle"],
                      "546f160e0130a32f6b543bf4a4ed99fce71a52f29cb508b1643bdcd6dce078c4"),
