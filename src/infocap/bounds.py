@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +36,7 @@ from .ensembles import (
     almost_qubit_epsilon,
     assumption_to_json,
     basis_ensemble,
+    check_integer,
     check_unit_interval,
     circulant_ensemble,
     dense_coding_ensemble,
@@ -96,10 +96,9 @@ def clamp(pgs: Sequence[float], ns: Sequence[int]) -> list[tuple[float, float]]:
 def _result(pg: float, assumption: Assumption, n: int, validity: Validity) -> BoundResult:
     # a NaN n would clamp to pg 1, and a fractional one give a bound for no
     # number of inputs; an integral n is stored as an int
-    if not isinstance(n, numbers.Real) or not math.isfinite(n) or n % 1:
-        raise ParamOutOfRangeError(f"n must be an integer, got {n}")
+    n = check_integer(n, "n")
     [(pg, bits)] = clamp([pg], [n])
-    return BoundResult(pg_bound=pg, info_bits=bits, assumption=assumption, n=int(n), validity=validity)
+    return BoundResult(pg_bound=pg, info_bits=bits, assumption=assumption, n=n, validity=validity)
 
 
 # Each closed-form kind has one raw formula (ns, *params) -> [(pg, validity)]:
@@ -209,9 +208,9 @@ def min_overlap_vacuum(n: int, omega: float) -> float:
     off-diagonal block a, border column sqrt(1-omega)) positive
     semidefinite.
     """
-    if n < 2:
+    if check_integer(n, "n") < 2:
         raise ParamOutOfRangeError("need n >= 2")
-    if omega < 0.0 or omega > (n - 1) / n + 1e-12:
+    if not 0.0 <= omega <= (n - 1) / n + 1e-12:
         raise ParamOutOfRangeError(f"omega={omega} outside [0, (n-1)/n]")
     return 1.0 - n * omega / (n - 1)
 
@@ -244,8 +243,8 @@ def bound_vacuum(n: int, omega: float) -> BoundResult:
 
 def h_func(eps: float, mu: float) -> float:
     """Residue weight h(eps, mu) = (sqrt(mu^2 + 4 eps (1+mu)) - mu) / 2."""
-    if mu < -1.0:
-        raise ParamOutOfRangeError("mu must be >= -1")
+    if not -1.0 <= mu < math.inf:
+        raise ParamOutOfRangeError(f"mu must be finite and >= -1, got {mu}")
     check_unit_interval(eps, "eps")
     return (math.sqrt(mu * mu + 4.0 * eps * (1.0 + mu)) - mu) / 2.0
 
@@ -419,16 +418,12 @@ def bound_distrust(targets: StateEnsemble, eps: float, tol: float = DEFAULT_TOL)
 @_column
 def coherent_pg(ns: Sequence[int], nbar: float) -> list[tuple[float, Validity]]:
     """Raw form of ``coherent_capacity``."""
-    if nbar < 0.0:
-        raise ParamOutOfRangeError("mean photon number must be >= 0")
-    if not math.isfinite(nbar):
-        # inf or NaN would reach the deviation bound as eps = NaN
-        raise ParamOutOfRangeError(f"mean photon number must be finite, got {nbar}")
+    eps = almost_qubit_epsilon(nbar)
     if min(ns) < 2:
         raise ParamOutOfRangeError("need n >= 2")
     if max(ns) > _FLOAT_MAX:
         raise ParamOutOfRangeError("need n within the float range")
-    return almost_dim_pg(ns, 2, almost_qubit_epsilon(nbar))
+    return almost_dim_pg(ns, 2, eps)
 
 
 def coherent_assumption(nbar: float) -> AlmostDim:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ensembles import StateEnsemble
+from .ensembles import StateEnsemble, check_integer
 from .errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
 from .serialize import stack_from_json, to_json
 
@@ -170,8 +170,8 @@ def optimize_discrimination(
     r_x = rho_x/n and T = sum_y r_y N_y r_y, started from the pretty good
     measurement; the value is nondecreasing along the iteration.  The
     result is ``converged`` iff its certificate certifies the value to
-    ``tol``.  ``tol`` must be positive and finite and ``max_iter`` at
-    least 1; otherwise ParamOutOfRangeError is raised.
+    ``tol``.  ``tol`` must be positive and finite and ``max_iter`` an
+    integer of at least 1; otherwise ParamOutOfRangeError is raised.
 
     The ensemble is validated at construction and the result's POVM once,
     at the end.  In between the loop trusts its own iterates: T and every
@@ -180,7 +180,7 @@ def optimize_discrimination(
     """
     if not 0.0 < tol < math.inf:
         raise ParamOutOfRangeError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
+    if check_integer(max_iter, "max_iter") < 1:
         raise ParamOutOfRangeError(f"max_iter must be >= 1, got {max_iter}")
     rt = e.states / e.n
     eye = np.eye(e.dim, dtype=complex)
@@ -220,7 +220,7 @@ def accessible_information(n: int, pg: float) -> float:
     clamped into it with a RuntimeWarning, so the information stays within
     [0, log2(n)].
     """
-    if n < 1:
+    if check_integer(n, "n") < 1:
         raise ParamOutOfRangeError("n must be >= 1")
     if not math.isfinite(pg):
         raise ParamOutOfRangeError(f"pg must be finite, got {pg}")

@@ -109,14 +109,23 @@ def check_unit_interval(x: float, label: str) -> None:
         raise ParamOutOfRangeError(f"{label} must lie in [0, 1]")
 
 
+def check_integer(x, label: str) -> int:
+    """``x`` as an int; ParamOutOfRangeError unless it is an integral real
+    number (a fraction, NaN and an infinity fail)."""
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    if not isinstance(x, numbers.Real) or not math.isfinite(x) or x % 1:
+        raise ParamOutOfRangeError(f"{label} must be an integer, got {x}")
+    return int(x)
+
+
 def _integer_d(d, what: str) -> int:
     # a fractional or non-finite d would be recorded as some integer
     # dimension whose bound is not d/n; an integral d is stored as an int
-    if not isinstance(d, numbers.Real) or d % 1:
-        raise ParamOutOfRangeError(f"d must be an integer, got {d}")
+    d = check_integer(d, "d")
     if d < 1:
         raise ParamOutOfRangeError(f"{what} must be >= 1")
-    return int(d)
+    return d
 
 
 class _Field(NamedTuple):
@@ -430,6 +439,7 @@ def check_assumption(
 
 def basis_ensemble(d: int, n: int) -> StateEnsemble:
     """n pure states cycling through the computational basis of C^d."""
+    d, n = check_integer(d, "d"), check_integer(n, "n")
     if d < 1 or n < 1:
         raise ParamOutOfRangeError("d and n must be >= 1")
     vecs = np.zeros((n, d), dtype=complex)
@@ -456,6 +466,7 @@ def dense_coding_ensemble(d: int, n: int) -> StateEnsemble:
     (j, k) = divmod(x mod d^2, d); for n > d^2 the orbit repeats.  All
     states share the maximally mixed marginal on the second factor.
     """
+    d, n = check_integer(d, "d"), check_integer(n, "n")
     if d < 1 or n < 1:
         raise ParamOutOfRangeError("d and n must be >= 1")
     phi = np.zeros(d * d, dtype=complex)
@@ -526,11 +537,14 @@ def coherent_state(alpha_mag: float, phase: float, cutoff: int) -> np.ndarray:
     Photon-number probabilities are Poisson with mean |alpha|^2; the mass
     above ``cutoff`` must not exceed 1e-12.
     """
-    if alpha_mag < 0.0:
-        raise ParamOutOfRangeError("alpha magnitude must be >= 0")
-    if cutoff < 1:
-        raise ParamOutOfRangeError("cutoff must be a positive integer")
     nbar = alpha_mag * alpha_mag
+    # an infinite nbar would make the tail mass NaN, which passes its test
+    if not (alpha_mag >= 0.0 and nbar < math.inf):
+        raise ParamOutOfRangeError(f"alpha magnitude must be >= 0 with a finite square, got {alpha_mag}")
+    if not math.isfinite(phase):
+        raise ParamOutOfRangeError(f"phase must be finite, got {phase}")
+    if check_integer(cutoff, "cutoff") < 1:
+        raise ParamOutOfRangeError("cutoff must be a positive integer")
     # Poisson tail mass above the cutoff
     term = math.exp(-nbar)
     cdf = term
@@ -553,6 +567,9 @@ def almost_qubit_epsilon(nbar: float) -> float:
     number ``nbar``: 1 - exp(-nbar) (1 + nbar).  Monotone increasing."""
     if nbar < 0.0:
         raise ParamOutOfRangeError("mean photon number must be >= 0")
+    if not math.isfinite(nbar):
+        # inf or NaN would give eps = NaN
+        raise ParamOutOfRangeError(f"mean photon number must be finite, got {nbar}")
     return 1.0 - math.exp(-nbar) * (1.0 + nbar)
 
 

@@ -30,11 +30,12 @@ from .ensembles import (
     assumption_from_json,
     assumption_to_json,
     check_assumption,
+    check_integer,
     ensemble_from_json,
     ensemble_to_json,
     slack_report,
 )
-from .errors import InfocapError, NonScalarParameterError
+from .errors import InfocapError, NonScalarParameterError, ParamOutOfRangeError
 from .serialize import json_float, json_object
 
 WEIGHT_TOL = 1e-12
@@ -125,7 +126,11 @@ def check_average(s: SRStrategy, gamma_target: float) -> MembershipReport:
     overlap works the other way (a larger required overlap is stronger)
     and the average must not fall below it.  The kind's shared fields
     (distrust targets, almost-dimension d) must agree across branches.
+    A non-finite ``gamma_target`` raises ParamOutOfRangeError.
     """
+    if not math.isfinite(gamma_target):
+        # a NaN slack after a number would never be the report's minimum
+        raise ParamOutOfRangeError(f"gamma_target must be finite, got {gamma_target}")
     first = s.branches[0][2]
     for key in first.shared_fields:
         ref = getattr(first, key)
@@ -186,8 +191,11 @@ def concavity_probe(
     ``min_margin`` NaN.
 
     A parameter is a float or, for a joint probe over several parameters,
-    an array; both mix by the same arithmetic.
+    an array; both mix by the same arithmetic.  ``samples`` must be an
+    integer of at least 1; otherwise ParamOutOfRangeError is raised.
     """
+    if check_integer(samples, "samples") < 1:
+        raise ParamOutOfRangeError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     failures = 0
     min_margin = np.inf

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,13 @@ from infocap import (
     bound_eps,
     bound_overlap,
     bound_vacuum,
+    accessible_information,
     check_assumption,
     coherent_capacity,
+    coherent_state,
+    concavity_probe,
     almost_qubit_epsilon,
+    dense_coding_ensemble,
     ensemble_from_vectors,
     equiangular_ensemble,
     guess_value,
@@ -426,6 +431,53 @@ _BOUNDS_OF_N = {
     "almost_dim": lambda n: bound_almost_dim(2, n, 0.1),
     "coherent": lambda n: coherent_capacity(0.5, n),
 }
+
+
+# public scalar helpers at a non-finite argument (for coherent_state, also a
+# magnitude whose square overflows), which each used to answer with NaN
+# (coherent_state with NaN amplitudes; at an infinite phase, a bare math
+# domain error)
+_NON_FINITE_CALLS = {
+    "min_overlap_vacuum-nan": lambda: min_overlap_vacuum(3, math.nan),
+    "h_func-nan": lambda: h_func(0.1, math.nan),
+    "h_func-inf": lambda: h_func(0.1, math.inf),
+    "almost_qubit_epsilon-nan": lambda: almost_qubit_epsilon(math.nan),
+    "almost_qubit_epsilon-inf": lambda: almost_qubit_epsilon(math.inf),
+    "accessible_information-nan-n": lambda: accessible_information(math.nan, 0.5),
+    "coherent_state-nan-magnitude": lambda: coherent_state(math.nan, 0.0, 10),
+    "coherent_state-inf-magnitude": lambda: coherent_state(math.inf, 0.0, 10),
+    "coherent_state-inf-square": lambda: coherent_state(1e200, 0.0, 10),
+    "coherent_state-nan-phase": lambda: coherent_state(1.0, math.nan, 30),
+    "coherent_state-inf-phase": lambda: coherent_state(1.0, math.inf, 30),
+}
+
+
+@pytest.mark.parametrize("call", list(_NON_FINITE_CALLS.values()), ids=list(_NON_FINITE_CALLS))
+def test_non_finite_scalar_is_a_parameter_error(call):
+    # a warning on the way (accessible_information warned of a clamp) fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamOutOfRangeError):
+            call()
+
+
+# counts that must be positive integers: a fraction used to raise a bare
+# TypeError or give a number for no count, and zero samples a vacuous pass
+_COUNT_CALLS = {
+    "max_iter": lambda: optimize_discrimination(basis_ensemble(2, 2), max_iter=2.5),
+    "basis_ensemble-d": lambda: basis_ensemble(2.5, 3),
+    "dense_coding_ensemble-n": lambda: dense_coding_ensemble(2, 2.5),
+    "accessible_information-n": lambda: accessible_information(2.5, 0.5),
+    "min_overlap_vacuum-n": lambda: min_overlap_vacuum(3.5, 0.2),
+    "coherent_state-cutoff": lambda: coherent_state(1.0, 0.0, 30.5),
+    "concavity_probe-samples": lambda: concavity_probe(lambda g: g, lambda rng: 0.5, 0, 0),
+}
+
+
+@pytest.mark.parametrize("call", list(_COUNT_CALLS.values()), ids=list(_COUNT_CALLS))
+def test_count_that_is_not_a_positive_integer_is_a_parameter_error(call):
+    with pytest.raises(ParamOutOfRangeError):
+        call()
 
 
 class TestIntegerN:

@@ -26,16 +26,19 @@ def test_every_witness_has_a_saturation_check():
 
 @pytest.mark.parametrize(("check", "bound", "kind"), _ROWS, ids=[r[0] for r in _ROWS])
 def test_bound_lowered_by_1e4_fails_its_row(monkeypatch, check, bound, kind):
+    # a relative 1e-7 is far below the old two-sided limits of 1e-6 and
+    # 1e-8, and far above the soundness slack
     original = getattr(bounds, bound)
+    for lowering in (1e-4, 1e-7):
 
-    def lowered(*args, **kwargs):
-        result = original(*args, **kwargs)
-        return dataclasses.replace(result, pg_bound=result.pg_bound * (1.0 - 1e-4))
+        def lowered(*args, **kwargs):
+            result = original(*args, **kwargs)
+            return dataclasses.replace(result, pg_bound=result.pg_bound * (1.0 - lowering))
 
-    monkeypatch.setattr(bounds, bound, lowered)
-    result = run_check(check)
-    assert not result.passed, result.detail
-    assert result.detail.startswith(f"{kind}: ")
+        monkeypatch.setattr(bounds, bound, lowered)
+        result = run_check(check)
+        assert not result.passed, (lowering, result.detail)
+        assert result.detail.startswith(f"{kind}: ")
 
 
 def test_almost_dim_lowered_only_where_d_does_not_divide_n_fails(monkeypatch):
@@ -75,14 +78,15 @@ def test_targets_value_two_permille_low_fails(monkeypatch):
     assert result.detail.startswith("distrust: ")
 
 
-def test_dimension_lowered_by_1e4_fails_the_soundness_sweep(monkeypatch):
+def test_dimension_lowered_by_1e7_fails_the_soundness_sweep(monkeypatch):
     # a dimension member at its bound has a certificate above the lowered
-    # bound, so the sweep solves it and the oracle's value exceeds the limit
+    # bound, so the sweep solves it and the oracle's value exceeds the
+    # soundness slack
     original = bounds.bound_dimension
 
     def lowered(d, n):
         result = original(d, n)
-        return dataclasses.replace(result, pg_bound=result.pg_bound * (1.0 - 1e-4))
+        return dataclasses.replace(result, pg_bound=result.pg_bound * (1.0 - 1e-7))
 
     monkeypatch.setattr(bounds, "bound_dimension", lowered)
     result = run_check("soundness_sweep")

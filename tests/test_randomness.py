@@ -27,7 +27,7 @@ from infocap import (
 )
 from infocap import checks
 from infocap.bounds import WITNESSES
-from infocap.errors import InfocapError, NonScalarParameterError
+from infocap.errors import InfocapError, NonScalarParameterError, ParamOutOfRangeError
 
 from conftest import random_pure_ensemble
 
@@ -132,6 +132,15 @@ class TestPeakAndAverage:
             )
         )
         assert check_average(s, 0.1).satisfied
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_is_a_parameter_error(self, target):
+        # a NaN average slack came last, where the report's min never saw it,
+        # so a NaN target was reported satisfied
+        built = [WITNESSES[Vacuum](3, w) for w in (0.05, 0.15)]
+        s = SRStrategy(branches=tuple((0.5, e, g) for e, g in built))
+        with pytest.raises(ParamOutOfRangeError, match="gamma_target must be finite"):
+            check_average(s, target)
 
     def test_average_dimension_mixed_branches(self):
         s = SRStrategy(
