@@ -49,7 +49,6 @@ from .ensembles import (
     ensemble_from_json,
     ensemble_from_vectors,
     ensemble_to_json,
-    equiangular_ensemble,
 )
 from .linalg import (
     mat_inv_sqrt,

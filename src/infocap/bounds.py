@@ -35,13 +35,11 @@ from .ensembles import (
     Vacuum,
     almost_qubit_epsilon,
     assumption_to_json,
-    basis_ensemble,
     check_integer,
     check_unit_interval,
     circulant_ensemble,
     dense_coding_ensemble,
     ensemble_from_vectors,
-    equiangular_ensemble,
 )
 from .errors import NonFiniteError, ParamOutOfRangeError, ZeroProjectionError
 
@@ -194,7 +192,8 @@ def bound_overlap(n: int, a: float) -> BoundResult:
 
         pg <= ((n-1) sqrt(1-a) + sqrt((n-1) a + 1))^2 / n^2,
 
-    attained by the equiangular ensemble under the pretty good measurement.
+    attained under the pretty good measurement by n states of real pairwise
+    overlap a: the vacuum witness where ``min_overlap_vacuum(n, omega)`` = a.
     """
     [(pg, validity)] = overlap_pg([n], a)
     return _result(pg, UniformOverlap(a=a), n, validity)
@@ -440,28 +439,27 @@ def coherent_capacity(nbar: float, n: int) -> BoundResult:
     return _result(pg, coherent_assumption(nbar), n, validity)
 
 
-def _almost_dim_profile(n: int, d: int, eps: float) -> list[float]:
-    # the circulant eigenvalues that spread each state's weight 1-eps evenly
-    # over the first min(d, n) frequencies and eps over the rest; past
-    # eps = 1 - d/n the profile is flat, an orthonormal basis
-    head = min(d, n)
+def _circulant(n: int, d: int, eps: float, witnessed: Assumption):
+    # the circulant witness at (n, d, eps), with ``witnessed``, whose
+    # construction has checked the row's parameters: its eigenvalues spread
+    # each state's weight 1-eps evenly over the first min(d, n) frequencies
+    # and eps over the rest; past eps = 1 - d/n the profile is flat
+    n = check_integer(n, "n")
+    if n < 1:
+        raise ParamOutOfRangeError(f"n must be >= 1, got {n}")
+    head = min(int(d), n)
     tail = min(eps, 1.0 - head / n)
     eigenvalues = [(1.0 - tail) * n / head] * head
     if head < n:
         eigenvalues += [tail * n / (n - head)] * (n - head)
-    return eigenvalues
+    return circulant_ensemble(eigenvalues), witnessed
 
 
 def _almost_dim_witness(n: int, d: int, eps: float):
-    ens = circulant_ensemble(_almost_dim_profile(n, d, eps))
+    ens, _ = _circulant(n, d, eps, AlmostDim(d=d, eps=eps))
     # the first min(d, n) frequencies are all kept, as the first coordinates
     projector = np.diag((np.arange(ens.dim) < d).astype(complex))
     return ens, AlmostDim(d=d, eps=eps, projector=projector)
-
-
-def _vacuum_witness(n: int, omega: float):
-    # the d = 1 profile, with frequency 0, basis vector 0, as the vacuum
-    return circulant_ensemble(_almost_dim_profile(n, 1, omega)), Vacuum(omega=omega)
 
 
 def _distrust_witness(n: int, d: int, eps: float):
@@ -478,12 +476,16 @@ def _distrust_witness(n: int, d: int, eps: float):
 # (ensemble, the assumption carrying the witness data), at every in-range
 # point; check_assumption needs nothing else.  The params are the kind's
 # CLI columns, but (d, eps) for distrust, whose witness defines its targets.
-# Vacuum, almost-dim and distrust share one circulant eigenvalue profile.
+# Every kind but EA-dimension takes the circulant witness at its (d, eps):
+# dimension (d, 0), vacuum (1, omega), with frequency 0, basis vector 0, as
+# the vacuum, overlap (1, (n-1)(1-a)/n), almost-dim and distrust (d, eps).
 WITNESSES = {
-    Dimension: lambda n, d: (basis_ensemble(d, n), Dimension(d=d)),
+    Dimension: lambda n, d: _circulant(n, d, 0.0, Dimension(d=d)),
     EADimension: lambda n, d: (dense_coding_ensemble(d, n), EADimension(d=d)),
-    Vacuum: _vacuum_witness,
-    UniformOverlap: lambda n, a: (equiangular_ensemble(n, a), UniformOverlap(a=a)),
+    Vacuum: lambda n, omega: _circulant(n, 1, omega, Vacuum(omega=omega)),
+    # the omega where min_overlap_vacuum(n, omega) = a; (n or 1) keeps an n
+    # of 0 from dividing before _circulant refuses it
+    UniformOverlap: lambda n, a: _circulant(n, 1, (n - 1) * (1.0 - a) / (n or 1), UniformOverlap(a=a)),
     AlmostDim: _almost_dim_witness,
     Distrust: _distrust_witness,
 }

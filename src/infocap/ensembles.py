@@ -3,8 +3,9 @@
 An ensemble is ``n`` density matrices of a common dimension with a uniform
 prior 1/n hard-coded; all capacity results here assume uniform inputs.
 Constructors build the standard extremal families: computational bases,
-dense-coding orbits of a maximally entangled state, equiangular sets and
-the circulant ensembles of a Gram spectrum.
+dense-coding orbits of a maximally entangled state and the circulant
+ensembles of a Gram spectrum, which ``bounds.WITNESSES`` takes for every
+kind but EA-dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import linalg
 from .errors import (
     CutoffTooSmallError,
     DimensionMismatchError,
-    GramNotPSDError,
     InfocapError,
     MissingContextError,
     MixedStateOverlapError,
@@ -493,19 +493,6 @@ def equal_overlap_gram(n: int, a: float, border: float | None = None) -> np.ndar
     if border is not None:
         gram[:n, n] = gram[n, :n] = border
     return gram
-
-
-def equiangular_ensemble(n: int, a: float) -> StateEnsemble:
-    """n pure states with constant real pairwise overlap ``a``.
-
-    The Gram matrix is ``equal_overlap_gram(n, a)``; its rank sets the
-    dimension.
-    """
-    if n < 2:
-        raise ParamOutOfRangeError("need n >= 2 states")
-    if a < -1.0 / (n - 1) - 1e-12 or a > 1.0 + 1e-12:
-        raise GramNotPSDError(f"overlap {a} outside [-1/(n-1), 1] for n={n}")
-    return ensemble_from_vectors(linalg.vectors_from_gram(equal_overlap_gram(n, a)))
 
 
 def circulant_ensemble(eigenvalues) -> StateEnsemble:

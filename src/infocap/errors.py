@@ -25,10 +25,6 @@ class DimensionMismatchError(InfocapError):
     pass
 
 
-class GramNotPSDError(InfocapError):
-    pass
-
-
 class CutoffTooSmallError(InfocapError):
     pass
 

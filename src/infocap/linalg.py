@@ -8,6 +8,8 @@ arrays.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import (
@@ -147,10 +149,15 @@ def vectors_from_gram(g: np.ndarray) -> np.ndarray:
 def partial_trace(a: np.ndarray, dims: tuple[int, int], trace_out: int) -> np.ndarray:
     """Trace out one tensor factor of a matrix on C^{d_a} x C^{d_b}.
 
-    ``trace_out`` = 0 removes the first factor, 1 the second.
+    ``trace_out`` = 0 removes the first factor, 1 the second.  Both
+    dimensions must be positive integers.
     """
-    da, db = int(dims[0]), int(dims[1])
     a = require_square(a)
+    # a negative pair passes the size test below, and a fractional one would
+    # be truncated to some other pair
+    if not all(isinstance(k, numbers.Real) and k >= 1 and k % 1 == 0 for k in dims):
+        raise DimensionMismatchError(f"subsystem dimensions must be positive integers, got {dims}")
+    da, db = int(dims[0]), int(dims[1])
     if a.shape[0] != da * db:
         raise DimensionMismatchError(
             f"matrix of size {a.shape[0]} does not factor as {da} x {db}"

@@ -192,10 +192,13 @@ def concavity_probe(
 
     A parameter is a float or, for a joint probe over several parameters,
     an array; both mix by the same arithmetic.  ``samples`` must be an
-    integer of at least 1; otherwise ParamOutOfRangeError is raised.
+    integer of at least 1 and ``seed`` one of at least 0; otherwise
+    ParamOutOfRangeError is raised.
     """
     if check_integer(samples, "samples") < 1:
         raise ParamOutOfRangeError(f"samples must be >= 1, got {samples}")
+    if check_integer(seed, "seed") < 0:
+        raise ParamOutOfRangeError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     failures = 0
     min_margin = np.inf

@@ -31,6 +31,7 @@ from .ensembles import (
     UniformOverlap,
     Vacuum,
     check_assumption,
+    check_integer,
     ensemble_from_vectors,
 )
 from .errors import ParamOutOfRangeError
@@ -159,10 +160,10 @@ def tightness_search(
     """Search for the best guessing value inside one assumption set.
 
     ``n`` is required, except for Distrust, whose n is the number of its
-    targets (an ``n`` given with them must equal it).  ``restarts`` must
-    be at least 1, ``seed`` at least 0, and the states must fit
-    ``check_state_stack``; otherwise ParamOutOfRangeError is raised,
-    before anything is built.
+    targets (an ``n`` given with them must equal it).  ``n``, ``restarts``
+    and ``seed`` must be integers, ``restarts`` at least 1 and ``seed`` at
+    least 0, and the states must fit ``check_state_stack``; otherwise
+    ParamOutOfRangeError is raised, before anything is built.
 
     Deterministic for a fixed ``seed``: restart k draws from a generator
     seeded with seed + k.
@@ -171,12 +172,14 @@ def tightness_search(
     # a distrust search has one input per target
     count = assumption.targets.shape[0] if isinstance(assumption, Distrust) else n
     if count is not None:
+        count = check_integer(count, "n")
         check_state_stack(assumption, count)
     if n not in (None, count):
         raise ParamOutOfRangeError(f"n must equal the {count} targets for a distrust search, got {n}")
     if count is None:
         raise ParamOutOfRangeError(f"{assumption.kind} search needs n")
     n = count
+    restarts, seed = check_integer(restarts, "restarts"), check_integer(seed, "seed")
     if restarts < 1:
         raise ParamOutOfRangeError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:

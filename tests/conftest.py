@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from infocap import POVM, ensemble_from_vectors
+from infocap import POVM, UniformOverlap, ensemble_from_vectors
+from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
 
 
@@ -22,3 +23,8 @@ def random_pure_ensemble(rng, n, dim):
 def uniform_povm(n, dim):
     """The trivial measurement {1/n, ..., 1/n}."""
     return POVM(np.stack([np.eye(dim) / n] * n))
+
+
+def equiangular(n, a):
+    """n pure states of real pairwise overlap ``a``: the overlap witness."""
+    return WITNESSES[UniformOverlap](n, a)[0]

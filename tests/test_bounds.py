@@ -32,7 +32,6 @@ from infocap import (
     almost_qubit_epsilon,
     dense_coding_ensemble,
     ensemble_from_vectors,
-    equiangular_ensemble,
     guess_value,
     h_func,
     lemma_check,
@@ -41,9 +40,11 @@ from infocap import (
     pgm,
 )
 from infocap import bounds, linalg, search
-from infocap.checks import _SAMPLERS, random_unit
+from infocap.checks import _SAMPLERS, TIGHT_LIMIT, random_unit
 from infocap.discrimination import DEFAULT_TOL
 from infocap.errors import NonFiniteError, ParamOutOfRangeError
+
+from conftest import equiangular
 
 
 class TestDimension:
@@ -235,7 +236,7 @@ class TestDistrustBound:
         assert res.pg_bound == pytest.approx(1.0, abs=1e-9)
 
     def test_pair_targets(self):
-        targets = equiangular_ensemble(2, 0.6)
+        targets = equiangular(2, 0.6)
         res = bound_distrust(targets, 0.0)
         assert res.pg_bound == pytest.approx(0.9, abs=1e-8)
         res = bound_distrust(targets, 0.1)
@@ -368,9 +369,45 @@ class TestWitnesses:
                     assert found is not None, (cls.kind, point)
                     e, assumption = found
                     assert check_assumption(e, assumption).satisfied, (cls.kind, point)
-                    if cls in (Vacuum, AlmostDim, Distrust):
+                    if cls is not EADimension:
                         bound = bounds.BOUNDS[cls](assumption, n, DEFAULT_TOL).pg_bound
                         assert abs(guess_value(e, pgm(e)) - bound) <= 1e-12, (cls.kind, point)
+
+    def test_off_grid_circulant_rows_meet_their_bounds(self):
+        # seeded points off every grid: each circulant row is a member, and
+        # its states are geometrically uniform, so the PGM attains the bound
+        rng = np.random.default_rng(20261020)
+        for _ in range(60):
+            n = int(rng.integers(2, 17))
+            d = int(rng.integers(1, n + 2))
+            eps, omega, a = (float(x) for x in rng.uniform(size=3))
+            points = {Dimension: (n, d), Vacuum: (n, omega), UniformOverlap: (n, a), AlmostDim: (n, d, eps),
+                      Distrust: (n, d, eps)}
+            for cls, point in points.items():
+                e, assumption = bounds.WITNESSES[cls](*point)
+                assert check_assumption(e, assumption).satisfied, (cls.kind, point)
+                bound = bounds.BOUNDS[cls](assumption, n, DEFAULT_TOL).pg_bound
+                assert abs(guess_value(e, pgm(e)) - bound) <= TIGHT_LIMIT, (cls.kind, point)
+
+    # each refusal used to fail deep inside the construction, with a bare
+    # ZeroDivisionError or TypeError, or with circulant_ensemble's message
+    @pytest.mark.parametrize(
+        ("cls", "point", "message"),
+        [
+            (AlmostDim, (4, 0, 0.1), "dimension must be >= 1"),
+            (Distrust, (4, 0, 0.1), "dimension must be >= 1"),
+            (AlmostDim, (0, 2, 0.1), "n must be >= 1, got 0"),
+            (AlmostDim, (4, 2.5, 0.1), "d must be an integer, got 2.5"),
+            (Vacuum, (3, -0.5), "omega must lie in [0, 1]"),
+            (UniformOverlap, (0, 0.5), "n must be >= 1, got 0"),
+            (Vacuum, (2.5, 0.1), "n must be an integer, got 2.5"),
+        ],
+        ids=["almost_dim-d", "distrust-d", "almost_dim-n", "almost_dim-fractional-d", "vacuum-omega",
+             "overlap-n", "vacuum-fractional-n"],
+    )
+    def test_refused_before_it_is_built(self, cls, point, message):
+        with pytest.raises(ParamOutOfRangeError, match=f"^{re.escape(message)}$"):
+            bounds.WITNESSES[cls](*point)
 
 
 class TestCoherentCapacity:

@@ -1,12 +1,17 @@
 """Negative controls: a bound made unsound must fail a registered check that
 names its kind.  Each control patches the library from here, for one test."""
 
+import collections
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from infocap import bounds
-from infocap.checks import run_check
+from infocap.checks import CHECK_NAMES, run_check
+
+_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 # each witness-table row: its saturation check, the bound function the
 # check evaluates, and the kind its detail names
@@ -22,6 +27,14 @@ _ROWS = [
 
 def test_every_witness_has_a_saturation_check():
     assert {kind for _, _, kind in _ROWS} == {cls.kind for cls in bounds.WITNESSES}
+
+
+def test_ci_runs_every_check_once():
+    # the workflow's `paper-numbers --only` lines, read as text, name each
+    # registered check exactly once, so a new check must join one of them
+    lines = re.findall(r"^\s*infocap paper-numbers --only (\S+)\s*$", _WORKFLOW.read_text(), re.MULTILINE)
+    named = collections.Counter(name for line in lines for name in line.split(","))
+    assert named == collections.Counter(CHECK_NAMES)
 
 
 @pytest.mark.parametrize(("check", "bound", "kind"), _ROWS, ids=[r[0] for r in _ROWS])

@@ -953,14 +953,15 @@ def test_sweep_output_pinned(runner, kind):
 # almost-dim searches' digests since their seeds became the circulant
 # witnesses, with n-dimensional states, and since a restart's `converged`
 # reads the certified gap; the distrust search's since qubit targets take
-# their exact value from Bloch-sphere geometry.  The search JSON
+# their exact value from Bloch-sphere geometry; the overlap search's since
+# its seed became the circulant witness.  The search JSON
 # carries oracle values at full double precision, so these digests hold
 # for one numpy/BLAS build (x86-64, numpy's bundled OpenBLAS).
 _ORACLE_DIGESTS = {
     "search-vacuum": (["search", "vacuum", "--n", "4", "--omega", "0.1", "--restarts", "16", "--seed", "0"],
                       "370fa76e0804ab00e1b53c008bf0e20b5a333e2929fa3fa23b066ee716aab685"),
     "search-overlap": (["search", "overlap", "--n", "4", "--a", "0.3", "--restarts", "16", "--seed", "0"],
-                       "5262ff59166b27ead5eaebe1e20ac0c4c4bf7e8a5eeddef32fc8a616e30c72a1"),
+                       "f27f3a41c0c22fc4ec9e82d5daca88f46e242972925cab052033422852a2ef39"),
     "search-almost-dim": (["search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05", "--restarts", "16",
                            "--seed", "0"],
                           "eb342616c793f562aeb0ac1d2aeb1c79533d435f5426de9c365a640f765dd879"),

@@ -13,7 +13,6 @@ from infocap import (
     dense_coding_ensemble,
     dual_certificate,
     ensemble_from_vectors,
-    equiangular_ensemble,
     guess_value,
     optimize_discrimination,
     pgm,
@@ -25,7 +24,7 @@ from infocap.discrimination import DEFAULT_TOL, povm_from_json, povm_to_json
 from infocap.linalg import KERNEL_CUTOFF
 from infocap.errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
 
-from conftest import random_pure_ensemble, uniform_povm
+from conftest import equiangular, random_pure_ensemble, uniform_povm
 
 
 def rank2_ensemble(rng, n, dim):
@@ -83,11 +82,11 @@ class TestGuessValue:
         assert guess_value(e, basis_povm(2)) == pytest.approx(1.0)
 
     def test_uniform_povm_is_chance(self):
-        e = equiangular_ensemble(3, 0.2)
+        e = equiangular(3, 0.2)
         assert guess_value(e, uniform_povm(3, e.dim)) == pytest.approx(1.0 / 3.0)
 
     def test_pgm_matches_overlap_closed_form(self):
-        e = equiangular_ensemble(3, 0.5)
+        e = equiangular(3, 0.5)
         target = bound_overlap(3, 0.5).pg_bound
         assert abs(guess_value(e, pgm(e)) - target) <= 1e-10
 
@@ -111,7 +110,7 @@ class TestPGM:
         np.testing.assert_allclose(m.elements[0], np.eye(2), atol=1e-10)
 
     def test_completeness_on_equiangular(self):
-        m = pgm(equiangular_ensemble(4, 1.0 / 3.0))
+        m = pgm(equiangular(4, 1.0 / 3.0))
         np.testing.assert_allclose(m.elements.sum(axis=0), np.eye(m.dim), atol=1e-8)
 
     def test_completeness_with_kernel(self):
@@ -148,7 +147,7 @@ class TestHelstrom:
         assert optimize_discrimination(e, tol=1e-12).value == pytest.approx(0.5)
 
     def test_pure_pair_formula_and_oracle_agreement(self):
-        e = equiangular_ensemble(2, 0.6)
+        e = equiangular(2, 0.6)
         # a pure pair with overlap a: (1 + sqrt(1 - a^2)) / 2
         value = (1.0 + math.sqrt(1.0 - 0.6**2)) / 2.0
         assert value == pytest.approx(0.9, abs=1e-12)
@@ -272,7 +271,7 @@ class TestDualCertificate:
         np.testing.assert_allclose(cert.K, np.eye(2) / 2, atol=1e-12)
 
     def test_pgm_optimal_on_equiangular(self):
-        e = equiangular_ensemble(3, 0.5)
+        e = equiangular(3, 0.5)
         cert = dual_certificate(e, pgm(e))
         assert cert.min_slack >= -1e-7
         assert cert.certifies(guess_value(e, pgm(e)), 1e-7)

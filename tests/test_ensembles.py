@@ -24,7 +24,6 @@ from infocap import (
     ensemble_from_json,
     ensemble_from_vectors,
     ensemble_to_json,
-    equiangular_ensemble,
     guess_value,
     linalg,
     pgm,
@@ -33,11 +32,10 @@ from infocap.bounds import WITNESSES
 from infocap.checks import random_unit
 from infocap.ensembles import assumption_from_json, assumption_to_json
 
-from conftest import random_psd, random_pure_ensemble
+from conftest import equiangular, random_psd, random_pure_ensemble
 from infocap.errors import (
     CutoffTooSmallError,
     DimensionMismatchError,
-    GramNotPSDError,
     InfocapError,
     MissingContextError,
     MixedStateOverlapError,
@@ -163,25 +161,29 @@ class TestDenseCoding:
 
 
 class TestEquiangular:
+    # the overlap row of bounds.WITNESSES
     def test_orthonormal_at_zero(self):
-        ov = overlaps(equiangular_ensemble(3, 0.0))
-        np.testing.assert_allclose(ov, np.eye(3), atol=1e-10)
+        # from the phase-fixed vectors: sqrt(tr rho_x rho_y) would read the
+        # Fourier basis's 1e-17 rounding as 1e-9
+        vecs = equiangular(3, 0.0).state_vectors()
+        np.testing.assert_allclose(np.abs(vecs.conj() @ vecs.T), np.eye(3), rtol=0, atol=1e-10)
 
     def test_pair_overlap(self):
-        ov = overlaps(equiangular_ensemble(2, 0.6))
+        ov = overlaps(equiangular(2, 0.6))
         assert ov[0, 1] == pytest.approx(0.6, abs=1e-10)
 
     def test_gram_recheck(self):
         n, a = 4, 1.0 / 3.0
-        e = equiangular_ensemble(n, a)
+        e = equiangular(n, a)
         target = (1 - a) * np.eye(n) + a * np.ones((n, n))
         np.testing.assert_allclose(overlaps(e) ** 2, target**2, atol=1e-8)
         vecs = e.state_vectors()
         np.testing.assert_allclose(np.abs(vecs.conj() @ vecs.T), np.abs(target), atol=1e-8)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(GramNotPSDError):
-            equiangular_ensemble(3, -0.9)
+        for a in (-0.9, 1.5):
+            with pytest.raises(ParamOutOfRangeError, match=r"^overlap must lie in \[0, 1\]$"):
+                equiangular(3, a)
 
 
 def vacuum_cone(n, omega):
@@ -323,7 +325,7 @@ class TestMembership:
             check_assumption(e, Vacuum(omega=0.2), vacuum_vector=np.eye(length)[0])
 
     def test_overlap_violation_slack(self):
-        rep = check_assumption(equiangular_ensemble(3, 0.5), UniformOverlap(a=0.6))
+        rep = check_assumption(equiangular(3, 0.5), UniformOverlap(a=0.6))
         assert not rep.satisfied
         assert rep.worst_slack == pytest.approx(-0.1, abs=1e-8)
 
@@ -413,7 +415,7 @@ class TestMembership:
         assert check_assumption(e, Dimension(d=3)).worst_slack >= -1e-8
         e = dense_coding_ensemble(2, 6)
         assert check_assumption(e, EADimension(d=2)).worst_slack >= -1e-8
-        e = equiangular_ensemble(4, 0.4)
+        e = equiangular(4, 0.4)
         assert check_assumption(e, UniformOverlap(a=0.4)).worst_slack >= -1e-8
         e, vac = vacuum_cone(4, 0.3)
         assert check_assumption(e, Vacuum(omega=0.3), vacuum_vector=vac).worst_slack >= -1e-8
@@ -472,7 +474,7 @@ class TestAnchors:
 
 class TestJson:
     def test_ensemble_roundtrip(self, rng):
-        e = equiangular_ensemble(3, 0.4)
+        e = equiangular(3, 0.4)
         back = ensemble_from_json(ensemble_to_json(e))
         np.testing.assert_allclose(back.states, e.states, atol=1e-15)
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infocap import linalg
+from infocap import EADimension, check_assumption, dense_coding_ensemble, linalg
 from infocap.errors import (
     DimensionMismatchError,
     NonHermitianError,
@@ -171,3 +172,14 @@ class TestTensorOps:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linalg.partial_trace(np.eye(5), (2, 3), trace_out=0)
+
+    @pytest.mark.parametrize("dims", [(-2, -2), (2.5, 1.6), (0, 4), (2, float("nan"))])
+    def test_dimensions_not_positive_integers(self, dims):
+        # (-2)(-2) and 2.5 x 1.6 both pass the size test: numpy refused the
+        # first with a bare ValueError, and the second was truncated to 2 x 1;
+        # membership names the pair too, whichever test refuses it
+        message = f"subsystem dimensions must be positive integers, got {dims}"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            linalg.partial_trace(np.eye(4), dims, trace_out=0)
+        with pytest.raises(DimensionMismatchError, match=re.escape(str(dims))):
+            check_assumption(dense_coding_ensemble(2, 4), EADimension(d=2), subsystem_dims=dims)

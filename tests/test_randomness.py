@@ -19,7 +19,6 @@ from infocap import (
     ea_average_counterexample,
     embed_cq,
     ensemble_from_vectors,
-    equiangular_ensemble,
     mixture_guess_value,
     optimize_discrimination,
     strategy_from_json,
@@ -29,7 +28,7 @@ from infocap import checks
 from infocap.bounds import WITNESSES
 from infocap.errors import InfocapError, NonScalarParameterError, ParamOutOfRangeError
 
-from conftest import random_pure_ensemble
+from conftest import equiangular, random_pure_ensemble
 
 
 def single_branch(e, gamma=None):
@@ -64,11 +63,11 @@ class TestStrategyValidation:
 
 class TestMixtureValue:
     def test_single_branch_is_plain_oracle(self):
-        e = equiangular_ensemble(2, 0.6)
+        e = equiangular(2, 0.6)
         assert mixture_guess_value(single_branch(e)) == pytest.approx(0.9, abs=1e-8)
 
     def test_two_identical_branches(self):
-        e = equiangular_ensemble(3, 0.3)
+        e = equiangular(3, 0.3)
         s = SRStrategy(
             branches=(
                 (0.5, e, Information(alpha=2.0)),
@@ -82,7 +81,7 @@ class TestMixtureValue:
 
 class TestEmbedding:
     def test_single_branch_preserves_value(self):
-        e = equiangular_ensemble(3, 0.4)
+        e = equiangular(3, 0.4)
         embedded = embed_cq(single_branch(e))
         a = optimize_discrimination(e).value
         b = optimize_discrimination(embedded).value
@@ -99,7 +98,7 @@ class TestEmbedding:
 
     def test_embedded_states_are_block_mixtures(self):
         e1 = basis_ensemble(2, 2)
-        e2 = equiangular_ensemble(2, 0.5)
+        e2 = equiangular(2, 0.5)
         s = SRStrategy(
             branches=((0.3, e1, Information(alpha=1.0)), (0.7, e2, Information(alpha=1.0)))
         )
@@ -253,7 +252,7 @@ class TestConcavityProbe:
 
 class TestAveragedLogPg:
     def test_single_branch_matches_information(self):
-        e = equiangular_ensemble(2, 0.6)
+        e = equiangular(2, 0.6)
         value = averaged_log_pg(single_branch(e))
         assert value == pytest.approx(1.0 + math.log2(0.9), abs=1e-7)
 

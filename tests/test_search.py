@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from infocap import (
     Distrust,
     UniformOverlap,
     Vacuum,
+    concavity_probe,
     search,
     tightness_search,
 )
@@ -58,8 +60,9 @@ class TestOverlapSearch:
         report = tightness_search(UniformOverlap(a=0.4), n=3, restarts=4, seed=0)
         assert report.gap <= 1e-8
 
-    # the restarts of the 16 that are members, at n = 4 and seed 0
-    @pytest.mark.parametrize(("a", "members"), [(0.3, 2), (0.6, 3), (0.9, 1)])
+    # the restarts of the 16 that are members, at n = 4 and seed 0, about
+    # the circulant witness
+    @pytest.mark.parametrize(("a", "members"), [(0.3, 2), (0.6, 1), (0.9, 1)])
     def test_only_members_reach_the_oracle(self, monkeypatch, a, members):
         solved = []
         solve = search.optimize_discrimination
@@ -104,6 +107,29 @@ class TestOptions:
     def test_rejects_restarts_below_one(self, restarts):
         with pytest.raises(ParamOutOfRangeError, match="restarts must be >= 1"):
             tightness_search(Vacuum(omega=0.2), n=3, restarts=restarts)
+
+    # counts and seeds that are not integers, and a negative probe seed,
+    # failed with a bare TypeError or ValueError inside range, numpy or the
+    # witness
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: tightness_search(Vacuum(omega=0.1), 3, restarts=2.5), "restarts must be an integer, got 2.5"),
+            (lambda: tightness_search(Vacuum(omega=0.1), 3, seed=2.5), "seed must be an integer, got 2.5"),
+            (lambda: concavity_probe(lambda g: g, lambda rng: 0.5, 5, -1), "seed must be >= 0, got -1"),
+            (lambda: concavity_probe(lambda g: g, lambda rng: 0.5, 5, 1.5), "seed must be an integer, got 1.5"),
+        ],
+        ids=["search-restarts", "search-seed", "probe-negative-seed", "probe-seed"],
+    )
+    def test_count_or_seed_refused(self, call, message):
+        with pytest.raises(ParamOutOfRangeError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_integral_n_searches_as_the_integer(self):
+        # an integral float used to fail inside the witness with a TypeError
+        report = tightness_search(Vacuum(omega=0.1), 3.0, restarts=2)
+        assert report.to_json() == tightness_search(Vacuum(omega=0.1), 3, restarts=2).to_json()
+        assert type(report.n) is int
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ParamOutOfRangeError, match=r"^seed must be >= 0, got -1$"):
