@@ -3,6 +3,9 @@
 Contains the pretty good measurement, an iterative fixed-point optimizer
 that serves as the numeric oracle for the optimal guessing probability,
 and dual certificates that turn any POVM into a certified upper bound.
+
+The PGM and the oracle share one step on the states' low-rank factors,
+described at ``optimize_discrimination``.
 """
 
 from __future__ import annotations
@@ -97,22 +100,73 @@ def pgm(e: StateEnsemble) -> POVM:
     On the kernel of S the completeness deficit is split equally across the
     elements so the POVM is complete on the full space.
     """
-    return POVM(_pgm_elements(e))
+    return POVM(_pgm_elements(_factor(e.states)))
 
 
-def _completed(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """S^(-1/2) a_x S^(-1/2) + (I - sum_y S^(-1/2) a_y S^(-1/2))/n with
-    S = sum_x a_x, hermitized: the pretty good measurement of the stack
-    ``a``, with the deficit on the kernel of S split equally."""
-    s_isqrt = linalg._inv_sqrt_hermitized(linalg.hermitize(a.sum(axis=0)))
-    elements = s_isqrt @ a @ s_isqrt
-    deficit = eye - elements.sum(axis=0)
-    return linalg.hermitize(elements + deficit / a.shape[0])
+def _factor(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors a, shape (n, d, r), with a_x a_x^dag = rho_x/n, then their
+    concatenation [a_0 ... a_{n-1}] and its adjoint.
+
+    r is the largest numerical rank of a state, counting the eigenvalues
+    above d eps_mach times its largest; a state of lower rank is padded
+    with zero columns.
+    """
+    n, d, _ = states.shape
+    w, v = np.linalg.eigh(states / n)
+    w = np.where(w > d * np.finfo(float).eps * w[:, -1:], w, 0.0)
+    r = int(np.count_nonzero(w, axis=1).max())
+    a = v[:, :, -r:] * np.sqrt(w[:, None, -r:])
+    acat = _cat(a)
+    return a, acat, linalg.dagger(acat)
 
 
-def _pgm_elements(e: StateEnsemble) -> np.ndarray:
-    # the elements of pgm(e), exactly Hermitian and not yet validated
-    return _psd_elements(_completed(e.states, np.eye(e.dim, dtype=complex)))
+def _cat(b: np.ndarray) -> np.ndarray:
+    # a stack (n, k, r) as the k x nr matrix [b_0 ... b_{n-1}]
+    return b.transpose(1, 0, 2).reshape(b.shape[1], -1)
+
+
+def _split(m: np.ndarray, n: int) -> np.ndarray:
+    # the inverse of _cat
+    return m.reshape(m.shape[0], n, -1).transpose(1, 0, 2)
+
+
+def _step(fac: tuple, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One fixed-point step on the blocks g (see ``optimize_discrimination``):
+    the next blocks, and (v, f) with T^(-1/2) = v diag(f) v^dag.  T is one
+    d x nr x d product."""
+    a, acat, acat_h = fac
+    n = a.shape[0]
+    v, f = linalg._inv_sqrt_eig(_cat(a @ g) @ acat_h)
+    va = linalg.dagger(v) @ acat
+    # C_x is the Gram matrix of T^(-1/4) v^dag a_x
+    b = _split(np.sqrt(f)[:, None] * va, n)
+    c = linalg.dagger(b) @ b
+    new = c @ g @ c
+    if not f[0]:
+        k = _split(va[f == 0], n)
+        new = new + linalg.dagger(k) @ k / n
+    return new, v, f
+
+
+def _elements(fac: tuple, g: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The POVM of the step from ``g`` with T's (v, f): elements
+    T^(-1/2) a_x g_x a_x^dag T^(-1/2), hermitized after the deficit from
+    the identity is split equally across them."""
+    a, acat, _ = fac
+    n, d, _ = a.shape
+    m = _split((v * f) @ linalg.dagger(v) @ acat, n)
+    elements = m @ g @ linalg.dagger(m)
+    deficit = np.eye(d) - elements.sum(axis=0)
+    return linalg.hermitize(elements + deficit / n)
+
+
+def _pgm_elements(fac: tuple) -> np.ndarray:
+    # the elements of pgm(e), exactly Hermitian and not yet validated: the
+    # POVM of the step from g_x = n I, where T = S
+    a = fac[0]
+    g = a.shape[0] * np.eye(a.shape[2])
+    _, v, f = _step(fac, g)
+    return _psd_elements(_elements(fac, g, v, f))
 
 
 def _psd_elements(elements: np.ndarray) -> np.ndarray:
@@ -173,33 +227,46 @@ def optimize_discrimination(
     ``tol``.  ``tol`` must be positive and finite and ``max_iter`` an
     integer of at least 1; otherwise ParamOutOfRangeError is raised.
 
+    The loop works on the states' factors, rho_x/n = a_x a_x^dag with a_x
+    of shape (d, r) and r the largest numerical rank of a state.  An
+    iterate is held as its r x r blocks G_x = a_x^dag N_x a_x, so a step is
+    G_x <- C_x G_x C_x with C_x = a_x^dag T^(-1/2) a_x, plus a_x^dag P a_x / n
+    where T = sum_y a_y G_y a_y^dag has a kernel P, and the value is
+    sum_x tr G_x.  A step costs O(n d^2 r + d^3), against O(n d^3) for the
+    d x d elements, which are built only for the PGM and for the last
+    accepted step.
+
     The ensemble is validated at construction and the result's POVM once,
-    at the end.  In between the loop trusts its own iterates: T and every
-    iterate are hermitized as they are built, so T^(-1/2) and the
-    eigenvalue tests skip the Hermiticity checks, which could not fire.
+    at the end.  In between the loop trusts its own iterates: it skips the
+    Hermiticity checks, and the eigendecomposition of T reads one triangle.
     """
     if not 0.0 < tol < math.inf:
         raise ParamOutOfRangeError(f"tol must be positive and finite, got {tol}")
     if check_integer(max_iter, "max_iter") < 1:
         raise ParamOutOfRangeError(f"max_iter must be >= 1, got {max_iter}")
-    rt = e.states / e.n
-    eye = np.eye(e.dim, dtype=complex)
-    elements = _pgm_elements(e)
-    value = float(np.einsum("xij,xji->", rt, elements).real)
+    fac = _factor(e.states)
+    elements = _pgm_elements(fac)
+    a = fac[0]
+    g = linalg.dagger(a) @ elements @ a
+    value = float(np.einsum("xii->", g).real)
+    last = None
     for iterations in range(1, max_iter + 1):
-        new = _completed(rt @ elements @ rt, eye)
-        new_value = float(np.einsum("xij,xji->", rt, new).real)
+        new, v, f = _step(fac, g)
+        new_value = float(np.einsum("xii->", new).real)
         if new_value < value - 1e-12:
             # the pseudo-inverse truncation can cost more value than the
             # ascent step gains when a state has near-kernel spectrum; the
             # previous iterate is then the numerical fixed point.  Rejecting
             # the step keeps the returned value sequence nondecreasing.
             break
-        elements = new
+        last = (g, v, f)
+        g = new
         increment = new_value - value
         value = max(value, new_value)
         if increment < tol:
             break
+    if last is not None:
+        elements = _elements(fac, *last)
     povm = POVM(_psd_elements(elements))
     value = guess_value(e, povm)
     cert = dual_certificate(e, povm)

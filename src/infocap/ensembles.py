@@ -223,7 +223,7 @@ class EADimension(Assumption):
                     f"cannot infer a message x receiver split of dimension {e.dim}; "
                     "pass subsystem_dims"
                 )
-        da, db = subsystem_dims
+        da, db = linalg.subsystem_pair(subsystem_dims)
         if da * db != e.dim:
             raise DimensionMismatchError(f"subsystem dims {subsystem_dims} do not match dim {e.dim}")
         # necessary conditions only: a constant receiver marginal and, for

@@ -113,6 +113,14 @@ def _inv_sqrt_hermitized(h: np.ndarray) -> np.ndarray:
     Eigenvalues in [-PSD_SLACK, 0) are clipped to 0; anything below
     -PSD_SLACK raises NotPSDError.
     """
+    v, f = _inv_sqrt_eig(h)
+    return hermitize((v * f) @ v.conj().T)
+
+
+def _inv_sqrt_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors ``v`` and the values ``f``, ascending in h's eigenvalues,
+    with ``_inv_sqrt_hermitized(h)`` = v diag(f) v^dag up to hermitization;
+    f is 0 exactly on h's kernel."""
     w, v = np.linalg.eigh(h)
     if w[0] < -PSD_SLACK:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_SLACK:.0e}")
@@ -122,7 +130,7 @@ def _inv_sqrt_hermitized(h: np.ndarray) -> np.ndarray:
     # maps to 0 instead of blowing up.
     f = np.zeros(w.shape)
     np.divide(1.0, np.sqrt(w), out=f, where=w > KERNEL_CUTOFF)
-    return hermitize((v * f) @ v.conj().T)
+    return v, f
 
 
 def vectors_from_gram(g: np.ndarray) -> np.ndarray:
@@ -146,6 +154,18 @@ def vectors_from_gram(g: np.ndarray) -> np.ndarray:
     return factor.T.copy()
 
 
+def subsystem_pair(dims: tuple[int, int]) -> tuple[int, int]:
+    """``dims`` as a pair of ints; DimensionMismatchError unless it is a
+    pair of positive integers."""
+    if len(dims) != 2:
+        raise DimensionMismatchError(f"subsystem dimensions must be a pair, got {dims}")
+    # a negative pair passes a size test, and a fractional one would be
+    # truncated to some other pair
+    if not all(isinstance(k, numbers.Real) and k >= 1 and k % 1 == 0 for k in dims):
+        raise DimensionMismatchError(f"subsystem dimensions must be positive integers, got {dims}")
+    return int(dims[0]), int(dims[1])
+
+
 def partial_trace(a: np.ndarray, dims: tuple[int, int], trace_out: int) -> np.ndarray:
     """Trace out one tensor factor of a matrix on C^{d_a} x C^{d_b}.
 
@@ -153,11 +173,7 @@ def partial_trace(a: np.ndarray, dims: tuple[int, int], trace_out: int) -> np.nd
     dimensions must be positive integers.
     """
     a = require_square(a)
-    # a negative pair passes the size test below, and a fractional one would
-    # be truncated to some other pair
-    if not all(isinstance(k, numbers.Real) and k >= 1 and k % 1 == 0 for k in dims):
-        raise DimensionMismatchError(f"subsystem dimensions must be positive integers, got {dims}")
-    da, db = int(dims[0]), int(dims[1])
+    da, db = subsystem_pair(dims)
     if a.shape[0] != da * db:
         raise DimensionMismatchError(
             f"matrix of size {a.shape[0]} does not factor as {da} x {db}"

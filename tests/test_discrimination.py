@@ -17,7 +17,7 @@ from infocap import (
     optimize_discrimination,
     pgm,
 )
-from infocap import discrimination
+from infocap import discrimination, linalg
 from infocap.bounds import WITNESSES
 from infocap.checks import _SAMPLERS
 from infocap.discrimination import DEFAULT_TOL, povm_from_json, povm_to_json
@@ -58,6 +58,35 @@ def near_kernel_ensemble(rng, n, dim_t):
             v[dim_t + x] = math.sqrt(1.0 - beta)
             states[x] += weight * np.outer(v, v.conj())
     return StateEnsemble(states)
+
+
+def repaired_ensemble():
+    # an input whose PGM and last iterate both have an eigenvalue below -1e-12
+    return near_kernel_ensemble(np.random.default_rng(55), 3, 3)
+
+
+def dense_oracle(e, tol, max_iter):
+    """The reference oracle, one dense d x d step per state:
+    (value, certified upper, iterations)."""
+    rt, eye = e.states / e.n, np.eye(e.dim)
+
+    def completed(a):
+        s_isqrt = linalg._inv_sqrt_hermitized(linalg.hermitize(a.sum(axis=0)))
+        elements = s_isqrt @ a @ s_isqrt
+        return linalg.hermitize(elements + (eye - elements.sum(axis=0)) / e.n)
+
+    elements = discrimination._psd_elements(completed(e.states))
+    value = float(np.einsum("xij,xji->", rt, elements).real)
+    for iterations in range(1, max_iter + 1):
+        new = completed(rt @ elements @ rt)
+        new_value = float(np.einsum("xij,xji->", rt, new).real)
+        if new_value < value - 1e-12:
+            break
+        elements, increment, value = new, new_value - value, max(value, new_value)
+        if increment < tol:
+            break
+    povm = POVM(discrimination._psd_elements(elements))
+    return guess_value(e, povm), dual_certificate(e, povm).certified_upper(), iterations
 
 
 def basis_povm(d):
@@ -205,21 +234,19 @@ class TestOptimizer:
         [
             # pure qubits with n=4, the shape of distrust targets
             (lambda: random_pure_ensemble(np.random.default_rng(5), 4, 2),
-             "0.49389760524454207", "0.4938976069646934", "-8.600756634669082e-10", 181),
+             "0.49389760524454196", "0.49389760696469337", "-8.600756981613777e-10", 181),
             (lambda: rank2_ensemble(np.random.default_rng(3), 6, 4),
-             "0.4715737597925722", "0.471573772777179", "-3.246151731965685e-09", 164),
+             "0.47157375979257193", "0.47157377277717877", "-3.2461517042101096e-09", 164),
             # S and T have a 3-dimensional kernel: the KERNEL_CUTOFF branch
             (lambda: subspace_ensemble(np.random.default_rng(2)),
-             "0.4633919254182888", "0.4633944736978009", "-4.2471325200247634e-07", 72),
+             "0.46339192541828905", "0.46339447369780135", "-4.2471325204112815e-07", 72),
             # _repair_elements runs on the PGM and on the last iterate
-            (lambda: near_kernel_ensemble(np.random.default_rng(14), 2, 2),
-             "0.9088643672063539", "0.908864367207916", "-3.905175868546912e-13", 3),
+            (repaired_ensemble, "0.8809118221771867", "0.8809135260022608", "-2.8397084569744954e-07", 6),
         ],
         ids=["pure_qubits_n4", "rank2_6x4", "subspace_kernel", "repaired"],
     )
     def test_exact_output_pinned(self, make, value, upper, min_slack, iterations):
-        # literals captured before the loop stopped re-validating its own
-        # iterates; a kernel change that moves any bit shows here
+        # a kernel change that moves any bit shows here
         res = optimize_discrimination(make())
         assert repr(res.value) == value
         assert repr(res.certificate.certified_upper()) == upper
@@ -237,7 +264,7 @@ class TestOptimizer:
 
         repair = discrimination._repair_elements
         monkeypatch.setattr(discrimination, "_repair_elements", spy)
-        optimize_discrimination(near_kernel_ensemble(np.random.default_rng(14), 2, 2))
+        optimize_discrimination(repaired_ensemble())
         assert len(repaired) == 2
 
     def test_converged_results_carry_tight_certificates(self, rng):
@@ -260,6 +287,43 @@ class TestOptimizer:
             assert res.converged == (res.certificate.certified_upper() - res.value <= 1e-7)
             converged.append(res.converged)
         assert any(converged) and not all(converged)
+
+
+class TestFactoredIteration:
+    @pytest.mark.parametrize(
+        "make, rank",
+        [
+            (lambda: random_pure_ensemble(np.random.default_rng(1), 5, 4), 1),
+            (lambda: rank2_ensemble(np.random.default_rng(1), 6, 5), 2),
+            (lambda: StateEnsemble(np.stack([np.eye(3) / 3, np.diag([0.5, 0.3, 0.2])]).astype(complex)), 3),
+            # 1e-13 lies far above d eps_mach: kept
+            (lambda: StateEnsemble(np.stack([np.diag([1.0 - 1e-13, 1e-13, 0.0]),
+                                             np.diag([0.0, 0.0, 1.0])]).astype(complex)), 2),
+        ],
+        ids=["pure", "rank2", "full_rank", "tiny_eigenvalue"],
+    )
+    def test_factor_rank(self, make, rank):
+        e = make()
+        a, acat, _ = discrimination._factor(e.states)
+        assert a.shape == (e.n, e.dim, rank)
+        np.testing.assert_allclose(a @ linalg.dagger(a), e.states / e.n, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(acat[:, :rank], a[0])
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-7, 150), (DEFAULT_TOL, 10_000)])
+    def test_agrees_with_dense_steps(self, tol, max_iter):
+        # the same map: the same iteration counts, and a value and certified
+        # upper bound no worse than the dense steps' beyond rounding
+        rng = np.random.default_rng(20240503)
+        members = [sampler(rng)[0] for sampler, _ in _SAMPLERS.values() for _ in range(10)]
+        members += [random_pure_ensemble(np.random.default_rng(5), 4, 2),
+                    rank2_ensemble(np.random.default_rng(3), 6, 4),
+                    subspace_ensemble(np.random.default_rng(2)), repaired_ensemble()]
+        for e in members:
+            value, upper, iterations = dense_oracle(e, tol, max_iter)
+            res = optimize_discrimination(e, tol=tol, max_iter=max_iter)
+            assert res.iterations == iterations
+            assert res.value >= value - 1e-12
+            assert res.certificate.certified_upper() <= upper + 1e-11
 
 
 class TestDualCertificate:

@@ -183,3 +183,13 @@ class TestTensorOps:
             linalg.partial_trace(np.eye(4), dims, trace_out=0)
         with pytest.raises(DimensionMismatchError, match=re.escape(str(dims))):
             check_assumption(dense_coding_ensemble(2, 4), EADimension(d=2), subsystem_dims=dims)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (4,), (2, 2, 7)])
+    def test_dimensions_not_a_pair(self, dims):
+        # membership unpacked the pair with a bare ValueError, and the
+        # partial trace ignored entries past the second
+        message = f"subsystem dimensions must be a pair, got {dims}"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            linalg.partial_trace(np.eye(4), dims, trace_out=0)
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            check_assumption(dense_coding_ensemble(2, 4), EADimension(d=2), subsystem_dims=dims)
