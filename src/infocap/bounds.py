@@ -209,6 +209,8 @@ def min_overlap_vacuum(n: int, omega: float) -> float:
     """
     if check_integer(n, "n") < 2:
         raise ParamOutOfRangeError("need n >= 2")
+    if n > _FLOAT_MAX:
+        raise ParamOutOfRangeError("need n within the float range")
     if not 0.0 <= omega <= (n - 1) / n + 1e-12:
         raise ParamOutOfRangeError(f"omega={omega} outside [0, (n-1)/n]")
     return 1.0 - n * omega / (n - 1)

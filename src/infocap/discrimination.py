@@ -4,13 +4,14 @@ Contains the pretty good measurement, an iterative fixed-point optimizer
 that serves as the numeric oracle for the optimal guessing probability,
 and dual certificates that turn any POVM into a certified upper bound.
 
-The PGM and the oracle share one step on the states' low-rank factors,
+The PGM is the oracle's first step on the states' low-rank factors,
 described at ``optimize_discrimination``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -84,12 +85,16 @@ class GuessingResult:
     certificate: DualCertificate = field(repr=False)
 
 
-def guess_value(e: StateEnsemble, m: POVM) -> float:
-    """Average success probability (1/n) sum_x tr(rho_x N_x) of a POVM."""
+def _check_fits(e: StateEnsemble, m: POVM) -> None:
     if m.dim != e.dim:
         raise DimensionMismatchError(f"POVM dim {m.dim} != ensemble dim {e.dim}")
     if m.n != e.n:
         raise DimensionMismatchError(f"POVM has {m.n} outcomes for {e.n} states")
+
+
+def guess_value(e: StateEnsemble, m: POVM) -> float:
+    """Average success probability (1/n) sum_x tr(rho_x N_x) of a POVM."""
+    _check_fits(e, m)
     raw = complex(np.einsum("xij,xji->", e.states, m.elements)) / e.n
     return float(min(1.0, max(0.0, raw.real)))
 
@@ -100,7 +105,11 @@ def pgm(e: StateEnsemble) -> POVM:
     On the kernel of S the completeness deficit is split equally across the
     elements so the POVM is complete on the full space.
     """
-    return POVM(_pgm_elements(_factor(e.states)))
+    fac = _factor(e.states)
+    # the POVM of the step from g_x = n I, where T = S
+    g = e.n * np.eye(fac[0].shape[2])
+    _, v, f = _step(fac, g)
+    return POVM(_psd_elements(_elements(fac, g, v, f)))
 
 
 def _factor(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,15 +169,6 @@ def _elements(fac: tuple, g: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.nda
     return linalg.hermitize(elements + deficit / n)
 
 
-def _pgm_elements(fac: tuple) -> np.ndarray:
-    # the elements of pgm(e), exactly Hermitian and not yet validated: the
-    # POVM of the step from g_x = n I, where T = S
-    a = fac[0]
-    g = a.shape[0] * np.eye(a.shape[2])
-    _, v, f = _step(fac, g)
-    return _psd_elements(_elements(fac, g, v, f))
-
-
 def _psd_elements(elements: np.ndarray) -> np.ndarray:
     """``elements``, repaired by ``_repair_elements`` if one has an
     eigenvalue below -1e-12, as an ill-conditioned S^(-1/2) can leave."""
@@ -201,6 +201,7 @@ def dual_certificate(e: StateEnsemble, m: POVM) -> DualCertificate:
     At an optimal measurement K majorizes every rho~_x = rho_x/n and tr(K)
     equals the guessing value; for suboptimal POVMs the slack reveals it.
     """
+    _check_fits(e, m)
     return operator_certificate(e, linalg.hermitize(np.einsum("xij,xjk->ik", e.states / e.n, m.elements)))
 
 
@@ -232,9 +233,10 @@ def optimize_discrimination(
     iterate is held as its r x r blocks G_x = a_x^dag N_x a_x, so a step is
     G_x <- C_x G_x C_x with C_x = a_x^dag T^(-1/2) a_x, plus a_x^dag P a_x / n
     where T = sum_y a_y G_y a_y^dag has a kernel P, and the value is
-    sum_x tr G_x.  A step costs O(n d^2 r + d^3), against O(n d^3) for the
-    d x d elements, which are built only for the PGM and for the last
-    accepted step.
+    sum_x tr G_x.  The loop starts at G_x = n I, where T = S: that step is
+    the PGM, and ``iterations`` counts the steps after it.  A step costs
+    O(n d^2 r + d^3), against O(n d^3) for the d x d elements, built once,
+    for the last accepted step.
 
     The ensemble is validated at construction and the result's POVM once,
     at the end.  In between the loop trusts its own iterates: it skips the
@@ -245,12 +247,10 @@ def optimize_discrimination(
     if check_integer(max_iter, "max_iter") < 1:
         raise ParamOutOfRangeError(f"max_iter must be >= 1, got {max_iter}")
     fac = _factor(e.states)
-    elements = _pgm_elements(fac)
-    a = fac[0]
-    g = linalg.dagger(a) @ elements @ a
-    value = float(np.einsum("xii->", g).real)
-    last = None
-    for iterations in range(1, max_iter + 1):
+    # step 0, from g_x = n I, is the PGM's and is always taken
+    g = e.n * np.eye(fac[0].shape[2])
+    value = -math.inf
+    for iterations in range(max_iter + 1):
         new, v, f = _step(fac, g)
         new_value = float(np.einsum("xii->", new).real)
         if new_value < value - 1e-12:
@@ -265,9 +265,7 @@ def optimize_discrimination(
         value = max(value, new_value)
         if increment < tol:
             break
-    if last is not None:
-        elements = _elements(fac, *last)
-    povm = POVM(_psd_elements(elements))
+    povm = POVM(_psd_elements(_elements(fac, *last)))
     value = guess_value(e, povm)
     cert = dual_certificate(e, povm)
     return GuessingResult(
@@ -289,6 +287,8 @@ def accessible_information(n: int, pg: float) -> float:
     """
     if check_integer(n, "n") < 1:
         raise ParamOutOfRangeError("n must be >= 1")
+    if n > sys.float_info.max:
+        raise ParamOutOfRangeError("need n within the float range")
     if not math.isfinite(pg):
         raise ParamOutOfRangeError(f"pg must be finite, got {pg}")
     if not 1.0 / n <= pg <= 1.0:

@@ -80,12 +80,22 @@ def branch_values(s: SRStrategy, tol: float = DEFAULT_TOL) -> list[float]:
     return [optimize_discrimination(e, tol=tol).value for _, e, _ in s.branches]
 
 
+def _given_values(s: SRStrategy, tol: float, values: list[float] | None) -> list[float]:
+    # ``values`` if given, one per branch, else branch_values(s, tol)
+    if values is None:
+        return branch_values(s, tol)
+    if len(values) != len(s.branches):
+        raise ParamOutOfRangeError(f"got {len(values)} branch values for {len(s.branches)} branches")
+    return values
+
+
 def mixture_guess_value(s: SRStrategy, tol: float = DEFAULT_TOL, values: list[float] | None = None) -> float:
     """Weighted branch-wise optimal guessing value: the receiver knows the
     branch, so the strategy value is sum_l q_l Pg(branch_l).  ``values``
-    are the branch values if already solved, else branch_values(s, tol)."""
-    values = branch_values(s, tol) if values is None else values
-    return float(sum(q * v for (q, _, _), v in zip(s.branches, values)))
+    are the branch values if already solved, else branch_values(s, tol);
+    a list whose length is not the branch count raises
+    ParamOutOfRangeError."""
+    return float(sum(q * v for (q, _, _), v in zip(s.branches, _given_values(s, tol, values))))
 
 
 def embed_cq(s: SRStrategy) -> StateEnsemble:
@@ -148,7 +158,7 @@ def averaged_log_pg(s: SRStrategy, tol: float = DEFAULT_TOL, values: list[float]
     values: log2(n) + sum_l q_l log2 Pg(branch_l), with ``values`` as in
     mixture_guess_value.  Read-only; it carries no membership semantics."""
     total = 0.0
-    for (q, e, _), value in zip(s.branches, branch_values(s, tol) if values is None else values):
+    for (q, e, _), value in zip(s.branches, _given_values(s, tol, values)):
         total += q * np.log2(max(value, 1.0 / e.n))
     return float(np.log2(s.n) + total)
 

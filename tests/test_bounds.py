@@ -499,13 +499,16 @@ def test_non_finite_scalar_is_a_parameter_error(call):
 
 
 # counts that must be positive integers: a fraction used to raise a bare
-# TypeError or give a number for no count, and zero samples a vacuous pass
+# TypeError or give a number for no count, zero samples a vacuous pass, and
+# an n beyond the float range a bare OverflowError
 _COUNT_CALLS = {
     "max_iter": lambda: optimize_discrimination(basis_ensemble(2, 2), max_iter=2.5),
     "basis_ensemble-d": lambda: basis_ensemble(2.5, 3),
     "dense_coding_ensemble-n": lambda: dense_coding_ensemble(2, 2.5),
     "accessible_information-n": lambda: accessible_information(2.5, 0.5),
+    "accessible_information-huge-n": lambda: accessible_information(10**400, 0.5),
     "min_overlap_vacuum-n": lambda: min_overlap_vacuum(3.5, 0.2),
+    "min_overlap_vacuum-huge-n": lambda: min_overlap_vacuum(10**400, 0.1),
     "coherent_state-cutoff": lambda: coherent_state(1.0, 0.0, 30.5),
     "concavity_probe-samples": lambda: concavity_probe(lambda g: g, lambda rng: 0.5, 0, 0),
 }

@@ -961,15 +961,15 @@ def test_sweep_output_pinned(runner, kind):
 # for one numpy/BLAS build (x86-64, numpy's bundled OpenBLAS).
 _ORACLE_DIGESTS = {
     "search-vacuum": (["search", "vacuum", "--n", "4", "--omega", "0.1", "--restarts", "16", "--seed", "0"],
-                      "b2e9ff2a99be5d12c73b9c696acc85cc72ccb94248c4d3bd878c43e5375208a6"),
+                      "623394ddcdaf451befc7cd18d03c41718e33807408851000de20a88bc675bad1"),
     "search-overlap": (["search", "overlap", "--n", "4", "--a", "0.3", "--restarts", "16", "--seed", "0"],
-                       "5109b3808988af688137d3b68412df756b389851d0323fee78efb6d3f89acf21"),
+                       "98ee9c2273553c3c79968f779d7f2b4d16ca378acc6aecea492d0cef1434b009"),
     "search-almost-dim": (["search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05", "--restarts", "16",
                            "--seed", "0"],
-                          "ad86d814eec27eb8ec5a9a0177238018f811b6856132c0ee83c973dcd9c4c0b0"),
+                          "e515ff71eddb9ba29978082685caa35ce295375af3a089a9120100986499a625"),
     "search-distrust": (["search", "distrust", "--eps", "0.1", "--targets", _QUBIT_TARGETS, "--restarts", "16",
                          "--seed", "0"],
-                        "43ee8a32cd8ef18bbbca33bae5e8b0054148828d03cd41068994129b5bf1ea51"),
+                        "576da2ef564bd3fcbe16dc99d9412ba88e906d5c9c95afdf7167f667faf5ba95"),
     "sweep-vacuum": (["sweep", "vacuum", "--n", "4", "--start", "0", "--stop", "0.75", "--points", "41",
                       "--with-oracle"],
                      "546f160e0130a32f6b543bf4a4ed99fce71a52f29cb508b1643bdcd6dce078c4"),

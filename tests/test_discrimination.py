@@ -65,6 +65,21 @@ def repaired_ensemble():
     return near_kernel_ensemble(np.random.default_rng(55), 3, 3)
 
 
+def rejected_step_ensemble():
+    """Nearly pure states, each with weight w = 10^U(-14, -6) on a second
+    Haar-random vector: the step after the PGM loses more than 1e-12 of
+    value and is rejected."""
+    rng = np.random.default_rng(14)
+    n, dim = rng.integers(2, 5), rng.integers(2, 5)
+    states = []
+    for _ in range(n):
+        u, v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2))
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        w = 10.0 ** rng.uniform(-14, -6)
+        states.append((1.0 - w) * np.outer(u, u.conj()) + w * np.outer(v, v.conj()))
+    return StateEnsemble(np.array(states))
+
+
 def dense_oracle(e, tol, max_iter):
     """The reference oracle, one dense d x d step per state:
     (value, certified upper, iterations)."""
@@ -236,12 +251,12 @@ class TestOptimizer:
             (lambda: random_pure_ensemble(np.random.default_rng(5), 4, 2),
              "0.49389760524454196", "0.49389760696469337", "-8.600756981613777e-10", 181),
             (lambda: rank2_ensemble(np.random.default_rng(3), 6, 4),
-             "0.47157375979257193", "0.47157377277717877", "-3.2461517042101096e-09", 164),
+             "0.4715737597925718", "0.47157377277717893", "-3.246151739771941e-09", 164),
             # S and T have a 3-dimensional kernel: the KERNEL_CUTOFF branch
             (lambda: subspace_ensemble(np.random.default_rng(2)),
-             "0.46339192541828905", "0.46339447369780135", "-4.2471325204112815e-07", 72),
-            # _repair_elements runs on the PGM and on the last iterate
-            (repaired_ensemble, "0.8809118221771867", "0.8809135260022608", "-2.8397084569744954e-07", 6),
+             "0.4633919254182889", "0.46339447369780146", "-4.247132520650111e-07", 72),
+            # _repair_elements runs on the last iterate
+            (repaired_ensemble, "0.8809118221771658", "0.8809135260022398", "-2.8397084565868036e-07", 6),
         ],
         ids=["pure_qubits_n4", "rank2_6x4", "subspace_kernel", "repaired"],
     )
@@ -265,7 +280,28 @@ class TestOptimizer:
         repair = discrimination._repair_elements
         monkeypatch.setattr(discrimination, "_repair_elements", spy)
         optimize_discrimination(repaired_ensemble())
+        assert len(repaired) == 1
+        pgm(repaired_ensemble())
         assert len(repaired) == 2
+
+    def test_rejected_first_step_returns_the_pgm(self):
+        e = rejected_step_ensemble()
+        res = optimize_discrimination(e)
+        assert res.iterations == 1
+        np.testing.assert_array_equal(res.povm.elements, pgm(e).elements)
+
+    def test_one_element_build_per_solve(self, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args[1].shape)
+            return elements(*args)
+
+        elements = discrimination._elements
+        monkeypatch.setattr(discrimination, "_elements", spy)
+        res = optimize_discrimination(rank2_ensemble(np.random.default_rng(3), 6, 4))
+        assert res.iterations > 1
+        assert len(built) == 1
 
     def test_converged_results_carry_tight_certificates(self, rng):
         for _ in range(5):
@@ -327,6 +363,22 @@ class TestFactoredIteration:
 
 
 class TestDualCertificate:
+    @pytest.mark.parametrize(
+        "povm, message",
+        [
+            # one element would broadcast over the three states
+            (lambda: POVM(np.eye(3)[None]), "POVM has 1 outcomes for 3 states"),
+            (lambda: uniform_povm(3, 2), "POVM dim 2 != ensemble dim 3"),
+            (lambda: uniform_povm(2, 3), "POVM has 2 outcomes for 3 states"),
+        ],
+        ids=["one_outcome", "dim_2", "two_outcomes"],
+    )
+    def test_povm_must_fit_the_ensemble(self, povm, message):
+        e, m = basis_ensemble(3, 3), povm()
+        for f in (dual_certificate, guess_value):
+            with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+                f(e, m)
+
     def test_basis_povm_is_optimal(self):
         e = basis_ensemble(2, 2)
         cert = dual_certificate(e, basis_povm(2))

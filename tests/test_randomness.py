@@ -79,6 +79,17 @@ class TestMixtureValue:
         )
 
 
+@pytest.mark.parametrize("f", [mixture_guess_value, averaged_log_pg])
+@pytest.mark.parametrize("values", [[1.0], [1.0, 1.0, 0.5]], ids=["short", "long"])
+def test_values_of_another_length_refused(f, values):
+    # zip would pair the first branch alone with [1.0], or drop the third value
+    e = basis_ensemble(2, 2)
+    s = SRStrategy(branches=((0.5, e, Dimension(d=2)), (0.5, e, Dimension(d=2))))
+    with pytest.raises(ParamOutOfRangeError, match=f"^got {len(values)} branch values for 2 branches$"):
+        f(s, values=values)
+    assert f(s, values=[1.0, 1.0]) == pytest.approx(f(s))
+
+
 class TestEmbedding:
     def test_single_branch_preserves_value(self):
         e = equiangular(3, 0.4)
