@@ -5,7 +5,9 @@ that serves as the numeric oracle for the optimal guessing probability,
 and dual certificates that turn any POVM into a certified upper bound.
 
 The PGM is the oracle's first step on the states' low-rank factors,
-described at ``optimize_discrimination``.
+described at ``optimize_discrimination``.  Both build their POVM's
+elements as Gram matrices, PSD and complete by construction, and ``POVM``
+validates them once.
 """
 
 from __future__ import annotations
@@ -65,9 +67,11 @@ class DualCertificate:
 
     def certified_upper(self) -> float:
         """Sound upper bound even with a slightly negative slack: shift K by
-        |min_slack| times the identity."""
+        |min_slack| times the identity.  A NaN slack gives a NaN bound,
+        which certifies nothing."""
         dim = self.K.shape[0]
-        return self.trace_value + dim * max(0.0, -self.min_slack)
+        # np.minimum propagates NaN, where max(0.0, -nan) would give 0.0
+        return self.trace_value - dim * float(np.minimum(self.min_slack, 0.0))
 
     def gap(self, value: float) -> float:
         return self.certified_upper() - value
@@ -102,14 +106,15 @@ def guess_value(e: StateEnsemble, m: POVM) -> float:
 def pgm(e: StateEnsemble) -> POVM:
     """Pretty good measurement N_x = S^(-1/2) rho_x S^(-1/2), S = sum rho_x.
 
-    On the kernel of S the completeness deficit is split equally across the
-    elements so the POVM is complete on the full space.
+    On the kernel P of S each element gets P/n, so the POVM is complete on
+    the full space.  The elements are built as Gram matrices, PSD and
+    complete by construction (``_elements``).
     """
     fac = _factor(e.states)
     # the POVM of the step from g_x = n I, where T = S
     g = e.n * np.eye(fac[0].shape[2])
     _, v, f = _step(fac, g)
-    return POVM(_psd_elements(_elements(fac, g, v, f)))
+    return POVM(_elements(fac, g, v, f))
 
 
 def _factor(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,41 +163,23 @@ def _step(fac: tuple, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _elements(fac: tuple, g: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The POVM of the step from ``g`` with T's (v, f): elements
-    T^(-1/2) a_x g_x a_x^dag T^(-1/2), hermitized after the deficit from
-    the identity is split equally across them."""
-    a, acat, _ = fac
-    n, d, _ = a.shape
-    m = _split((v * f) @ linalg.dagger(v) @ acat, n)
-    elements = m @ g @ linalg.dagger(m)
-    deficit = np.eye(d) - elements.sum(axis=0)
-    return linalg.hermitize(elements + deficit / n)
+    """The POVM of the step from ``g`` with T's (v, f), PSD and complete by
+    construction: elements q_x q_x^dag + P/n.
 
-
-def _psd_elements(elements: np.ndarray) -> np.ndarray:
-    """``elements``, repaired by ``_repair_elements`` if one has an
-    eigenvalue below -1e-12, as an ill-conditioned S^(-1/2) can leave."""
-    if linalg.lowest_eigenvalues(elements).min() < -1e-12:
-        return _repair_elements(elements)
-    return elements
-
-
-def _repair_elements(elements: np.ndarray) -> np.ndarray:
-    """Project elements onto the PSD cone and restore completeness by a
-    congruence with (sum)^(-1/2).
-
-    Clipping can only add PSD corrections, so the clipped sum is >= the
-    identity and the congruence is well conditioned; congruence preserves
-    positivity exactly.  Used when inverse-square-root amplification near
-    the kernel cutoff leaves tiny negative eigenvalues in a fixed-point
-    iterate.
+    Each block is factored as g_x = l_x l_x^dag, its negative rounding
+    clipped, h_x = T^(-1/2) a_x l_x and q_x = S^(-1/2) h_x with
+    S = sum_x h_x h_x^dag.  The q_x q_x^dag sum to the projector onto S's
+    support, and P projects onto its kernel.
     """
-    w, v = np.linalg.eigh(elements)
-    projected = (v * np.clip(w, 0.0, None)[:, None, :]) @ linalg.dagger(v)
-    clipped = np.where((w[:, 0] >= 0.0)[:, None, None], elements, projected)
-    total = linalg.hermitize(clipped.sum(axis=0))
-    tisq = linalg._inv_sqrt_hermitized(total)
-    return linalg.hermitize(tisq @ clipped @ tisq)
+    a = fac[0]
+    n = a.shape[0]
+    w, u = np.linalg.eigh(g)
+    l = u * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    h = (v * f) @ linalg.dagger(v) @ _cat(a @ l)
+    vs, fs = linalg._inv_sqrt_eig(h @ linalg.dagger(h))
+    q = _split((vs * fs) @ linalg.dagger(vs) @ h, n)
+    p = vs[:, fs == 0]
+    return q @ linalg.dagger(q) + p @ linalg.dagger(p) / n
 
 
 def dual_certificate(e: StateEnsemble, m: POVM) -> DualCertificate:
@@ -265,7 +252,7 @@ def optimize_discrimination(
         value = max(value, new_value)
         if increment < tol:
             break
-    povm = POVM(_psd_elements(_elements(fac, *last)))
+    povm = POVM(_elements(fac, *last))
     value = guess_value(e, povm)
     cert = dual_certificate(e, povm)
     return GuessingResult(

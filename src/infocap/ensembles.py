@@ -228,16 +228,13 @@ class EADimension(Assumption):
             raise DimensionMismatchError(f"subsystem dims {subsystem_dims} do not match dim {e.dim}")
         # necessary conditions only: a constant receiver marginal and, for
         # pure states, Schmidt number at most d
-        margs = [linalg.partial_trace(rho, (da, db), trace_out=0) for rho in e.states]
-        mean = sum(margs) / e.n
-        slacks = [-float(np.max(np.abs(m - mean))) for m in margs]
-        if all(e.pure_flags):
-            # Schmidt number <= d per pure state: the (d+1)-th eigenvalue of
-            # the reduced state must vanish
-            for m in margs:
-                w = np.linalg.eigvalsh(m)[::-1]
-                slacks.append(-float(w[d]) if d < len(w) else 0.0)
-        return slack_report(slacks)
+        margs = np.einsum("xijik->xjk", e.states.reshape(e.n, da, db, da, db))
+        slacks = -np.abs(margs - margs.sum(axis=0) / e.n).max(axis=(1, 2))
+        if all(e.pure_flags) and d < db:
+            # Schmidt number <= d per pure state: the (d+1)-th largest
+            # eigenvalue of the reduced state must vanish
+            slacks = np.concatenate([slacks, -np.linalg.eigvalsh(margs)[:, db - 1 - d]])
+        return slack_report(slacks.tolist())
 
 
 @dataclass(frozen=True)
@@ -252,14 +249,18 @@ class Vacuum(Assumption):
         check_unit_interval(self.omega, "omega")
 
     def anchors(self, e, vacuum_vector):
-        # the vacuum is basis vector 0 unless one is given
-        v = np.eye(e.dim, dtype=complex)[0] if vacuum_vector is None else vacuum_vector
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if v.shape[0] != e.dim:
-            raise DimensionMismatchError("vacuum vector dimension does not match the ensemble")
-        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
-            raise ParamOutOfRangeError(f"vacuum vector must be finite and normalized within {UNIT_TOL:.0e}")
-        return np.broadcast_to(np.outer(v, v.conj()), (e.n, e.dim, e.dim))
+        if vacuum_vector is None:
+            # the vacuum is basis vector 0 unless one is given
+            p = np.zeros((e.dim, e.dim), dtype=complex)
+            p[0, 0] = 1.0
+        else:
+            v = np.asarray(vacuum_vector, dtype=complex).reshape(-1)
+            if v.shape[0] != e.dim:
+                raise DimensionMismatchError("vacuum vector dimension does not match the ensemble")
+            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
+                raise ParamOutOfRangeError(f"vacuum vector must be finite and normalized within {UNIT_TOL:.0e}")
+            p = np.outer(v, v.conj())
+        return np.broadcast_to(p, (e.n, e.dim, e.dim))
 
 
 @dataclass(frozen=True)

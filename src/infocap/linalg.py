@@ -102,25 +102,25 @@ def hermitian_stack(
 
 def mat_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse square root on the support of a Hermitian PSD matrix ``a``,
-    zero on its kernel."""
-    return _inv_sqrt_hermitized(require_hermitian(a))
-
-
-def _inv_sqrt_hermitized(h: np.ndarray) -> np.ndarray:
-    """``mat_inv_sqrt`` of an exactly Hermitian matrix, unchecked: for hot
-    loops that hermitize their own operators.
+    zero on its kernel.
 
     Eigenvalues in [-PSD_SLACK, 0) are clipped to 0; anything below
     -PSD_SLACK raises NotPSDError.
     """
-    v, f = _inv_sqrt_eig(h)
+    v, f = _inv_sqrt_eig(require_hermitian(a))
     return hermitize((v * f) @ v.conj().T)
 
 
 def _inv_sqrt_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors ``v`` and the values ``f``, ascending in h's eigenvalues,
-    with ``_inv_sqrt_hermitized(h)`` = v diag(f) v^dag up to hermitization;
-    f is 0 exactly on h's kernel."""
+    """Eigenvectors ``v`` of a Hermitian matrix ``h``, in ascending order of
+    its eigenvalues w, and weights f with v diag(f) v^dag the inverse
+    square root of h on its support: f = w^(-1/2) above KERNEL_CUTOFF and
+    exactly 0 on the kernel, at or below it.
+
+    Unchecked: ``eigh`` reads one triangle of ``h``.  Eigenvalues in
+    [-PSD_SLACK, 0) are clipped to 0; anything below -PSD_SLACK raises
+    NotPSDError.
+    """
     w, v = np.linalg.eigh(h)
     if w[0] < -PSD_SLACK:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_SLACK:.0e}")

@@ -961,15 +961,15 @@ def test_sweep_output_pinned(runner, kind):
 # for one numpy/BLAS build (x86-64, numpy's bundled OpenBLAS).
 _ORACLE_DIGESTS = {
     "search-vacuum": (["search", "vacuum", "--n", "4", "--omega", "0.1", "--restarts", "16", "--seed", "0"],
-                      "623394ddcdaf451befc7cd18d03c41718e33807408851000de20a88bc675bad1"),
+                      "271e1a5cd2c9bca481b4a754fcebd97445405953d7db399c838e94afcbf23d95"),
     "search-overlap": (["search", "overlap", "--n", "4", "--a", "0.3", "--restarts", "16", "--seed", "0"],
-                       "98ee9c2273553c3c79968f779d7f2b4d16ca378acc6aecea492d0cef1434b009"),
+                       "23a24ff6bf0e27bef29d19d375de19dfc9404ab31cea661906a704499ba77f32"),
     "search-almost-dim": (["search", "almost-dim", "--d", "2", "--n", "4", "--eps", "0.05", "--restarts", "16",
                            "--seed", "0"],
-                          "e515ff71eddb9ba29978082685caa35ce295375af3a089a9120100986499a625"),
+                          "8c39330395f560e71e2ca1ef7d1c990d8e19bc30b3bb4184e14d96e5f5991f30"),
     "search-distrust": (["search", "distrust", "--eps", "0.1", "--targets", _QUBIT_TARGETS, "--restarts", "16",
                          "--seed", "0"],
-                        "576da2ef564bd3fcbe16dc99d9412ba88e906d5c9c95afdf7167f667faf5ba95"),
+                        "4dc753e70697651c4319b45f06f3348c33d0e9ca89504e7d4629ae9bdeb90216"),
     "sweep-vacuum": (["sweep", "vacuum", "--n", "4", "--start", "0", "--stop", "0.75", "--points", "41",
                       "--with-oracle"],
                      "546f160e0130a32f6b543bf4a4ed99fce71a52f29cb508b1643bdcd6dce078c4"),

@@ -20,7 +20,7 @@ from infocap import (
 from infocap import discrimination, linalg
 from infocap.bounds import WITNESSES
 from infocap.checks import _SAMPLERS
-from infocap.discrimination import DEFAULT_TOL, povm_from_json, povm_to_json
+from infocap.discrimination import DEFAULT_TOL, DualCertificate, povm_from_json, povm_to_json
 from infocap.linalg import KERNEL_CUTOFF
 from infocap.errors import DimensionMismatchError, InvalidPOVMError, ParamOutOfRangeError
 
@@ -61,7 +61,8 @@ def near_kernel_ensemble(rng, n, dim_t):
 
 
 def repaired_ensemble():
-    # an input whose PGM and last iterate both have an eigenvalue below -1e-12
+    # an input whose PGM and last iterate, completed by an additive deficit,
+    # both have an eigenvalue below -1e-12: the dense reference repairs them
     return near_kernel_ensemble(np.random.default_rng(55), 3, 3)
 
 
@@ -80,17 +81,37 @@ def rejected_step_ensemble():
     return StateEnsemble(np.array(states))
 
 
+def psd_elements(elements):
+    """``elements``, repaired by ``repair_elements`` if one has an
+    eigenvalue below -1e-12, as an ill-conditioned S^(-1/2) can leave."""
+    if linalg.lowest_eigenvalues(elements).min() < -1e-12:
+        return repair_elements(elements)
+    return elements
+
+
+def repair_elements(elements):
+    """Project elements onto the PSD cone and restore completeness by a
+    congruence with (sum)^(-1/2)."""
+    w, v = np.linalg.eigh(elements)
+    projected = (v * np.clip(w, 0.0, None)[:, None, :]) @ linalg.dagger(v)
+    clipped = np.where((w[:, 0] >= 0.0)[:, None, None], elements, projected)
+    total = linalg.hermitize(clipped.sum(axis=0))
+    tisq = linalg.mat_inv_sqrt(total)
+    return linalg.hermitize(tisq @ clipped @ tisq)
+
+
 def dense_oracle(e, tol, max_iter):
-    """The reference oracle, one dense d x d step per state:
+    """The reference oracle, one dense d x d step per state, completed by an
+    additive deficit and repaired where that leaves an element non-PSD:
     (value, certified upper, iterations)."""
     rt, eye = e.states / e.n, np.eye(e.dim)
 
     def completed(a):
-        s_isqrt = linalg._inv_sqrt_hermitized(linalg.hermitize(a.sum(axis=0)))
+        s_isqrt = linalg.mat_inv_sqrt(linalg.hermitize(a.sum(axis=0)))
         elements = s_isqrt @ a @ s_isqrt
         return linalg.hermitize(elements + (eye - elements.sum(axis=0)) / e.n)
 
-    elements = discrimination._psd_elements(completed(e.states))
+    elements = psd_elements(completed(e.states))
     value = float(np.einsum("xij,xji->", rt, elements).real)
     for iterations in range(1, max_iter + 1):
         new = completed(rt @ elements @ rt)
@@ -100,7 +121,7 @@ def dense_oracle(e, tol, max_iter):
         elements, increment, value = new, new_value - value, max(value, new_value)
         if increment < tol:
             break
-    povm = POVM(discrimination._psd_elements(elements))
+    povm = POVM(psd_elements(elements))
     return guess_value(e, povm), dual_certificate(e, povm).certified_upper(), iterations
 
 
@@ -249,14 +270,14 @@ class TestOptimizer:
         [
             # pure qubits with n=4, the shape of distrust targets
             (lambda: random_pure_ensemble(np.random.default_rng(5), 4, 2),
-             "0.49389760524454196", "0.49389760696469337", "-8.600756981613777e-10", 181),
+             "0.4938976052445418", "0.4938976069646933", "-8.600757397947412e-10", 181),
             (lambda: rank2_ensemble(np.random.default_rng(3), 6, 4),
-             "0.4715737597925718", "0.47157377277717893", "-3.246151739771941e-09", 164),
+             "0.47157375979257193", "0.4715737727771788", "-3.2461517415066643e-09", 164),
             # S and T have a 3-dimensional kernel: the KERNEL_CUTOFF branch
             (lambda: subspace_ensemble(np.random.default_rng(2)),
-             "0.4633919254182889", "0.46339447369780146", "-4.247132520650111e-07", 72),
-            # _repair_elements runs on the last iterate
-            (repaired_ensemble, "0.8809118221771658", "0.8809135260022398", "-2.8397084565868036e-07", 6),
+             "0.4633919254182888", "0.46339447369780173", "-4.2471325214823716e-07", 72),
+            # an additive completion leaves its PGM and last iterate non-PSD
+            (repaired_ensemble, "0.88091182217723", "0.8809135260023041", "-2.8397084567531297e-07", 6),
         ],
         ids=["pure_qubits_n4", "rank2_6x4", "subspace_kernel", "repaired"],
     )
@@ -268,21 +289,19 @@ class TestOptimizer:
         assert repr(res.certificate.min_slack) == min_slack
         assert res.iterations == iterations
 
-    def test_pinned_inputs_reach_their_branches(self, monkeypatch):
+    def test_pinned_inputs_reach_their_branches(self):
         e = subspace_ensemble(np.random.default_rng(2))
         assert np.sum(np.linalg.eigvalsh(e.states.sum(axis=0)) > KERNEL_CUTOFF) == 3
-        repaired = []
 
-        def spy(elements):
-            repaired.append(elements.shape)
-            return repair(elements)
-
-        repair = discrimination._repair_elements
-        monkeypatch.setattr(discrimination, "_repair_elements", spy)
-        optimize_discrimination(repaired_ensemble())
-        assert len(repaired) == 1
-        pgm(repaired_ensemble())
-        assert len(repaired) == 2
+    def test_povm_psd_and_complete_near_the_kernel_cutoff(self):
+        # S has eigenvalues near the kernel cutoff, where an additive
+        # completion leaves elements with eigenvalues near -1e-12
+        members = [repaired_ensemble()]
+        members += [near_kernel_ensemble(np.random.default_rng(s), 3, 3) for s in range(200)]
+        for e in members:
+            for m in (pgm(e), optimize_discrimination(e).povm):
+                assert linalg.lowest_eigenvalues(m.elements).min() >= -1e-14
+                assert np.linalg.norm(m.elements.sum(axis=0) - np.eye(m.dim)) <= 1e-14
 
     def test_rejected_first_step_returns_the_pgm(self):
         e = rejected_step_ensemble()
@@ -415,6 +434,11 @@ class TestDualCertificate:
         np.testing.assert_array_equal(m.elements, m.elements.conj().transpose(0, 2, 1))
         assert guess_value(plus_minus, m) == pytest.approx(1.0, abs=1e-12)
         assert dual_certificate(plus_minus, m).certifies(guess_value(plus_minus, m), DEFAULT_TOL)
+
+    def test_nan_slack_certifies_nothing(self):
+        cert = DualCertificate(K=np.eye(2), trace_value=1.0, min_slack=math.nan)
+        assert math.isnan(cert.certified_upper())
+        assert not cert.certifies(1.0, DEFAULT_TOL)
 
     def test_uniform_povm_is_not_a_certificate(self):
         e = basis_ensemble(2, 2)

@@ -29,8 +29,8 @@ from infocap import (
     pgm,
 )
 from infocap.bounds import WITNESSES
-from infocap.checks import random_unit
-from infocap.ensembles import assumption_from_json, assumption_to_json
+from infocap.checks import _member_ea_dimension, random_unit
+from infocap.ensembles import assumption_from_json, assumption_to_json, slack_report
 
 from conftest import equiangular, random_psd, random_pure_ensemble
 from infocap.errors import (
@@ -364,6 +364,30 @@ class TestMembership:
         assert rep.satisfied
         assert rep == check_assumption(e, EADimension(d=2), subsystem_dims=(2, 3))
         assert not check_assumption(e, EADimension(d=2), subsystem_dims=(3, 2)).satisfied
+
+    def test_ea_batched_marginals_match_the_per_state_loop(self, rng):
+        def per_state(e, d, dims):
+            margs = [linalg.partial_trace(rho, dims, trace_out=0) for rho in e.states]
+            mean = sum(margs) / e.n
+            slacks = [-float(np.max(np.abs(m - mean))) for m in margs]
+            if all(e.pure_flags):
+                for m in margs:
+                    w = np.linalg.eigvalsh(m)[::-1]
+                    slacks.append(-float(w[d]) if d < len(w) else 0.0)
+            return slack_report(slacks)
+
+        draws = np.random.default_rng(20240503)
+        for _ in range(20):
+            e, gamma = _member_ea_dimension(draws)
+            assert check_assumption(e, gamma) == per_state(e, gamma.d, (gamma.d, gamma.d))
+        for dims in [(2, 3), (3, 2), (2, 4), (1, 5)]:
+            psd = np.stack([random_psd(rng, dims[0] * dims[1]) for _ in range(4)])
+            mixed = StateEnsemble(psd / np.trace(psd, axis1=1, axis2=2).real[:, None, None])
+            pure = random_pure_ensemble(rng, 4, dims[0] * dims[1])
+            for e in (mixed, pure):
+                for d in (1, 2, 3):
+                    rep = check_assumption(e, EADimension(d=d), subsystem_dims=dims)
+                    assert rep == per_state(e, d, dims)
 
     def test_ea_split_not_inferable_needs_context(self):
         with pytest.raises(MissingContextError, match="cannot infer a message x receiver split of dimension 3"):

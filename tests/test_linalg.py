@@ -52,10 +52,6 @@ class TestMatFunc:
         with pytest.raises(NotPSDError):
             linalg.mat_inv_sqrt(np.diag([1.0, -1.0]))
 
-    def test_inv_sqrt_matches_the_unchecked_kernel(self, rng):
-        h = linalg.hermitize(random_psd(rng, 5))
-        np.testing.assert_array_equal(linalg.mat_inv_sqrt(h), linalg._inv_sqrt_hermitized(h))
-
 
 class TestMinEigenvalue:
     def test_diagonal(self):
